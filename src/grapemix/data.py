@@ -6,6 +6,10 @@ sampling semantics, no epoch bookkeeping), and every random draw comes
 from a named stream so that toggling one consumer (say, gradient-surgery
 ordering) never perturbs another's sequence.  Given (seed, config) the
 entire layer reproduces bit-identical batches.
+
+Models rely on that immutability: they may keep what they derive from a
+``Dataset`` (counts, stacked arrays) for the dataset's lifetime.  Never
+mutate an example, or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -143,7 +147,10 @@ def sample_mixture_batch(
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     cum = np.cumsum(w.values)
-    which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(datasets) - 1)
+    # The weights may sum to just under 1; a draw at or above cum[-1]
+    # goes to the last component with positive weight, never to a dead one.
+    last_live = np.searchsorted(cum, cum[-1], side="left")
+    which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), last_live)
     picks = rng.random(size)
     batch = []
     for ds_idx, u in zip(which, picks):
@@ -277,7 +284,8 @@ def generate_markov_corpus(
         states[:, t] = np.minimum((u[:, None] > rows).sum(axis=1), v - 1)
 
     chars = np.frombuffer(spec.vocab.encode("ascii"), dtype=np.uint8)
-    return Dataset([bytes(chars[row]).decode("ascii") for row in states])
+    text = chars[states].tobytes().decode("ascii")
+    return Dataset([text[i : i + seq_len] for i in range(0, len(text), seq_len)])
 
 
 # ---------------------------------------------------------------------------

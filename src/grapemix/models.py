@@ -21,7 +21,8 @@ Built-ins:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Protocol, Sequence
+import weakref
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 from scipy.optimize import fsolve, minimize
@@ -32,15 +33,21 @@ from .metrics import LOSS_FLOOR
 
 
 class DifferentiableModel(Protocol):
-    """What the training loop needs: a loss and its gradient on a batch."""
+    """What the training loop needs: a loss and its gradient on a batch.
+
+    A batch is a list of examples (sampled batches) or a whole
+    ``Dataset`` (full batches in expected mode).  Datasets are immutable,
+    so a model may memoize what it derives from one, keyed by the
+    ``Dataset`` object.
+    """
 
     param_dim: int
 
     def initial_params(self) -> np.ndarray: ...
 
-    def loss(self, params: np.ndarray, batch: Batch) -> float: ...
+    def loss(self, params: np.ndarray, batch: Batch | Dataset) -> float: ...
 
-    def grad(self, params: np.ndarray, batch: Batch) -> np.ndarray: ...
+    def grad(self, params: np.ndarray, batch: Batch | Dataset) -> np.ndarray: ...
 
 
 def normalized_grad(g: np.ndarray, loss_value: float) -> np.ndarray:
@@ -73,6 +80,25 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Bat
         probe[i] = params[i]
         worst = max(worst, abs((up - down) / (2.0 * h) - analytic[i]))
     return worst
+
+
+def _per_dataset(memo: weakref.WeakKeyDictionary, batch: Batch | Dataset, prepare: Callable):
+    """``prepare(batch)``, computed once per ``Dataset`` and kept in ``memo``.
+
+    List batches are prepared on every call.  Cached arrays are made
+    read-only, because every later call on the dataset shares them; the
+    memo holds datasets weakly, so an entry lives only as long as its
+    dataset.  A failed preparation is not cached and fails again.
+    """
+    if not isinstance(batch, Dataset):
+        return prepare(batch)
+    out = memo.get(batch)
+    if out is None:
+        out = prepare(batch)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        memo[batch] = out
+    return out
 
 
 def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
@@ -259,11 +285,16 @@ class QuadraticModel:
     def __init__(self, family: QuadraticTaskFamily):
         self.family = family
         self.param_dim = family.dim
+        self._prepared = weakref.WeakKeyDictionary()
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
 
-    def _stack(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    def _stack(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
+        return _per_dataset(self._prepared, batch, self._stack_examples)
+
+    @staticmethod
+    def _stack_examples(batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
         if len(batch) == 0:
             raise EmptyBatch("quadratic model got an empty batch")
         mixes = np.stack([ex.mix for ex in batch])
@@ -289,12 +320,17 @@ class QuadraticModel:
 # ---------------------------------------------------------------------------
 
 
+_SEPARATOR = "\0"
+
+
 class CharLMModel:
     """Bigram character LM: a flat V x V logit table, loss = mean NLL/char.
 
     Batches are lists of strings over the model's vocabulary.  Loss and
     gradient are computed from pooled transition counts, so cost per call
-    is O(batch chars + V^2) regardless of how the text is chunked.
+    is O(batch chars + V^2) regardless of how the text is chunked; on a
+    ``Dataset`` the counts are kept after the first call, and later calls
+    cost O(V^2).
     """
 
     def __init__(self, vocab: str | int):
@@ -304,39 +340,45 @@ class CharLMModel:
             vocab = _ALPHABET[:vocab]
         if len(set(vocab)) != len(vocab) or len(vocab) < 2:
             raise ValueError("vocabulary must have at least 2 distinct characters")
+        if _SEPARATOR in vocab:
+            raise ValueError("vocabulary must not contain NUL, which separates the strings of a batch")
         self.vocab = vocab
         self.vocab_size = len(vocab)
         self.param_dim = self.vocab_size**2
         self._lut = np.full(256, -1, dtype=np.int64)
         for i, ch in enumerate(vocab):
             self._lut[ord(ch)] = i
+        self._lut[ord(_SEPARATOR)] = self.vocab_size
+        self._prepared = weakref.WeakKeyDictionary()
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)  # uniform next-char distribution
 
-    def transition_counts(self, batch: Batch) -> np.ndarray:
-        """Pooled V x V counts of (char, next char) pairs, per string."""
+    def transition_counts(self, batch: Batch | Dataset) -> np.ndarray:
+        """Pooled V x V counts of (char, next char) pairs, per string.
+
+        Read-only, and computed once, when ``batch`` is a ``Dataset``.
+        """
+        return _per_dataset(self._prepared, batch, self._count_transitions)
+
+    def _count_transitions(self, batch: Batch | Dataset) -> np.ndarray:
         if len(batch) == 0:
             raise EmptyBatch("char LM got an empty batch")
-        text = "".join(batch)
+        # The separator gets code V, so every pair that spans two strings
+        # lands outside the V x V block of the (V+1) x (V+1) pair counts.
+        text = _SEPARATOR.join(batch)
         raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
         if raw.size != len(text):
             raise ValueError("batch contains non-ASCII characters")
-        codes = self._lut[raw]
-        if np.any(codes < 0):
+        codes = self._lut.take(raw)
+        if np.any(codes < 0) or np.count_nonzero(codes == self.vocab_size) != len(batch) - 1:
             raise ValueError("batch contains characters outside the vocabulary")
-        if codes.size < 2:
+        side = self.vocab_size + 1
+        pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
+        counts = pairs[:-1, :-1]
+        if not counts.any():
             raise EmptyBatch("batch has no character transitions")
-        pair = codes[:-1] * self.vocab_size + codes[1:]
-        lengths = np.fromiter((len(s) for s in batch), dtype=np.int64, count=len(batch))
-        ends = np.cumsum(lengths)[:-1]
-        keep = np.ones(pair.size, dtype=bool)
-        boundary = ends[(ends >= 1) & (ends <= pair.size)] - 1
-        keep[boundary] = False
-        pair = pair[keep]
-        if pair.size == 0:
-            raise EmptyBatch("batch has no character transitions")
-        return np.bincount(pair, minlength=self.param_dim).reshape(self.vocab_size, self.vocab_size).astype(np.float64)
+        return counts.astype(np.float64)
 
     def _log_probs(self, params: np.ndarray) -> np.ndarray:
         logits = _check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size)
@@ -368,11 +410,15 @@ class SoftmaxModel:
         self.n_features = n_features
         self.n_classes = n_classes
         self.param_dim = n_features * n_classes
+        self._prepared = weakref.WeakKeyDictionary()
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
 
-    def _stack(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    def _stack(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
+        return _per_dataset(self._prepared, batch, self._stack_examples)
+
+    def _stack_examples(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
         if len(batch) == 0:
             raise EmptyBatch("softmax model got an empty batch")
         xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])

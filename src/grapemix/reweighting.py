@@ -30,8 +30,10 @@ import numpy as np
 
 from .analysis import Trajectory, TrajectoryRecord
 from .data import (
+    Dataset,
     MixtureStore,
     SeededSampler,
+    _uniform_batch,
     sample_domain_batches,
     sample_mixture_batch,
     sample_task_batches,
@@ -231,12 +233,13 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-def _domain_full_batches(store: MixtureStore) -> list:
-    return [store.domains[lbl].examples for lbl in store.domain_labels]
+def _domain_full_batches(store: MixtureStore) -> list[Dataset]:
+    # The Dataset itself, not a copy of its examples: models memoize per Dataset.
+    return [store.domains[lbl] for lbl in store.domain_labels]
 
 
-def _task_full_batches(store: MixtureStore) -> list:
-    return [store.tasks[lbl].examples for lbl in store.task_labels]
+def _task_full_batches(store: MixtureStore) -> list[Dataset]:
+    return [store.tasks[lbl] for lbl in store.task_labels]
 
 
 def _training_direction(
@@ -493,15 +496,9 @@ def train_run(
         losses = np.empty(store.num_tasks)
         for n, label in enumerate(store.task_labels):
             if cfg.task_mix_mode == "expected":
-                batch = store.tasks[label].examples
+                batch = store.tasks[label]
             else:
-                batch = [
-                    store.tasks[label][i]
-                    for i in np.minimum(
-                        (record_rng.random(size) * len(store.tasks[label])).astype(np.int64),
-                        len(store.tasks[label]) - 1,
-                    )
-                ]
+                batch = _uniform_batch(store.tasks[label], size, record_rng)
             losses[n] = model.loss(theta, batch)
         return losses
 

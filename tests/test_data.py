@@ -1,9 +1,14 @@
 """Data layer: stores, mixture sampling, synthetic corpora, ingestion."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import grapemix.verify as verify
 from grapemix import (
     Dataset,
     DimensionError,
@@ -98,6 +103,39 @@ class TestMixtureSampling:
         with pytest.raises(EmptyBatch):
             sample_mixture_batch(store, w, 0, stream_rng(0, "x"))
 
+    def test_draw_above_short_sum_skips_dead_last_component(self):
+        # the weights sum to 1 - 1e-10, inside SIMPLEX_TOL, so a draw of
+        # u >= cum[-1] is possible; it must not reach the zero-weight "d2"
+        store = toy_store(k=3)
+        w = SimplexWeights(np.array([0.5, 0.5 - 1e-10, 0.0]), store.domain_labels)
+        batch = sample_mixture_batch(store, w, 4, _StubRng(1.0 - 2.0**-53))
+        assert batch == ["d1-ex4"] * 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=6).filter(
+            lambda xs: sum(xs) > 0.0
+        ),
+        draws=st.lists(st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True)), min_size=1),
+    )
+    def test_sampled_component_never_has_zero_weight(self, raw, draws):
+        store = toy_store(k=len(raw))
+        values = np.array(raw) / sum(raw)
+        w = SimplexWeights(values, store.domain_labels)
+        batch = sample_mixture_batch(store, w, len(draws), _StubRng(*draws))
+        for ex in batch:
+            assert values[int(ex[1:].split("-")[0])] > 0.0
+
+
+class _StubRng:
+    """Stands in for a Generator: ``random(size)`` returns the given draws, cycled."""
+
+    def __init__(self, *draws):
+        self.draws = np.array(draws)
+
+    def random(self, size):
+        return np.resize(self.draws, size)
+
 
 class TestPerGroupBatches:
     def test_counts(self):
@@ -184,6 +222,15 @@ class TestMarkov:
         model = CharLMModel(3)
         logits = np.log(np.maximum(target.transition, 1e-12)).ravel()
         assert model.loss(logits, corpus.examples) == pytest.approx(best, abs=0.01)
+
+    def test_corpus_text_is_pinned(self):
+        # digest of the text this generator produced before its decoding
+        # was vectorized; any change to the draws or the chunking shows here
+        sources, _ = verify.multilingual_languages()
+        corpus = generate_markov_corpus(sources["src_a"], 60000, stream_rng(3, "corpus"), seq_len=33)
+        assert len(corpus) == 1819 and all(len(chunk) == 33 for chunk in corpus)
+        digest = hashlib.sha256("\n".join(corpus).encode("ascii")).hexdigest()
+        assert digest == "2ed53ccfd2988cc9189cfe0497f92440b780f767894fc5f817a151d0113ab64b"
 
     def test_stationary_distribution(self):
         rng = np.random.default_rng(6)

@@ -1,15 +1,21 @@
 """Built-in models: exact values, gradient contracts, minimax oracle."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from grapemix import (
     CharLMModel,
+    Dataset,
     DimensionError,
     EmptyBatch,
+    MixtureStore,
     QuadraticTaskFamily,
+    ReweightConfig,
     SoftmaxModel,
     finite_diff_check,
+    train_run,
 )
 
 
@@ -119,10 +125,30 @@ class TestCharLM:
         assert joined.sum() == 11
         assert split.sum() == 8  # three boundary pairs dropped
 
+    def test_counts_match_per_string_loop(self):
+        rng = np.random.default_rng(8)
+        model = CharLMModel(4)
+        for _ in range(100):
+            lengths = rng.integers(0, 6, size=rng.integers(1, 6))
+            batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=n)) for n in lengths]
+            want = np.zeros((4, 4))
+            for s in batch:
+                for prev, nxt in zip(s, s[1:]):
+                    want[model.vocab.index(prev), model.vocab.index(nxt)] += 1
+            if want.sum() == 0:
+                with pytest.raises(EmptyBatch):
+                    model.transition_counts(batch)
+            else:
+                np.testing.assert_array_equal(model.transition_counts(batch), want)
+
     def test_rejects_unknown_characters(self):
         model = CharLMModel(3)
         with pytest.raises(ValueError):
             model.loss(np.zeros(9), ["abz"])
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            model.loss(np.zeros(9), ["ab\0c"])  # NUL separates strings internally
+        with pytest.raises(ValueError):
+            CharLMModel("ab\0")
 
     def test_no_transitions_raises(self):
         model = CharLMModel(3)
@@ -147,6 +173,65 @@ class TestSoftmax:
         model = SoftmaxModel(2, 3)
         with pytest.raises(DimensionError):
             model.loss(np.zeros(6), [(np.zeros(5), 0)])
+
+
+def _quadratic_case(rng):
+    family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, (2, 3)), rng.normal(size=(2, 3)))
+    dataset = family.domain_dataset([0.3, 0.7], noise=0.2, size=5, rng=rng)
+    return family.model(), dataset, rng.normal(size=3), lambda m, b: m._stack(b)
+
+
+def _char_case(rng):
+    model = CharLMModel(4)
+    dataset = Dataset(["".join(model.vocab[i] for i in rng.integers(0, 4, size=n)) for n in (7, 1, 12, 5)])
+    return model, dataset, rng.normal(size=16), lambda m, b: (m.transition_counts(b),)
+
+
+def _softmax_case(rng):
+    dataset = Dataset([(rng.normal(size=2), int(rng.integers(3))) for _ in range(6)])
+    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: m._stack(b)
+
+
+@pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
+class TestDatasetMemo:
+    """A whole Dataset as the batch: prepared once, same results as its list."""
+
+    def test_bitwise_equal_to_list_batch(self, case):
+        model, dataset, params, _ = case(np.random.default_rng(4))
+        for _ in range(3):  # the first call fills the memo, the later ones read it
+            assert model.loss(params, dataset) == model.loss(params, list(dataset))
+            assert model.grad(params, dataset).tobytes() == model.grad(params, list(dataset)).tobytes()
+
+    def test_prepared_once_and_read_only(self, case):
+        model, dataset, _, prepared = case(np.random.default_rng(5))
+        first = prepared(model, dataset)
+        assert all(a is b for a, b in zip(first, prepared(model, dataset)))
+        for arr in first:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        assert all(arr.flags.writeable for arr in prepared(model, list(dataset)))
+
+    def test_memo_holds_datasets_weakly(self, case):
+        model, dataset, _, _ = case(np.random.default_rng(6))
+        store = MixtureStore({"d": dataset}, {"t": Dataset(list(dataset))})
+        cfg = ReweightConfig(total_steps=2, update_every_alpha=1, update_every_z=1,
+                             task_mix_mode="expected", domain_mix_mode="expected")
+        train_run(cfg, model, store, seed=0)
+        assert len(model._prepared) == 2
+        del store, dataset
+        gc.collect()
+        assert len(model._prepared) == 0
+
+
+def test_char_dataset_error_is_never_cached():
+    model = CharLMModel(3)
+    dataset = Dataset(["abc", "abz"])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            model.grad(np.zeros(9), dataset)
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            model.loss(np.zeros(9), dataset)
+    assert len(model._prepared) == 0
 
 
 class _NoParamsModel:

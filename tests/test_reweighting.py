@@ -1,11 +1,15 @@
 """Reweighting steps, gradient surgery, schedules, and the training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import grapemix.verify as verify
 from grapemix import (
     ASCEND,
     DESCEND,
+    CharLMModel,
     DimensionError,
     MixtureStore,
     NumericalDivergence,
@@ -19,6 +23,7 @@ from grapemix import (
     multiplicative_update,
     pcgrad_combine,
     pcgrad_surgered,
+    render_trajectory,
     stream_rng,
     task_reweight_step,
     train_run,
@@ -489,3 +494,54 @@ class TestTrainRun:
             ReweightConfig(update_every_z=0)
         with pytest.raises(ValueError):
             ReweightConfig(ema_beta=1.5)
+
+
+class _ListBatchModel:
+    """Hands the wrapped model every batch as a plain list of examples, so
+    the model cannot reuse anything it derived from a Dataset."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.param_dim = inner.param_dim
+
+    def initial_params(self):
+        return self.inner.initial_params()
+
+    def loss(self, params, batch):
+        return self.inner.loss(params, list(batch))
+
+    def grad(self, params, batch):
+        return self.inner.grad(params, list(batch))
+
+
+class TestFullBatchesAsDatasets:
+    """Expected-mode runs pass whole Datasets; the trajectories must equal
+    those of the same runs on list batches."""
+
+    @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
+    def test_char_expected_run_matches_list_batches(self, algorithm):
+        store = verify.multilingual_store(seed=4)
+        cfg = ReweightConfig(
+            algorithm=algorithm, total_steps=30, base_lr=0.15, update_every_alpha=5, update_every_z=5,
+            eval_every=10, task_mix_mode="expected", domain_mix_mode="expected",
+        )
+        model = CharLMModel(verify.MULTILINGUAL_VOCAB)
+        cold = render_trajectory(train_run(cfg, model, store, seed=4)[1])
+        warm = render_trajectory(train_run(cfg, model, store, seed=4)[1])
+        listed = render_trajectory(
+            train_run(cfg, _ListBatchModel(CharLMModel(verify.MULTILINGUAL_VOCAB)), store, seed=4)[1]
+        )
+        assert cold == warm == listed
+
+    def test_theorem1_config_matches_list_batches(self, monkeypatch):
+        def shortened(wrap):
+            def run(cfg, model, store, **kwargs):
+                return train_run(dataclasses.replace(cfg, total_steps=300), wrap(model), store, **kwargs)
+
+            return run
+
+        texts = []
+        for wrap in (lambda m: m, _ListBatchModel):
+            monkeypatch.setattr(verify, "train_run", shortened(wrap))
+            texts.append(render_trajectory(verify.theorem1_run()[1]))
+        assert texts[0] == texts[1]
