@@ -22,7 +22,6 @@ from .data import (
     Dataset,
     MarkovLanguageSpec,
     MixtureStore,
-    SeededSampler,
     chain_cross_entropy,
     chain_entropy_rate,
     generate_markov_corpus,
@@ -49,7 +48,7 @@ from .errors import (
     ScoreError,
     SpecError,
 )
-from .metrics import LOSS_FLOOR, TaskLossState, ema_update, goi, roi, roi_ema
+from .metrics import LOSS_FLOOR, TaskLossState, ema_update, roi
 from .models import (
     CharLMModel,
     DifferentiableModel,

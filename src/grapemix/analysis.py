@@ -41,7 +41,6 @@ class TrajectoryRecord:
     train_grad_evals: int
     task_grad_evals: int
     domain_grad_evals: int
-    param_version: int
 
     def __post_init__(self):
         for name in ("losses", "alpha", "z", "task_scores", "domain_scores"):
@@ -299,6 +298,7 @@ def import_trajectory(path: str | Path) -> Trajectory:
         raise IngestError("header does not match the trajectory schema", 1)
 
     n, k = len(task_labels), len(domain_labels)
+    bounds = np.cumsum([0, n, k, n, n, k]).tolist()  # losses, alpha, z, a_task, a_domain
     trajectory = Trajectory(domain_labels, task_labels)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -310,14 +310,9 @@ def import_trajectory(path: str | Path) -> Trajectory:
             evals = int(parts[-1])
         except ValueError as exc:
             raise IngestError(str(exc), lineno) from exc
-        pos = 0
-        take = lambda count: np.array(values[pos : pos + count])  # noqa: E731
-        losses = take(n); pos += n
-        alpha = take(k); pos += k
-        z = take(n); pos += n
-        a_task = take(n); pos += n
-        a_domain = take(k); pos += k
-        lr = values[pos]
+        row = np.array(values[:-1])
+        losses, alpha, z, a_task, a_domain = (row[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        lr = values[-1]
         trajectory.append(
             TrajectoryRecord(
                 step=step,
@@ -330,7 +325,6 @@ def import_trajectory(path: str | Path) -> Trajectory:
                 train_grad_evals=evals,
                 task_grad_evals=0,
                 domain_grad_evals=0,
-                param_version=step,
             )
         )
     return trajectory

@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .analysis import export_trajectory, import_trajectory, render_trajectory
 from .config import build_model, build_store, load_config_file, load_initial_weights
 from .errors import ConfigError, GrapemixError, IngestError, NumericalDivergence
-from .reweighting import train_run
+from .reweighting import ALGORITHMS, train_run
 from .simplex import SimplexWeights
 from .verify import SUITES, run_suite
 
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="YAML or JSON run configuration")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument("--algo", default=None, help="override the reweighting algorithm")
+    run_p.add_argument("--algo", default=None, choices=ALGORITHMS, help="override the reweighting algorithm")
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
@@ -75,10 +76,6 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = int(args.seed)
     if args.algo is not None:
-        from dataclasses import replace
-
-        if args.algo not in ("uniform", "doge", "doge_pcgrad", "grape", "grape_gap", "grape_ema"):
-            raise ConfigError(f"unknown algorithm {args.algo!r}")
         cfg.reweight = replace(cfg.reweight, algorithm=args.algo)
     out_dir = Path(args.out if args.out is not None else (cfg.out_dir or "grapemix-out"))
 

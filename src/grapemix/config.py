@@ -12,6 +12,7 @@ fails loudly instead of silently using a default.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,23 +29,25 @@ from .data import (
 )
 from .errors import ConfigError
 from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
-from .reweighting import ALGORITHMS, MIX_MODES, SCHEDULES, ReweightConfig
+from .reweighting import CHOICES, ReweightConfig
 from .simplex import SimplexWeights
 
-_TOP_KEYS = {
-    "seed", "out_dir", "algorithm", "total_steps", "step_ratio_alpha", "step_ratio_z",
-    "update_every_alpha", "update_every_z", "lr", "ema_beta", "task_mix_mode",
-    "domain_mix_mode", "eval_replicates", "train_batch_size", "eval_batch_size",
-    "eval_every", "optimizer", "weight_floor", "divergence_factor", "model",
-    "domains", "tasks", "init_alpha", "init_z", "init_params",
+# The two nested sections of the file; every other ReweightConfig field
+# is a top-level key of the same name.
+_SECTIONS = {
+    "lr": {"schedule": "lr_schedule", "base": "base_lr"},
+    "optimizer": {"kind": "optimizer", "beta1": "adam_beta1", "beta2": "adam_beta2",
+                  "eps": "adam_eps", "weight_decay": "weight_decay"},
 }
-_LR_KEYS = {"schedule", "base"}
-_OPT_KEYS = {"kind", "beta1", "beta2", "eps", "weight_decay"}
+_FIELD_TYPES = typing.get_type_hints(ReweightConfig)
+_RUN_KEYS = {"seed", "out_dir", "model", "domains", "tasks", "init_alpha", "init_z", "init_params"}
+_NESTED_FIELDS = {name for names in _SECTIONS.values() for name in names.values()}
+_TOP_KEYS = (_FIELD_TYPES.keys() - _NESTED_FIELDS) | _SECTIONS.keys() | _RUN_KEYS
 _MODEL_KEYS = {"kind", "vocab_size", "n_features", "n_classes", "dim", "curvatures", "centers"}
-_ENTRY_KEYS = {
-    "label", "path", "markov", "markov_mix", "length", "seq_len",
-    "mix", "noise", "size", "task_index",
-}
+# Numeric entry keys: (integral, least allowed value).
+_ENTRY_NUMBERS = {"length": (True, 2), "seq_len": (True, 1), "size": (True, 1), "task_index": (True, 0),
+                  "noise": (False, 0.0)}
+_ENTRY_KEYS = {"label", "path", "markov", "markov_mix", "mix"} | _ENTRY_NUMBERS.keys()
 _MARKOV_KEYS = {"vocab_size", "transition"}
 _MIX_KEYS = {"of", "coeffs"}
 
@@ -61,6 +64,45 @@ def _check_keys(mapping: dict, allowed: set[str], where: str):
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _number(value, where: str, integral: bool = False, minimum: float | None = None):
+    """A numeric config value as int or float, or ConfigError naming ``where``.
+
+    Bools, NaN and, for integers, non-integral numbers are rejected.
+    Strings are read as numbers, because YAML reads ``1e6`` as a string.
+    """
+    try:
+        number = float(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    ok = isinstance(number, (int, float)) and not isinstance(number, bool) and number == number
+    _require(ok and (not integral or float(number).is_integer()),
+             f"field {where} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    number = int(number) if integral else float(number)
+    _require(minimum is None or number >= minimum, f"field {where} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _field_value(name: str, value, where: str):
+    """``value`` as the type of ReweightConfig field ``name``."""
+    kind, *optional = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
+    if value is None and optional:
+        return None
+    if kind is str:
+        _require(value in CHOICES[name], f"field {where} must be one of {CHOICES[name]}")
+        return value
+    return _number(value, where, integral=kind is int)
+
+
+def _path(value, where: str, base_dir) -> str | None:
+    """The file ``value`` names, resolved against ``base_dir`` and required to exist."""
+    if value is None:
+        return None
+    _require(isinstance(value, str), f"field {where} must be a file path")
+    resolved = Path(base_dir) / value
+    _require(resolved.exists(), f"field {where}: file {resolved} does not exist")
+    return str(resolved)
+
+
 @dataclass
 class RunConfig:
     """Everything needed to reproduce one run: hyperparameters plus data/model specs."""
@@ -74,14 +116,6 @@ class RunConfig:
     init_alpha_path: str | None = None
     init_z_path: str | None = None
     init_params: list[float] | None = None
-
-    @property
-    def domain_labels(self) -> tuple[str, ...]:
-        return tuple(spec["label"] for spec in self.domain_specs)
-
-    @property
-    def task_labels(self) -> tuple[str, ...]:
-        return tuple(spec["label"] for spec in self.task_specs)
 
 
 def load_config_file(path: str | Path) -> RunConfig:
@@ -100,54 +134,25 @@ def load_config_file(path: str | Path) -> RunConfig:
 
 
 def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
-    """Validate a raw mapping into a RunConfig, filling documented defaults."""
+    """Validate a raw mapping into a RunConfig; absent keys take the
+    ReweightConfig and RunConfig defaults."""
     _check_keys(raw, _TOP_KEYS, "config")
 
-    lr = dict(raw.get("lr", {}))
-    _check_keys(lr, _LR_KEYS, "lr")
-    schedule = lr.get("schedule", "constant")
-    _require(schedule in SCHEDULES, f"field lr.schedule must be one of {SCHEDULES}")
-    base_lr = float(lr.get("base", 0.1))
-
-    opt = dict(raw.get("optimizer", {}))
-    _check_keys(opt, _OPT_KEYS, "optimizer")
-    opt_kind = opt.get("kind", "sgd")
-    _require(opt_kind in ("sgd", "adamw"), "field optimizer.kind must be 'sgd' or 'adamw'")
-
-    algorithm = raw.get("algorithm", "grape")
-    _require(algorithm in ALGORITHMS, f"field algorithm must be one of {ALGORITHMS}")
-    for mode_key in ("task_mix_mode", "domain_mix_mode"):
-        _require(raw.get(mode_key, "sampled") in MIX_MODES, f"field {mode_key} must be one of {MIX_MODES}")
-
+    values = {key: _field_value(key, value, key)
+              for key, value in raw.items() if key in _FIELD_TYPES and key not in _NESTED_FIELDS}
+    for section, names in _SECTIONS.items():
+        nested = raw.get(section, {})
+        _check_keys(nested, names.keys(), section)
+        for key, value in nested.items():
+            values[names[key]] = _field_value(names[key], value, f"{section}.{key}")
+    if values.get("optimizer") == "adamw":
+        values.setdefault("weight_decay", 0.01)  # AdamW's decay default in files only
     try:
-        reweight = ReweightConfig(
-            algorithm=algorithm,
-            total_steps=int(raw.get("total_steps", 1000)),
-            step_ratio_alpha=float(raw.get("step_ratio_alpha", 1.5)),
-            step_ratio_z=float(raw.get("step_ratio_z", 10.0)),
-            update_every_alpha=int(raw.get("update_every_alpha", 100)),
-            update_every_z=int(raw.get("update_every_z", 100)),
-            lr_schedule=schedule,
-            base_lr=base_lr,
-            ema_beta=float(raw.get("ema_beta", 0.7)),
-            task_mix_mode=raw.get("task_mix_mode", "sampled"),
-            domain_mix_mode=raw.get("domain_mix_mode", "sampled"),
-            eval_replicates=int(raw.get("eval_replicates", 1)),
-            train_batch_size=int(raw.get("train_batch_size", 16)),
-            eval_batch_size=None if raw.get("eval_batch_size") is None else int(raw["eval_batch_size"]),
-            eval_every=int(raw.get("eval_every", 10)),
-            optimizer=opt_kind,
-            adam_beta1=float(opt.get("beta1", 0.9)),
-            adam_beta2=float(opt.get("beta2", 0.999)),
-            adam_eps=float(opt.get("eps", 1e-8)),
-            weight_decay=float(opt.get("weight_decay", 0.01 if opt_kind == "adamw" else 0.0)),
-            weight_floor=float(raw.get("weight_floor", 0.0)),
-            divergence_factor=float(raw.get("divergence_factor", 1e6)),
-        )
-    except (TypeError, ValueError) as exc:
+        reweight = ReweightConfig(**values)
+    except ValueError as exc:
         raise ConfigError(f"invalid field value: {exc}") from exc
 
-    model_spec = dict(raw.get("model", {}))
+    model_spec = raw.get("model", {})
     _check_keys(model_spec, _MODEL_KEYS, "model")
     kind = model_spec.get("kind")
     _require(kind in ("quadratic", "softmax", "char_lm"), "field model.kind must be quadratic, softmax or char_lm")
@@ -157,26 +162,21 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
     labels = [spec["label"] for spec in domain_specs + task_specs]
     _require(len(set(labels)) == len(labels), "field domains/tasks: labels must be unique")
 
-    init_alpha = raw.get("init_alpha")
-    init_z = raw.get("init_z")
-    for name, value in (("init_alpha", init_alpha), ("init_z", init_z)):
-        if value is not None:
-            resolved = Path(base_dir) / value
-            _require(resolved.exists(), f"field {name}: file {resolved} does not exist")
-
-    init_params = raw.get("init_params")
+    out_dir, init_params = raw.get("out_dir"), raw.get("init_params")
+    _require(out_dir is None or isinstance(out_dir, str), "field out_dir must be a directory path")
     if init_params is not None:
         _require(isinstance(init_params, list), "field init_params must be a list of numbers")
+        init_params = [_number(value, f"init_params[{i}]") for i, value in enumerate(init_params)]
 
     return RunConfig(
         reweight=reweight,
-        model_spec=model_spec,
+        model_spec=dict(model_spec),
         domain_specs=domain_specs,
         task_specs=task_specs,
-        seed=int(raw.get("seed", 0)),
-        out_dir=raw.get("out_dir"),
-        init_alpha_path=None if init_alpha is None else str(Path(base_dir) / init_alpha),
-        init_z_path=None if init_z is None else str(Path(base_dir) / init_z),
+        seed=_number(raw.get("seed", RunConfig.seed), "seed", integral=True),
+        out_dir=out_dir,
+        init_alpha_path=_path(raw.get("init_alpha"), "init_alpha", base_dir),
+        init_z_path=_path(raw.get("init_z"), "init_z", base_dir),
         init_params=init_params,
     )
 
@@ -187,18 +187,25 @@ def _parse_entries(entries, where: str, base_dir) -> list[dict]:
     for i, entry in enumerate(entries):
         spot = f"{where}[{i}]"
         _check_keys(entry, _ENTRY_KEYS, spot)
-        _require("label" in entry, f"field {spot}.label is required")
+        _require(isinstance(entry.get("label"), str), f"field {spot}.label is required and must be a string")
         sources = [key for key in ("path", "markov", "markov_mix", "mix", "task_index") if key in entry]
         _require(len(sources) == 1, f"field {spot}: need exactly one of path/markov/markov_mix/mix/task_index")
         entry = dict(entry)
         if "path" in entry:
-            resolved = Path(base_dir) / entry["path"]
-            _require(resolved.exists(), f"field {spot}.path: file {resolved} does not exist")
-            entry["path"] = str(resolved)
+            entry["path"] = _path(entry["path"], f"{spot}.path", base_dir)
         if "markov" in entry:
-            _check_keys(entry["markov"], _MARKOV_KEYS, f"{spot}.markov")
+            markov = entry["markov"]
+            _check_keys(markov, _MARKOV_KEYS, f"{spot}.markov")
+            for key in sorted(_MARKOV_KEYS):
+                _require(key in markov, f"field {spot}.markov.{key} is required")
         if "markov_mix" in entry:
-            _check_keys(entry["markov_mix"], _MIX_KEYS, f"{spot}.markov_mix")
+            mix = entry["markov_mix"]
+            _check_keys(mix, _MIX_KEYS, f"{spot}.markov_mix")
+            for key in sorted(_MIX_KEYS):
+                _require(isinstance(mix.get(key), list), f"field {spot}.markov_mix.{key} must be a list")
+        for key, (integral, least) in _ENTRY_NUMBERS.items():
+            if key in entry:
+                entry[key] = _number(entry[key], f"{spot}.{key}", integral=integral, minimum=least)
         parsed.append(entry)
     return parsed
 
@@ -211,17 +218,20 @@ def _parse_entries(entries, where: str, base_dir) -> list[dict]:
 def build_model(cfg: RunConfig) -> DifferentiableModel:
     spec = cfg.model_spec
     kind = spec["kind"]
-    if kind == "char_lm":
-        _require("vocab_size" in spec, "field model.vocab_size is required for char_lm")
-        return CharLMModel(int(spec["vocab_size"]))
-    if kind == "softmax":
-        _require("n_features" in spec and "n_classes" in spec,
-                 "fields model.n_features and model.n_classes are required for softmax")
-        return SoftmaxModel(int(spec["n_features"]), int(spec["n_classes"]))
-    _require("curvatures" in spec and "centers" in spec,
-             "fields model.curvatures and model.centers are required for quadratic")
-    family = QuadraticTaskFamily(np.asarray(spec["curvatures"], dtype=np.float64),
-                                 np.asarray(spec["centers"], dtype=np.float64))
+    try:
+        if kind == "char_lm":
+            _require("vocab_size" in spec, "field model.vocab_size is required for char_lm")
+            return CharLMModel(int(spec["vocab_size"]))
+        if kind == "softmax":
+            _require("n_features" in spec and "n_classes" in spec,
+                     "fields model.n_features and model.n_classes are required for softmax")
+            return SoftmaxModel(int(spec["n_features"]), int(spec["n_classes"]))
+        _require("curvatures" in spec and "centers" in spec,
+                 "fields model.curvatures and model.centers are required for quadratic")
+        family = QuadraticTaskFamily(np.asarray(spec["curvatures"], dtype=np.float64),
+                                     np.asarray(spec["centers"], dtype=np.float64))
+    except (TypeError, ValueError) as exc:  # a model value of the wrong type or range
+        raise ConfigError(f"field model: {exc}") from exc
     return family.model()
 
 
@@ -257,15 +267,29 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
         family = getattr(model, "family", None)
         _require(family is not None, f"entry {label!r} needs a quadratic model")
         if "task_index" in entry:
-            return family.task_dataset(int(entry["task_index"]))
+            index = int(entry["task_index"])
+            _require(0 <= index < family.num_tasks,
+                     f"entry {label!r}: task_index {index} is out of range for {family.num_tasks} tasks")
+            return family.task_dataset(index)
         noise = float(entry.get("noise", 0.0))
         size = int(entry.get("size", 1))
         rng = stream_rng(cfg.seed, f"corpus/{label}") if noise > 0 else None
         return family.domain_dataset(np.asarray(entry["mix"], dtype=np.float64), noise=noise, size=size, rng=rng)
 
-    domains = {entry["label"]: build_one(entry) for entry in cfg.domain_specs}
-    tasks = {entry["label"]: build_one(entry) for entry in cfg.task_specs}
-    return MixtureStore(domains, tasks)
+    datasets: dict[str, Dataset] = {}
+    for entry in cfg.domain_specs + cfg.task_specs:
+        label = entry["label"]
+        try:
+            datasets[label] = build_one(entry)
+        except (TypeError, ValueError) as exc:  # a spec value of the wrong type or shape
+            raise ConfigError(f"entry {label!r}: {exc}") from exc
+        if isinstance(model, CharLMModel):
+            texts = datasets[label].examples
+            _require(all(isinstance(text, str) for text in texts), f"entry {label!r}: char_lm needs text records")
+            unknown = "".join(sorted(set("".join(texts)) - set(model.vocab)))
+            _require(not unknown, f"entry {label!r} has characters outside the model vocabulary: {unknown!r}")
+    return MixtureStore({e["label"]: datasets[e["label"]] for e in cfg.domain_specs},
+                        {e["label"]: datasets[e["label"]] for e in cfg.task_specs})
 
 
 def load_initial_weights(cfg: RunConfig) -> tuple[SimplexWeights | None, SimplexWeights | None]:

@@ -92,34 +92,11 @@ class MixtureStore:
         return len(self.tasks)
 
 
-class SeededSampler:
-    """Named, independent RNG streams derived from a single 64-bit seed.
-
-    ``stream(name)`` returns the same generator instance on every call,
-    so each consumer owns one sequence; identical (seed, name, call
-    sequence) always reproduces identical draws.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            self._streams[name] = stream_rng(self.seed, name)
-        return self._streams[name]
-
-
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """A fresh generator for (seed, stream), stable across runs and platforms."""
     digest = hashlib.sha256(stream.encode("utf-8")).digest()
     stream_key = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), stream_key]))
-
-
-def _uniform_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    # floor(u * n) keeps the draw count independent of n
-    return np.minimum((rng.random(size) * n).astype(np.int64), n - 1)
 
 
 def sample_mixture_batch(
@@ -172,7 +149,9 @@ def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator
 def _uniform_batch(dataset: Dataset, size: int, rng: np.random.Generator) -> Batch:
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
-    return [dataset[i] for i in _uniform_indices(rng, len(dataset), size)]
+    # floor(u * n) keeps the draw count independent of n
+    picks = np.minimum((rng.random(size) * len(dataset)).astype(np.int64), len(dataset) - 1)
+    return [dataset[i] for i in picks]
 
 
 # ---------------------------------------------------------------------------

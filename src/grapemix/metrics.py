@@ -1,15 +1,9 @@
-"""Step-wise learning-progress metrics and the per-task EMA loss tracker.
+"""One-step learning progress and the per-task EMA loss tracker.
 
-Three interchangeable measures of one-step progress on a task:
-
-* ``roi``      -- relative loss decrease, (l_prev - l_next) / l_prev.
-                  Scale-invariant: halving a loss of 10 scores the same
-                  as halving a loss of 0.1.
-* ``goi``      -- absolute loss decrease, l_prev - l_next.  Scale-
-                  sensitive; favors tasks with intrinsically large losses.
-* ``roi_ema``  -- absolute decrease normalized by an exponential moving
-                  average of the task's loss, smoothing the denominator
-                  at the cost of a historical lag.
+``roi`` is the relative loss decrease (l_prev - l_next) / l_prev.  It is
+scale-invariant: halving a loss of 10 scores the same as halving a loss
+of 0.1.  ``TaskLossState`` holds the exponential moving average of a
+task's loss that the ``grape_ema`` scorer divides by.
 
 Denominators are guarded by ``LOSS_FLOOR``: losses below the floor raise
 DegenerateLoss, and callers substitute the floor where they need a total
@@ -47,24 +41,9 @@ def roi(l_prev: float, l_next: float) -> float:
     return (l_prev - l_next) / l_prev
 
 
-def goi(l_prev: float, l_next: float) -> float:
-    """Absolute one-step improvement l_prev - l_next."""
-    return _check_finite("l_prev", l_prev) - _check_finite("l_next", l_next)
-
-
-def roi_ema(l_prev: float, l_next: float, ema: float) -> float:
-    """Absolute improvement normalized by an EMA of the task loss."""
-    l_prev = _check_finite("l_prev", l_prev)
-    l_next = _check_finite("l_next", l_next)
-    ema = _check_finite("ema", ema)
-    if ema < LOSS_FLOOR:
-        raise DegenerateLoss(f"ema={ema!r} is below the loss floor {LOSS_FLOOR}")
-    return (l_prev - l_next) / ema
-
-
 @dataclass(frozen=True)
 class TaskLossState:
-    """Current and exponentially averaged loss for one task.
+    """Exponentially averaged loss for one task.
 
     The EMA follows ``ema' = beta * ema + (1 - beta) * observed`` and is
     initialized to the first observation (zero-init would explode any
@@ -72,7 +51,6 @@ class TaskLossState:
     """
 
     beta: float
-    current_loss: float = float("nan")
     ema_loss: float = float("nan")
 
     def __post_init__(self):
@@ -93,4 +71,4 @@ def ema_update(state: TaskLossState, l_obs: float) -> TaskLossState:
         new_ema = l_obs
     else:
         new_ema = state.beta * state.ema_loss + (1.0 - state.beta) * l_obs
-    return TaskLossState(beta=state.beta, current_loss=l_obs, ema_loss=new_ema)
+    return TaskLossState(beta=state.beta, ema_loss=new_ema)

@@ -151,10 +151,6 @@ class QuadraticTaskFamily:
     def smoothness(self) -> float:
         return float(self.curvatures.max())
 
-    @property
-    def strong_convexity(self) -> float:
-        return float(self.curvatures.min())
-
     def task_loss(self, n: int, theta: np.ndarray) -> float:
         diff = np.asarray(theta, dtype=np.float64) - self.centers[n]
         return float(0.5 * np.dot(self.curvatures[n] * diff, diff))

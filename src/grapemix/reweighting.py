@@ -5,20 +5,17 @@ One run alternates three activities:
 1. every step, sample a training batch from the domain mixture and apply
    an optimizer update;
 2. every ``update_every_z`` steps, re-score the tasks by how well each
-   task's (normalized) gradient aligns with the current training
-   direction, and shift task weights *toward the laggards* (descending
+   task's scorer gradient aligns with the current training direction,
+   and shift task weights *toward the laggards* (descending
    exponentiated-gradient update): slow tasks get more priority;
 3. every ``update_every_alpha`` steps, re-score the domains by how well
    each domain's gradient aligns with the task-weighted target gradient,
    and shift domain weights toward the helpers (ascending update).
 
-Baselines fall out by freezing parts of this: ``uniform`` freezes both
-weight vectors, ``doge`` freezes task weights at uniform and only adapts
-domains, ``doge_pcgrad`` additionally replaces the target gradient with
-a conflict-free combination of per-task gradients (gradient surgery).
-Metric variants change only the task scorer: ``grape`` uses gradients
-normalized by current loss, ``grape_gap`` uses raw gradients, and
-``grape_ema`` normalizes by an exponential moving average of the loss.
+Every algorithm is this one loop.  ``ALGORITHM_TABLE`` is the one place
+that says how each differs: which task scorer it uses (none freezes the
+task weights), whether the domain weights adapt, and which target
+gradient the domain step aligns against.
 """
 
 from __future__ import annotations
@@ -30,25 +27,55 @@ import numpy as np
 
 from .analysis import Trajectory, TrajectoryRecord
 from .data import (
+    Batch,
     Dataset,
     MixtureStore,
-    SeededSampler,
     _uniform_batch,
     sample_domain_batches,
     sample_mixture_batch,
     sample_task_batches,
+    stream_rng,
 )
 from .errors import DimensionError, NumericalDivergence
 from .metrics import LOSS_FLOOR, TaskLossState, ema_update
 from .models import DifferentiableModel
 from .simplex import ASCEND, DESCEND, SimplexWeights, UpdateParams, multiplicative_update
 
-ALGORITHMS = ("uniform", "doge", "doge_pcgrad", "grape", "grape_gap", "grape_ema")
+
+@dataclass(frozen=True)
+class Algorithm:
+    """How one algorithm drives the shared loop.
+
+    ``scorer`` turns a task gradient into the vector a task step aligns
+    with the training direction: ``"loss"`` divides it by the task's
+    batch loss, ``"ema"`` by the task's EMA loss, ``"raw"`` leaves it
+    as is, and ``None`` freezes the task weights.  ``target`` is the
+    gradient a domain step aligns against: the z-weighted task mixture
+    divided by its loss (``"loss"``), the raw mixture (``"raw"``), or
+    the PCGrad combination of per-task gradients (``"pcgrad"``).
+    """
+
+    scorer: str | None
+    adapts_alpha: bool
+    target: str
+
+
+# DoGE (arXiv 2310.15393) freezes z; PCGrad (arXiv 2001.06782) replaces the target.
+ALGORITHM_TABLE = {
+    "uniform": Algorithm(scorer=None, adapts_alpha=False, target="loss"),
+    "doge": Algorithm(scorer=None, adapts_alpha=True, target="loss"),
+    "doge_pcgrad": Algorithm(scorer=None, adapts_alpha=True, target="pcgrad"),
+    "grape": Algorithm(scorer="loss", adapts_alpha=True, target="loss"),
+    "grape_gap": Algorithm(scorer="raw", adapts_alpha=True, target="raw"),
+    "grape_ema": Algorithm(scorer="ema", adapts_alpha=True, target="loss"),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 SCHEDULES = ("constant", "cosine", "wsd")
 MIX_MODES = ("sampled", "expected")
-
-_Z_ADAPTIVE = ("grape", "grape_gap", "grape_ema")
-_ALPHA_ADAPTIVE = ("doge", "doge_pcgrad", "grape", "grape_gap", "grape_ema")
+OPTIMIZERS = ("sgd", "adamw")
+# The allowed values of each string field of ReweightConfig.
+CHOICES = {"algorithm": ALGORITHMS, "lr_schedule": SCHEDULES, "task_mix_mode": MIX_MODES,
+           "domain_mix_mode": MIX_MODES, "optimizer": OPTIMIZERS}
 
 
 @dataclass
@@ -88,14 +115,9 @@ class ReweightConfig:
     divergence_factor: float = 1e6
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.lr_schedule not in SCHEDULES:
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.task_mix_mode not in MIX_MODES or self.domain_mix_mode not in MIX_MODES:
-            raise ValueError("mix modes must be 'sampled' or 'expected'")
-        if self.optimizer not in ("sgd", "adamw"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if self.update_every_alpha < 1 or self.update_every_z < 1:
@@ -121,11 +143,11 @@ class ReweightConfig:
 
     @property
     def adapts_z(self) -> bool:
-        return self.algorithm in _Z_ADAPTIVE
+        return ALGORITHM_TABLE[self.algorithm].scorer is not None
 
     @property
     def adapts_alpha(self) -> bool:
-        return self.algorithm in _ALPHA_ADAPTIVE
+        return ALGORITHM_TABLE[self.algorithm].adapts_alpha
 
 
 def learning_rate_at(cfg: ReweightConfig, step: int) -> float:
@@ -160,21 +182,12 @@ class OverheadCounter:
     task_grad_evals: int = 0
     domain_grad_evals: int = 0
 
-    @property
-    def reweight_evals(self) -> int:
-        return self.task_grad_evals + self.domain_grad_evals
-
-    @property
-    def total(self) -> int:
-        return self.train_grad_evals + self.reweight_evals
-
 
 @dataclass(frozen=True)
 class AlignmentScores:
     """Per-task or per-domain gradient-alignment scores from one update."""
 
     values: np.ndarray
-    side: str  # "tasks" or "domains"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -233,85 +246,61 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-def _domain_full_batches(store: MixtureStore) -> list[Dataset]:
-    # The Dataset itself, not a copy of its examples: models memoize per Dataset.
-    return [store.domains[lbl] for lbl in store.domain_labels]
+def _normalized(grad: np.ndarray, denominator: float) -> np.ndarray:
+    """``grad / denominator``, with the denominator clamped at LOSS_FLOOR."""
+    return grad / max(denominator, LOSS_FLOOR)
 
 
-def _task_full_batches(store: MixtureStore) -> list[Dataset]:
-    return [store.tasks[lbl] for lbl in store.task_labels]
+def _grad(model: DifferentiableModel, params: np.ndarray, batch: Batch | Dataset, normalize: bool) -> np.ndarray:
+    """The gradient of ``batch``, divided by the batch loss when ``normalize``."""
+    grad = model.grad(params, batch)
+    return _normalized(grad, model.loss(params, batch)) if normalize else grad
 
 
-def _training_direction(
+def _mix_mode(cfg: ReweightConfig, side: str) -> str:
+    return cfg.domain_mix_mode if side == "domains" else cfg.task_mix_mode
+
+
+def _component_batches(
+    store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator
+) -> list[Batch | Dataset]:
+    """One batch per domain or per task, in label order: a uniform draw
+    in sampled mode, the whole dataset in expected mode."""
+    if side == "domains":
+        datasets, labels, sample = store.domains, store.domain_labels, sample_domain_batches
+    else:
+        datasets, labels, sample = store.tasks, store.task_labels, sample_task_batches
+    if _mix_mode(cfg, side) == "expected":
+        # The Dataset itself, not a copy of its examples: models memoize per Dataset.
+        return [datasets[lbl] for lbl in labels]
+    return sample(store, size, rng)
+
+
+def _mixture_direction(
     model: DifferentiableModel,
     params: np.ndarray,
     store: MixtureStore,
-    alpha: SimplexWeights,
+    weights: SimplexWeights,
+    side: str,
     cfg: ReweightConfig,
     rng: np.random.Generator,
     size: int,
+    normalize: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Gradient of one batch from mix(alpha), or the exact alpha-weighted
-    combination of full-batch domain gradients in expected mode.
+    """Gradient of one batch from mix(weights), or the exact weighted
+    combination of full-batch component gradients in expected mode.
 
-    Returns (gradient, number of gradient evaluations spent).
+    With ``normalize`` every gradient is divided by the loss of its own
+    batch first.  Returns (gradient, number of gradient evaluations spent).
     """
-    if cfg.domain_mix_mode == "expected":
+    if _mix_mode(cfg, side) == "expected":
+        batches = _component_batches(store, side, cfg, size, rng)
+        live = [(weight, batch) for weight, batch in zip(weights.values, batches) if weight != 0.0]
         direction = np.zeros(model.param_dim)
-        evals = 0
-        for weight, batch in zip(alpha.values, _domain_full_batches(store)):
-            if weight != 0.0:
-                direction += weight * model.grad(params, batch)
-                evals += 1
-        return direction, evals
-    return model.grad(params, sample_mixture_batch(store, alpha, size, rng, side="domains")), 1
-
-
-def _target_direction(
-    model: DifferentiableModel,
-    params: np.ndarray,
-    store: MixtureStore,
-    z: SimplexWeights,
-    cfg: ReweightConfig,
-    rng: np.random.Generator,
-    pcgrad_rng: np.random.Generator | None,
-) -> tuple[np.ndarray, int]:
-    """The validation-side gradient a domain-reweight step aligns against.
-
-    Returns (gradient, number of gradient evaluations spent).  Under
-    gradient surgery this is the conflict-free mean of per-task
-    gradients; under ``grape_gap`` the raw mixture gradient; otherwise
-    the mixture gradient normalized by the mixture loss.
-    """
-    size = cfg.resolved_eval_batch_size
-    if cfg.algorithm == "doge_pcgrad":
-        if cfg.task_mix_mode == "expected":
-            batches = _task_full_batches(store)
-        else:
-            batches = sample_task_batches(store, size, rng)
-        grads = [model.grad(params, b) for b in batches]
-        if pcgrad_rng is None:
-            raise ValueError("doge_pcgrad needs a pcgrad rng stream")
-        return pcgrad_combine(grads, pcgrad_rng), len(grads)
-
-    normalized = cfg.algorithm != "grape_gap"
-    if cfg.task_mix_mode == "expected":
-        direction = np.zeros(model.param_dim)
-        evals = 0
-        for weight, batch in zip(z.values, _task_full_batches(store)):
-            if weight == 0.0:
-                continue
-            grad = model.grad(params, batch)
-            evals += 1
-            if normalized:
-                grad = grad / max(model.loss(params, batch), LOSS_FLOOR)
-            direction += weight * grad
-        return direction, evals
-    batch = sample_mixture_batch(store, z, size, rng, side="tasks")
-    grad = model.grad(params, batch)
-    if normalized:
-        grad = grad / max(model.loss(params, batch), LOSS_FLOOR)
-    return grad, 1
+        for weight, batch in live:
+            direction += weight * _grad(model, params, batch, normalize)
+        return direction, len(live)
+    return _grad(model, params, sample_mixture_batch(store, weights, size, rng, side=side), normalize), 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,42 +323,36 @@ def task_reweight_step(
     """Re-score every task against the training direction and downweight
     the well-aligned (fast-improving) ones.
 
-    The score of task n is the inner product of its scorer gradient with
-    a fresh training-mixture gradient; the scorer is the task gradient
-    normalized by its loss (``grape``), raw (``grape_gap``), or
-    normalized by its loss EMA (``grape_ema``, which also folds the
-    observed loss into ``ema`` in place).  Scores are averaged over
+    The score of task n is the inner product of its scorer gradient (the
+    ``scorer`` of the algorithm's table row) with a fresh
+    training-mixture gradient.  The ``"ema"`` scorer also folds the
+    observed loss into ``ema`` in place.  Scores are averaged over
     ``eval_replicates`` estimates.
     """
     if not cfg.adapts_z:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update task weights")
-    if cfg.algorithm == "grape_ema" and ema is None:
-        raise ValueError("grape_ema needs the per-task EMA state list")
+    scorer = ALGORITHM_TABLE[cfg.algorithm].scorer
+    if scorer == "ema" and ema is None:
+        raise ValueError(f"{cfg.algorithm} needs the per-task EMA state list")
     n_tasks = store.num_tasks
     size = cfg.resolved_eval_batch_size
     totals = np.zeros(n_tasks)
     for _ in range(cfg.eval_replicates):
-        direction, direction_evals = _training_direction(model, params, store, alpha, cfg, rng, size)
-        if cfg.task_mix_mode == "expected":
-            batches = _task_full_batches(store)
-        else:
-            batches = sample_task_batches(store, size, rng)
-        for n, batch in enumerate(batches):
-            grad = model.grad(params, batch)
-            if cfg.algorithm == "grape":
-                scorer = grad / max(model.loss(params, batch), LOSS_FLOOR)
-            elif cfg.algorithm == "grape_gap":
-                scorer = grad
-            else:  # grape_ema
+        direction, direction_evals = _mixture_direction(model, params, store, alpha, "domains", cfg, rng, size)
+        for n, batch in enumerate(_component_batches(store, "tasks", cfg, size, rng)):
+            if scorer == "ema":
+                grad = model.grad(params, batch)
                 ema[n] = ema_update(ema[n], model.loss(params, batch))
-                scorer = grad / max(ema[n].ema_loss, LOSS_FLOOR)
-            totals[n] += alignment(scorer, direction)
+                grad = _normalized(grad, ema[n].ema_loss)
+            else:
+                grad = _grad(model, params, batch, normalize=scorer == "loss")
+            totals[n] += alignment(grad, direction)
         if counters is not None:
             counters.task_grad_evals += n_tasks + direction_evals
     scores = totals / cfg.eval_replicates
     ratio = cfg.step_ratio_z if gamma is None else cfg.step_ratio_z * gamma / cfg.base_lr
     new_z = multiplicative_update(z, scores, UpdateParams(ratio, DESCEND), floor=cfg.weight_floor)
-    return new_z, AlignmentScores(scores, "tasks")
+    return new_z, AlignmentScores(scores)
 
 
 def domain_reweight_step(
@@ -385,26 +368,34 @@ def domain_reweight_step(
     pcgrad_rng: np.random.Generator | None = None,
 ) -> tuple[SimplexWeights, AlignmentScores]:
     """Re-score every domain against the task-weighted target gradient
-    and upweight the well-aligned ones."""
+    (the ``target`` of the algorithm's table row) and upweight the
+    well-aligned ones."""
     if not cfg.adapts_alpha:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update domain weights")
+    target_kind = ALGORITHM_TABLE[cfg.algorithm].target
+    if target_kind == "pcgrad" and pcgrad_rng is None:
+        raise ValueError(f"{cfg.algorithm} needs a pcgrad rng stream")
     n_domains = store.num_domains
     size = cfg.resolved_eval_batch_size
     totals = np.zeros(n_domains)
     for _ in range(cfg.eval_replicates):
-        if cfg.domain_mix_mode == "expected":
-            batches = _domain_full_batches(store)
-        else:
-            batches = sample_domain_batches(store, size, rng)
+        batches = _component_batches(store, "domains", cfg, size, rng)
         domain_grads = [model.grad(params, b) for b in batches]
-        target, target_evals = _target_direction(model, params, store, z, cfg, rng, pcgrad_rng)
+        if target_kind == "pcgrad":
+            batches = _component_batches(store, "tasks", cfg, size, rng)
+            task_grads = [model.grad(params, b) for b in batches]
+            target, target_evals = pcgrad_combine(task_grads, pcgrad_rng), len(task_grads)
+        else:
+            target, target_evals = _mixture_direction(
+                model, params, store, z, "tasks", cfg, rng, size, normalize=target_kind == "loss"
+            )
         totals += np.array([alignment(g, target) for g in domain_grads])
         if counters is not None:
             counters.domain_grad_evals += n_domains + target_evals
     scores = totals / cfg.eval_replicates
     ratio = cfg.step_ratio_alpha if gamma is None else cfg.step_ratio_alpha * gamma / cfg.base_lr
     new_alpha = multiplicative_update(alpha, scores, UpdateParams(ratio, ASCEND), floor=cfg.weight_floor)
-    return new_alpha, AlignmentScores(scores, "domains")
+    return new_alpha, AlignmentScores(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +464,9 @@ def train_run(
     non-finite or any task loss exceeds ``divergence_factor`` times its
     initial value.
     """
-    sampler = SeededSampler(seed)
-    train_rng = sampler.stream("train")
-    task_rng = sampler.stream("task_step")
-    domain_rng = sampler.stream("domain_step")
-    pcgrad_rng = sampler.stream("pcgrad")
-    record_rng = sampler.stream("record")
+    train_rng, task_rng, domain_rng, pcgrad_rng, record_rng = (
+        stream_rng(seed, name) for name in ("train", "task_step", "domain_step", "pcgrad", "record")
+    )
 
     alpha = _initial_weights(init_alpha, store.domain_labels, "domain weights")
     z = _initial_weights(init_z, store.task_labels, "task weights")
@@ -492,15 +480,10 @@ def train_run(
     trajectory = Trajectory(store.domain_labels, store.task_labels)
 
     def eval_task_losses() -> np.ndarray:
-        size = cfg.resolved_eval_batch_size
-        losses = np.empty(store.num_tasks)
-        for n, label in enumerate(store.task_labels):
-            if cfg.task_mix_mode == "expected":
-                batch = store.tasks[label]
-            else:
-                batch = _uniform_batch(store.tasks[label], size, record_rng)
-            losses[n] = model.loss(theta, batch)
-        return losses
+        batches = [store.tasks[label] for label in store.task_labels]
+        if cfg.task_mix_mode == "sampled":
+            batches = [_uniform_batch(dataset, cfg.resolved_eval_batch_size, record_rng) for dataset in batches]
+        return np.array([model.loss(theta, batch) for batch in batches])
 
     def guard(losses: np.ndarray, step: int) -> None:
         if not np.all(np.isfinite(losses)):
@@ -531,18 +514,16 @@ def train_run(
                 train_grad_evals=counters.train_grad_evals,
                 task_grad_evals=counters.task_grad_evals,
                 domain_grad_evals=counters.domain_grad_evals,
-                param_version=step,
             )
         )
 
     initial_losses = eval_task_losses()
-    if not np.all(np.isfinite(initial_losses)):
-        raise NumericalDivergence("task loss is not finite", 0)
+    guard(initial_losses, 0)
     record(0, initial_losses, learning_rate_at(cfg, 0))
 
     for t in range(cfg.total_steps):
         gamma = learning_rate_at(cfg, t)
-        direction, _ = _training_direction(model, theta, store, alpha, cfg, train_rng, cfg.train_batch_size)
+        direction, _ = _mixture_direction(model, theta, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
         counters.train_grad_evals += 1
         theta = optimizer.step(theta, direction, gamma)
         if not np.all(np.isfinite(theta)):

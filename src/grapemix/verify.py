@@ -38,9 +38,6 @@ from .models import CharLMModel, QuadraticTaskFamily, SoftmaxModel, finite_diff_
 from .reweighting import ReweightConfig, train_run
 from .simplex import ASCEND, DESCEND, SimplexWeights, UpdateParams, multiplicative_update
 
-SUITES = ("updates", "gradients", "theorem1", "theorem2", "overhead")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -49,18 +46,6 @@ class CheckResult:
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
-
-
-def run_suite(suite: str) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    return {
-        "updates": verify_updates,
-        "gradients": verify_gradients,
-        "theorem1": verify_theorem1,
-        "theorem2": verify_theorem2,
-        "overhead": verify_overhead,
-    }[suite]()
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +164,8 @@ def harness_store(family: QuadraticTaskFamily, noise: float = 0.0, size: int = 1
     return MixtureStore(domains, tasks)
 
 
-def theorem1_run():
-    """Deterministic full-batch run used by the convergence harness."""
+def _deterministic_harness_run(step_ratio_alpha: float, step_ratio_z: float, seed: int, params0: np.ndarray):
+    """Full-batch ``grape`` on the harness family, both weights updated every step."""
     family = harness_family()
     cfg = ReweightConfig(
         algorithm="grape",
@@ -188,15 +173,19 @@ def theorem1_run():
         base_lr=1.0 / family.smoothness,
         update_every_alpha=1,
         update_every_z=1,
-        step_ratio_alpha=0.2,
-        step_ratio_z=50.0,
+        step_ratio_alpha=step_ratio_alpha,
+        step_ratio_z=step_ratio_z,
         task_mix_mode="expected",
         domain_mix_mode="expected",
         eval_every=1,
     )
-    params0 = family.centers.mean(axis=0)
-    _, trajectory = train_run(cfg, family.model(), harness_store(family), seed=1, params0=params0)
+    _, trajectory = train_run(cfg, family.model(), harness_store(family), seed=seed, params0=params0)
     return family, trajectory
+
+
+def theorem1_run():
+    """Deterministic full-batch run used by the convergence harness."""
+    return _deterministic_harness_run(0.2, 50.0, seed=1, params0=harness_family().centers.mean(axis=0))
 
 
 def verify_theorem1() -> list[CheckResult]:
@@ -226,21 +215,7 @@ _THEOREM2_THETA0 = np.array([0.8, -0.45, 0.55])
 
 def theorem2_run():
     """Deterministic run from an asymmetric start (unequal initial losses)."""
-    family = harness_family()
-    cfg = ReweightConfig(
-        algorithm="grape",
-        total_steps=5000,
-        base_lr=1.0 / family.smoothness,
-        update_every_alpha=1,
-        update_every_z=1,
-        step_ratio_alpha=0.1,
-        step_ratio_z=15.0,
-        task_mix_mode="expected",
-        domain_mix_mode="expected",
-        eval_every=1,
-    )
-    _, trajectory = train_run(cfg, family.model(), harness_store(family), seed=7, params0=_THEOREM2_THETA0.copy())
-    return family, trajectory
+    return _deterministic_harness_run(0.1, 15.0, seed=7, params0=_THEOREM2_THETA0.copy())
 
 
 def uniform_control_run():
@@ -416,3 +391,19 @@ def multilingual_run(algorithm: str, seed: int, store: MixtureStore | None = Non
     )
     params, _ = train_run(cfg, model, store, seed=seed)
     return np.array([model.loss(params, store.tasks[label].examples) for label in store.task_labels])
+
+
+# The suites behind ``grapemix verify``, by name.
+SUITES = {
+    "updates": verify_updates,
+    "gradients": verify_gradients,
+    "theorem1": verify_theorem1,
+    "theorem2": verify_theorem2,
+    "overhead": verify_overhead,
+}
+
+
+def run_suite(suite: str) -> list[CheckResult]:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
+    return SUITES[suite]()

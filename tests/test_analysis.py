@@ -31,7 +31,6 @@ def make_record(step, losses, alpha=None, z=None, lr=0.1, evals=(0, 0, 0)):
         train_grad_evals=evals[0],
         task_grad_evals=evals[1],
         domain_grad_evals=evals[2],
-        param_version=step,
     )
 
 
@@ -188,7 +187,7 @@ class TestExportImport:
             TrajectoryRecord(
                 step=0, losses=np.ones(n), alpha=np.full(k, 1 / k), z=np.full(n, 1 / n),
                 task_scores=np.zeros(n), domain_scores=np.zeros(k), lr=0.1,
-                train_grad_evals=0, task_grad_evals=0, domain_grad_evals=0, param_version=0,
+                train_grad_evals=0, task_grad_evals=0, domain_grad_evals=0,
             )
         )
         path = tmp_path / "cols.csv"

@@ -34,6 +34,18 @@ def minimal_quadratic_config(**overrides):
     return cfg
 
 
+def minimal_char_config(**overrides):
+    cfg = {
+        "total_steps": 5,
+        "model": {"kind": "char_lm", "vocab_size": 2},
+        "domains": [{"label": "lang", "markov": {"vocab_size": 2, "transition": [[0.5, 0.5], [0.5, 0.5]]},
+                     "length": 200, "seq_len": 20}],
+        "tasks": [{"label": "corpus", "path": "data.jsonl"}],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -184,6 +196,12 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["algorithm"] == "uniform"
 
+    def test_unknown_algo_is_a_usage_error(self, tmp_path):
+        path = write_config(tmp_path, minimal_quadratic_config())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(path), "--algo", "grape_fast"])
+        assert exit_info.value.code == 2
+
     def test_divergent_run_exits_1(self, tmp_path):
         cfg = minimal_quadratic_config(lr={"schedule": "constant", "base": 2.5}, total_steps=400, eval_every=1)
         path = write_config(tmp_path, cfg)
@@ -228,3 +246,69 @@ class TestCli:
         cfg = minimal_quadratic_config(init_alpha="alpha.json")
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def _markov_without_transition(cfg):
+    del cfg["domains"][0]["markov"]["transition"]
+
+
+def _set_domain(key, value):
+    def edit(cfg):
+        cfg["domains"][0][key] = value
+    return edit
+
+
+def _set_task(key, value):
+    def edit(cfg):
+        cfg["tasks"][0][key] = value
+    return edit
+
+
+# (case id, config builder, edit of the raw mapping, text the error must name)
+MALFORMED = [
+    ("lr-scalar", minimal_quadratic_config, {"lr": 5}, "lr"),
+    ("optimizer-scalar", minimal_quadratic_config, {"optimizer": "adamw"}, "optimizer"),
+    ("seed-text", minimal_quadratic_config, {"seed": "x"}, "seed"),
+    ("lr-base-text", minimal_quadratic_config, {"lr": {"base": "x"}}, "lr.base"),
+    ("steps-fraction", minimal_quadratic_config, {"total_steps": 1.7}, "total_steps"),
+    ("steps-bool", minimal_quadratic_config, {"total_steps": True}, "total_steps"),
+    ("eval-batch-fraction", minimal_quadratic_config, {"eval_batch_size": 2.5}, "eval_batch_size"),
+    ("schedule-unknown", minimal_quadratic_config, {"lr": {"schedule": "linear"}}, "lr.schedule"),
+    ("init-params-text", minimal_quadratic_config, {"init_params": ["a"]}, "init_params"),
+    ("markov-no-transition", minimal_char_config, _markov_without_transition, "domains[0].markov.transition"),
+    ("length-text", minimal_char_config, _set_domain("length", "abc"), "domains[0].length"),
+    ("task-index-range", minimal_quadratic_config, _set_task("task_index", 5), "task_index"),
+    ("vocabulary", minimal_char_config, None, "'corpus'"),
+]
+
+
+class TestMalformedConfigs:
+    """Each malformed config exits 2 and names the offending field."""
+
+    @pytest.mark.parametrize("builder,edit,named", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_exit_2_naming_field(self, tmp_path, capsys, builder, edit, named):
+        # "z" lies outside the two-letter vocabulary of the char config
+        (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abza"}\n')
+        cfg = builder()
+        if callable(edit):
+            edit(cfg)
+        elif edit:
+            cfg.update(edit)
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+
+    def test_char_config_runs_within_vocabulary(self, tmp_path):
+        (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abba"}\n')
+        path = write_config(tmp_path, minimal_char_config())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_numeric_strings_and_integral_floats_accepted(self):
+        cfg = parse_config(minimal_quadratic_config(total_steps=40.0, divergence_factor="1e6",
+                                                    optimizer={"kind": "adamw", "eps": "1e-8"}))
+        assert cfg.reweight.total_steps == 40 and isinstance(cfg.reweight.total_steps, int)
+        assert cfg.reweight.divergence_factor == 1e6
+        assert cfg.reweight.adam_eps == 1e-8
+        assert cfg.reweight.weight_decay == 0.01

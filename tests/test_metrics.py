@@ -10,10 +10,8 @@ from grapemix import (
     TaskLossState,
     alignment,
     ema_update,
-    goi,
     normalized_grad,
     roi,
-    roi_ema,
 )
 
 
@@ -46,20 +44,6 @@ class TestRoi:
             assert roi(c * prev, c * nxt) == pytest.approx(roi(prev, nxt), rel=1e-10)
 
 
-class TestGoi:
-    def test_examples(self):
-        assert goi(2.0, 2.0) == 0.0
-        assert goi(2.0, 1.5) == pytest.approx(0.5)
-        assert goi(0.1, 0.05) == pytest.approx(0.05)
-
-    def test_scales_linearly(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            prev, nxt = rng.uniform(0.5, 3.0, size=2)
-            c = rng.uniform(0.1, 100.0)
-            assert goi(c * prev, c * nxt) == pytest.approx(c * goi(prev, nxt), rel=1e-12)
-
-
 class TestEma:
     def test_fixed_point(self):
         state = ema_update(TaskLossState(beta=0.7), 2.0)
@@ -74,28 +58,12 @@ class TestEma:
     def test_first_observation_initializes_exactly(self):
         state = ema_update(TaskLossState(beta=0.7), 3.25)
         assert state.ema_loss == 3.25
-        assert state.current_loss == 3.25
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             TaskLossState(beta=1.0)
         with pytest.raises(ValueError):
             TaskLossState(beta=0.0)
-
-
-class TestRoiEma:
-    def test_zero_numerator(self):
-        assert roi_ema(1.7, 1.7, 0.9) == 0.0
-
-    def test_example(self):
-        assert roi_ema(2.0, 1.5, 2.5) == pytest.approx(0.2, rel=1e-15)
-
-    def test_reduces_to_roi_when_ema_equals_loss(self):
-        assert roi_ema(2.0, 1.5, 2.0) == roi(2.0, 1.5)
-
-    def test_floor_guard(self):
-        with pytest.raises(DegenerateLoss):
-            roi_ema(1.0, 0.5, LOSS_FLOOR / 10)
 
 
 class TestNormalizedGrad:

@@ -427,13 +427,6 @@ class TestTrainRun:
         for got, want in zip(probe.grad_params, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_param_version_recorded(self):
-        family, model, store, _ = two_task_setup()
-        cfg = expected_cfg(total_steps=12, update_every_z=4, update_every_alpha=6)
-        _, traj = train_run(cfg, model, store, seed=0)
-        for record in traj.records:
-            assert record.param_version == record.step
-
     def test_divergence_guard(self):
         family = QuadraticTaskFamily(curvatures=[[1.0, 1.0]], centers=[[1.0, 1.0]])
         store = MixtureStore(
