@@ -61,7 +61,6 @@ from .models import (
 )
 from .reweighting import (
     ALGORITHMS,
-    AlignmentScores,
     OverheadCounter,
     ReweightConfig,
     alignment,

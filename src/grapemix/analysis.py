@@ -26,6 +26,16 @@ from .simplex import SIMPLEX_TOL
 
 VARIANCE_TOL = 1e-12
 
+# The per-label vectors of a record, in CSV column order: (record field,
+# CSV column prefix, the Trajectory attribute holding the labels).
+VECTOR_COLUMNS = (
+    ("losses", "loss", "task_labels"),
+    ("alpha", "alpha", "domain_labels"),
+    ("z", "z", "task_labels"),
+    ("task_scores", "a_task", "task_labels"),
+    ("domain_scores", "a_domain", "domain_labels"),
+)
+
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
@@ -43,7 +53,7 @@ class TrajectoryRecord:
     domain_grad_evals: int
 
     def __post_init__(self):
-        for name in ("losses", "alpha", "z", "task_scores", "domain_scores"):
+        for name, _, _ in VECTOR_COLUMNS:
             value = np.array(getattr(self, name), dtype=np.float64, copy=True)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -67,14 +77,8 @@ class Trajectory:
     def append(self, record: TrajectoryRecord) -> None:
         if self.records and record.step <= self.records[-1].step:
             raise ValueError(f"steps must strictly increase, got {record.step} after {self.records[-1].step}")
-        for name, expect in (
-            ("losses", len(self.task_labels)),
-            ("z", len(self.task_labels)),
-            ("task_scores", len(self.task_labels)),
-            ("alpha", len(self.domain_labels)),
-            ("domain_scores", len(self.domain_labels)),
-        ):
-            if getattr(record, name).shape != (expect,):
+        for name, _, labels in VECTOR_COLUMNS:
+            if getattr(record, name).shape != (len(getattr(self, labels)),):
                 raise ValueError(f"record field {name} has wrong length")
         for name in ("alpha", "z"):
             vec = getattr(record, name)
@@ -244,32 +248,19 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _header(domain_labels, task_labels) -> list[str]:
-    return (
-        ["step"]
-        + [f"loss.{t}" for t in task_labels]
-        + [f"alpha.{d}" for d in domain_labels]
-        + [f"z.{t}" for t in task_labels]
-        + [f"a_task.{t}" for t in task_labels]
-        + [f"a_domain.{d}" for d in domain_labels]
-        + ["lr", "grad_evals"]
-    )
+def _header(trajectory: Trajectory) -> list[str]:
+    columns = ["step"]
+    for _, prefix, labels in VECTOR_COLUMNS:
+        columns += [f"{prefix}.{label}" for label in getattr(trajectory, labels)]
+    return columns + ["lr", "grad_evals"]
 
 
 def render_trajectory(trajectory: Trajectory) -> str:
     """The CSV text of a trajectory; floats as shortest round-trip decimals."""
-    lines = [",".join(_header(trajectory.domain_labels, trajectory.task_labels))]
+    lines = [",".join(_header(trajectory))]
     for r in trajectory.records:
-        fields = (
-            [str(r.step)]
-            + [repr(float(v)) for v in r.losses]
-            + [repr(float(v)) for v in r.alpha]
-            + [repr(float(v)) for v in r.z]
-            + [repr(float(v)) for v in r.task_scores]
-            + [repr(float(v)) for v in r.domain_scores]
-            + [repr(float(r.lr)), str(r.grad_evals)]
-        )
-        lines.append(",".join(fields))
+        floats = np.concatenate([getattr(r, name) for name, _, _ in VECTOR_COLUMNS]).tolist() + [float(r.lr)]
+        lines.append(",".join([str(r.step), *map(repr, floats), str(r.grad_evals)]))
     return "\n".join(lines) + "\n"
 
 
@@ -290,16 +281,19 @@ def import_trajectory(path: str | Path) -> Trajectory:
     if not lines:
         raise IngestError("trajectory file is empty", 1)
     columns = lines[0].split(",")
-    task_labels = [c[len("loss.") :] for c in columns if c.startswith("loss.")]
-    domain_labels = [c[len("alpha.") :] for c in columns if c.startswith("alpha.")]
-    if not task_labels or not domain_labels:
-        raise IngestError("header lacks loss.* / alpha.* columns", 1)
-    if columns != _header(domain_labels, task_labels):
+    # Each side's labels come from the first vector that side labels.
+    labels = {}
+    for _, prefix, side in VECTOR_COLUMNS:
+        if side not in labels:
+            labels[side] = [c[len(prefix) + 1 :] for c in columns if c.startswith(prefix + ".")]
+    if not all(labels.values()):
+        raise IngestError("header lacks per-task or per-domain columns", 1)
+    trajectory = Trajectory(**labels)
+    if columns != _header(trajectory):
         raise IngestError("header does not match the trajectory schema", 1)
 
-    n, k = len(task_labels), len(domain_labels)
-    bounds = np.cumsum([0, n, k, n, n, k]).tolist()  # losses, alpha, z, a_task, a_domain
-    trajectory = Trajectory(domain_labels, task_labels)
+    sizes = [len(getattr(trajectory, side)) for _, _, side in VECTOR_COLUMNS]
+    bounds = np.cumsum([0, *sizes]).tolist()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(columns):
@@ -311,20 +305,10 @@ def import_trajectory(path: str | Path) -> Trajectory:
         except ValueError as exc:
             raise IngestError(str(exc), lineno) from exc
         row = np.array(values[:-1])
-        losses, alpha, z, a_task, a_domain = (row[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        lr = values[-1]
+        vectors = {name: row[lo:hi] for (name, _, _), lo, hi in zip(VECTOR_COLUMNS, bounds, bounds[1:])}
         trajectory.append(
             TrajectoryRecord(
-                step=step,
-                losses=losses,
-                alpha=alpha,
-                z=z,
-                task_scores=a_task,
-                domain_scores=a_domain,
-                lr=lr,
-                train_grad_evals=evals,
-                task_grad_evals=0,
-                domain_grad_evals=0,
+                step=step, lr=values[-1], train_grad_evals=evals, task_grad_evals=0, domain_grad_evals=0, **vectors
             )
         )
     return trajectory

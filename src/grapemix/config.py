@@ -12,6 +12,7 @@ fails loudly instead of silently using a default.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from .data import (
     ingest_dataset,
     stream_rng,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
 from .reweighting import CHOICES, ReweightConfig
 from .simplex import SimplexWeights
@@ -67,16 +68,17 @@ def _check_keys(mapping: dict, allowed: set[str], where: str):
 def _number(value, where: str, integral: bool = False, minimum: float | None = None):
     """A numeric config value as int or float, or ConfigError naming ``where``.
 
-    Bools, NaN and, for integers, non-integral numbers are rejected.
-    Strings are read as numbers, because YAML reads ``1e6`` as a string.
+    Bools, NaN, infinities and, for integers, non-integral numbers are
+    rejected.  Strings are read as numbers, because YAML reads ``1e6`` as
+    a string.
     """
     try:
         number = float(value) if isinstance(value, str) else value
-    except ValueError:
-        number = None
-    ok = isinstance(number, (int, float)) and not isinstance(number, bool) and number == number
+        ok = isinstance(number, (int, float)) and not isinstance(number, bool) and math.isfinite(number)
+    except (ValueError, OverflowError):  # not numeric text; an int too large for a float
+        ok = False
     _require(ok and (not integral or float(number).is_integer()),
-             f"field {where} must be {'an integer' if integral else 'a number'}, got {value!r}")
+             f"field {where} must be {'an integer' if integral else 'a finite number'}, got {value!r}")
     number = int(number) if integral else float(number)
     _require(minimum is None or number >= minimum, f"field {where} must be >= {minimum}, got {value!r}")
     return number
@@ -216,23 +218,27 @@ def _parse_entries(entries, where: str, base_dir) -> list[dict]:
 
 
 def build_model(cfg: RunConfig) -> DifferentiableModel:
+    """The configured model; ``init_params``, if given, must fit its parameter vector."""
     spec = cfg.model_spec
     kind = spec["kind"]
     try:
         if kind == "char_lm":
             _require("vocab_size" in spec, "field model.vocab_size is required for char_lm")
-            return CharLMModel(int(spec["vocab_size"]))
-        if kind == "softmax":
+            model = CharLMModel(int(spec["vocab_size"]))
+        elif kind == "softmax":
             _require("n_features" in spec and "n_classes" in spec,
                      "fields model.n_features and model.n_classes are required for softmax")
-            return SoftmaxModel(int(spec["n_features"]), int(spec["n_classes"]))
-        _require("curvatures" in spec and "centers" in spec,
-                 "fields model.curvatures and model.centers are required for quadratic")
-        family = QuadraticTaskFamily(np.asarray(spec["curvatures"], dtype=np.float64),
-                                     np.asarray(spec["centers"], dtype=np.float64))
-    except (TypeError, ValueError) as exc:  # a model value of the wrong type or range
+            model = SoftmaxModel(int(spec["n_features"]), int(spec["n_classes"]))
+        else:
+            _require("curvatures" in spec and "centers" in spec,
+                     "fields model.curvatures and model.centers are required for quadratic")
+            model = QuadraticTaskFamily(np.asarray(spec["curvatures"], dtype=np.float64),
+                                        np.asarray(spec["centers"], dtype=np.float64)).model()
+    except (TypeError, ValueError, DimensionError) as exc:  # a model value of the wrong type, range or shape
         raise ConfigError(f"field model: {exc}") from exc
-    return family.model()
+    _require(cfg.init_params is None or len(cfg.init_params) == model.param_dim,
+             f"field init_params must have length {model.param_dim}, got {cfg.init_params!r}")
+    return model
 
 
 def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
@@ -281,13 +287,16 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
         label = entry["label"]
         try:
             datasets[label] = build_one(entry)
-        except (TypeError, ValueError) as exc:  # a spec value of the wrong type or shape
+        except (TypeError, ValueError, DimensionError) as exc:  # a spec value of the wrong type or shape
             raise ConfigError(f"entry {label!r}: {exc}") from exc
+        examples = datasets[label].examples
         if isinstance(model, CharLMModel):
-            texts = datasets[label].examples
-            _require(all(isinstance(text, str) for text in texts), f"entry {label!r}: char_lm needs text records")
-            unknown = "".join(sorted(set("".join(texts)) - set(model.vocab)))
+            _require(all(isinstance(text, str) for text in examples), f"entry {label!r}: char_lm needs text records")
+            unknown = "".join(sorted(set("".join(examples)) - set(model.vocab)))
             _require(not unknown, f"entry {label!r} has characters outside the model vocabulary: {unknown!r}")
+        if isinstance(model, SoftmaxModel):
+            _require(all(isinstance(ex, tuple) and np.shape(ex[0]) == (model.n_features,) for ex in examples),
+                     f"entry {label!r}: softmax needs x/y records with {model.n_features} features")
     return MixtureStore({e["label"]: datasets[e["label"]] for e in cfg.domain_specs},
                         {e["label"]: datasets[e["label"]] for e in cfg.task_specs})
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -122,12 +123,11 @@ class ReweightConfig:
             raise ValueError("total_steps must be >= 1")
         if self.update_every_alpha < 1 or self.update_every_z < 1:
             raise ValueError("update frequencies must be >= 1")
-        if not (self.step_ratio_alpha > 0 and self.step_ratio_z > 0):
-            raise ValueError("step ratios must be > 0")
+        for name in ("step_ratio_alpha", "step_ratio_z", "base_lr"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         if not (0.0 < self.ema_beta < 1.0):
             raise ValueError("ema_beta must lie in (0, 1)")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be > 0")
         if self.train_batch_size < 1 or self.eval_every < 1 or self.eval_replicates < 1:
             raise ValueError("batch size, eval_every and eval_replicates must be >= 1")
         if self.eval_batch_size is not None and self.eval_batch_size < 1:
@@ -181,19 +181,6 @@ class OverheadCounter:
     train_grad_evals: int = 0
     task_grad_evals: int = 0
     domain_grad_evals: int = 0
-
-
-@dataclass(frozen=True)
-class AlignmentScores:
-    """Per-task or per-domain gradient-alignment scores from one update."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("alignment scores must be finite")
-        object.__setattr__(self, "values", values)
 
 
 def alignment(u: np.ndarray, v: np.ndarray) -> float:
@@ -308,6 +295,26 @@ def _mixture_direction(
 # ---------------------------------------------------------------------------
 
 
+def _reweight(
+    weights: SimplexWeights,
+    score_once: Callable[[], np.ndarray],
+    step_ratio: float,
+    direction: str,
+    cfg: ReweightConfig,
+    gamma: float | None,
+) -> tuple[SimplexWeights, np.ndarray]:
+    """One exponentiated-gradient move of either player.
+
+    Averages ``score_once()`` over ``eval_replicates`` estimates, scales
+    ``step_ratio`` by the schedule (``gamma / base_lr``; unscaled when
+    ``gamma`` is None) and steps ``weights`` in ``direction``.  Returns
+    (new weights, averaged scores).
+    """
+    scores = sum(score_once() for _ in range(cfg.eval_replicates)) / cfg.eval_replicates
+    ratio = step_ratio if gamma is None else step_ratio * gamma / cfg.base_lr
+    return multiplicative_update(weights, scores, UpdateParams(ratio, direction), floor=cfg.weight_floor), scores
+
+
 def task_reweight_step(
     z: SimplexWeights,
     model: DifferentiableModel,
@@ -319,40 +326,39 @@ def task_reweight_step(
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
     ema: list[TaskLossState] | None = None,
-) -> tuple[SimplexWeights, AlignmentScores]:
+) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every task against the training direction and downweight
     the well-aligned (fast-improving) ones.
 
     The score of task n is the inner product of its scorer gradient (the
     ``scorer`` of the algorithm's table row) with a fresh
     training-mixture gradient.  The ``"ema"`` scorer also folds the
-    observed loss into ``ema`` in place.  Scores are averaged over
-    ``eval_replicates`` estimates.
+    observed loss into ``ema`` in place.  Returns the new task weights
+    and the scores, averaged over ``eval_replicates`` estimates.
     """
     if not cfg.adapts_z:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update task weights")
     scorer = ALGORITHM_TABLE[cfg.algorithm].scorer
     if scorer == "ema" and ema is None:
         raise ValueError(f"{cfg.algorithm} needs the per-task EMA state list")
-    n_tasks = store.num_tasks
     size = cfg.resolved_eval_batch_size
-    totals = np.zeros(n_tasks)
-    for _ in range(cfg.eval_replicates):
+
+    def scorer_grad(n: int, batch: Batch | Dataset) -> np.ndarray:
+        if scorer == "ema":
+            grad = model.grad(params, batch)
+            ema[n] = ema_update(ema[n], model.loss(params, batch))
+            return _normalized(grad, ema[n].ema_loss)
+        return _grad(model, params, batch, normalize=scorer == "loss")
+
+    def score_once() -> np.ndarray:
         direction, direction_evals = _mixture_direction(model, params, store, alpha, "domains", cfg, rng, size)
-        for n, batch in enumerate(_component_batches(store, "tasks", cfg, size, rng)):
-            if scorer == "ema":
-                grad = model.grad(params, batch)
-                ema[n] = ema_update(ema[n], model.loss(params, batch))
-                grad = _normalized(grad, ema[n].ema_loss)
-            else:
-                grad = _grad(model, params, batch, normalize=scorer == "loss")
-            totals[n] += alignment(grad, direction)
+        batches = _component_batches(store, "tasks", cfg, size, rng)
+        scores = np.array([alignment(scorer_grad(n, batch), direction) for n, batch in enumerate(batches)])
         if counters is not None:
-            counters.task_grad_evals += n_tasks + direction_evals
-    scores = totals / cfg.eval_replicates
-    ratio = cfg.step_ratio_z if gamma is None else cfg.step_ratio_z * gamma / cfg.base_lr
-    new_z = multiplicative_update(z, scores, UpdateParams(ratio, DESCEND), floor=cfg.weight_floor)
-    return new_z, AlignmentScores(scores)
+            counters.task_grad_evals += len(batches) + direction_evals
+        return scores
+
+    return _reweight(z, score_once, cfg.step_ratio_z, DESCEND, cfg, gamma)
 
 
 def domain_reweight_step(
@@ -366,36 +372,32 @@ def domain_reweight_step(
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
     pcgrad_rng: np.random.Generator | None = None,
-) -> tuple[SimplexWeights, AlignmentScores]:
+) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every domain against the task-weighted target gradient
     (the ``target`` of the algorithm's table row) and upweight the
-    well-aligned ones."""
+    well-aligned ones.  Returns the new domain weights and the averaged
+    scores."""
     if not cfg.adapts_alpha:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update domain weights")
     target_kind = ALGORITHM_TABLE[cfg.algorithm].target
     if target_kind == "pcgrad" and pcgrad_rng is None:
         raise ValueError(f"{cfg.algorithm} needs a pcgrad rng stream")
-    n_domains = store.num_domains
     size = cfg.resolved_eval_batch_size
-    totals = np.zeros(n_domains)
-    for _ in range(cfg.eval_replicates):
-        batches = _component_batches(store, "domains", cfg, size, rng)
-        domain_grads = [model.grad(params, b) for b in batches]
+
+    def score_once() -> np.ndarray:
+        domain_grads = [model.grad(params, b) for b in _component_batches(store, "domains", cfg, size, rng)]
         if target_kind == "pcgrad":
-            batches = _component_batches(store, "tasks", cfg, size, rng)
-            task_grads = [model.grad(params, b) for b in batches]
+            task_grads = [model.grad(params, b) for b in _component_batches(store, "tasks", cfg, size, rng)]
             target, target_evals = pcgrad_combine(task_grads, pcgrad_rng), len(task_grads)
         else:
             target, target_evals = _mixture_direction(
                 model, params, store, z, "tasks", cfg, rng, size, normalize=target_kind == "loss"
             )
-        totals += np.array([alignment(g, target) for g in domain_grads])
         if counters is not None:
-            counters.domain_grad_evals += n_domains + target_evals
-    scores = totals / cfg.eval_replicates
-    ratio = cfg.step_ratio_alpha if gamma is None else cfg.step_ratio_alpha * gamma / cfg.base_lr
-    new_alpha = multiplicative_update(alpha, scores, UpdateParams(ratio, ASCEND), floor=cfg.weight_floor)
-    return new_alpha, AlignmentScores(scores)
+            counters.domain_grad_evals += len(domain_grads) + target_evals
+        return np.array([alignment(g, target) for g in domain_grads])
+
+    return _reweight(alpha, score_once, cfg.step_ratio_alpha, ASCEND, cfg, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +533,15 @@ def train_run(
 
         reweighted = False
         if cfg.adapts_z and (t + 1) % cfg.update_every_z == 0:
-            z, scores = task_reweight_step(
+            z, last_task_scores = task_reweight_step(
                 z, model, theta, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema
             )
-            last_task_scores = scores.values
             reweighted = True
         if cfg.adapts_alpha and (t + 1) % cfg.update_every_alpha == 0:
-            alpha, scores = domain_reweight_step(
+            alpha, last_domain_scores = domain_reweight_step(
                 alpha, model, theta, store, z, cfg, domain_rng,
                 gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng,
             )
-            last_domain_scores = scores.values
             reweighted = True
 
         if reweighted or (t + 1) % cfg.eval_every == 0 or (t + 1) == cfg.total_steps:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grapemix import (
     IngestError,
@@ -11,9 +13,11 @@ from grapemix import (
     convergence_report,
     export_trajectory,
     import_trajectory,
+    render_trajectory,
     task_variance,
     variance_monotonicity_check,
 )
+from grapemix.analysis import VECTOR_COLUMNS
 
 
 def make_record(step, losses, alpha=None, z=None, lr=0.1, evals=(0, 0, 0)):
@@ -222,3 +226,57 @@ class TestExportImport:
         assert back.records[0].losses[0] == value
         assert back.records[0].losses[1] == 1 / 3
         assert back.records[0].lr == value
+
+
+# Floats whose text form is hardest to round-trip: signed zero, the
+# smallest subnormal, the largest double and 17-significant-digit values.
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 0.30000000000000004, 1.2345678901234567e-7])
+ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+SIMPLEX_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def trajectories(draw):
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    traj = Trajectory(tuple(f"d{i}" for i in range(k)), tuple(f"t{i}" for i in range(n)))
+
+    def vector(size, elements):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    def simplex(size):
+        raw = vector(size, SIMPLEX_ENTRY)
+        if raw.sum() <= 0.0:
+            raw[0] = 1.0
+        return raw / raw.sum()
+
+    step = 0
+    for _ in range(draw(st.integers(0, 4))):
+        step += draw(st.integers(1, 10**6))
+        traj.append(
+            TrajectoryRecord(
+                step=step, losses=vector(n, ANY_FLOAT), alpha=simplex(k), z=simplex(n),
+                task_scores=vector(n, ANY_FLOAT), domain_scores=vector(k, ANY_FLOAT), lr=draw(ANY_FLOAT),
+                train_grad_evals=draw(st.integers(0, 10**9)), task_grad_evals=draw(st.integers(0, 10**9)),
+                domain_grad_evals=draw(st.integers(0, 10**9)),
+            )
+        )
+    return traj
+
+
+class TestCsvRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(traj=trajectories())
+    def test_import_reproduces_every_field(self, tmp_path_factory, traj):
+        path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+        text = render_trajectory(traj)
+        path.write_text(text, encoding="utf-8")
+        back = import_trajectory(path)
+        assert (back.domain_labels, back.task_labels) == (traj.domain_labels, traj.task_labels)
+        assert len(back) == len(traj)
+        for before, after in zip(traj.records, back.records):
+            assert (after.step, after.grad_evals) == (before.step, before.grad_evals)
+            # bitwise, so that -0.0 and 0.0 differ
+            assert np.float64(after.lr).tobytes() == np.float64(before.lr).tobytes()
+            for name, _, _ in VECTOR_COLUMNS:
+                assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
+        assert render_trajectory(back) == text

@@ -46,6 +46,17 @@ def minimal_char_config(**overrides):
     return cfg
 
 
+def minimal_softmax_config(**overrides):
+    cfg = {
+        "total_steps": 5,
+        "model": {"kind": "softmax", "n_features": 3, "n_classes": 2},
+        "domains": [{"label": "feats", "path": "features.jsonl"}],
+        "tasks": [{"label": "labelled", "path": "features.jsonl"}],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -279,6 +290,14 @@ MALFORMED = [
     ("length-text", minimal_char_config, _set_domain("length", "abc"), "domains[0].length"),
     ("task-index-range", minimal_quadratic_config, _set_task("task_index", 5), "task_index"),
     ("vocabulary", minimal_char_config, None, "'corpus'"),
+    ("step-ratio-z-inf", minimal_quadratic_config, {"step_ratio_z": float("inf")}, "step_ratio_z"),
+    ("step-ratio-alpha-inf", minimal_quadratic_config, {"step_ratio_alpha": float("inf")}, "step_ratio_alpha"),
+    ("lr-base-inf", minimal_quadratic_config, {"lr": {"base": float("inf")}}, "lr.base"),
+    ("divergence-factor-inf", minimal_quadratic_config, {"divergence_factor": float("inf")}, "divergence_factor"),
+    ("mix-length", minimal_quadratic_config, _set_domain("mix", [0.5, 0.5]), "'d0'"),
+    # the features file holds 2-feature records; the model expects 3
+    ("softmax-width", minimal_softmax_config, None, "'feats'"),
+    ("init-params-length", minimal_quadratic_config, {"init_params": [0.0, 0.0, 0.0]}, "init_params"),
 ]
 
 
@@ -290,6 +309,7 @@ class TestMalformedConfigs:
     def test_exit_2_naming_field(self, tmp_path, capsys, builder, edit, named):
         # "z" lies outside the two-letter vocabulary of the char config
         (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abza"}\n')
+        (tmp_path / "features.jsonl").write_text('{"x": [1.0, 0.5], "y": 0}\n{"x": [0.0, 2.0], "y": 1}\n')
         cfg = builder()
         if callable(edit):
             edit(cfg)
@@ -303,6 +323,11 @@ class TestMalformedConfigs:
     def test_char_config_runs_within_vocabulary(self, tmp_path):
         (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abba"}\n')
         path = write_config(tmp_path, minimal_char_config())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_softmax_config_runs_with_matching_width(self, tmp_path):
+        (tmp_path / "features.jsonl").write_text('{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": 1}\n')
+        path = write_config(tmp_path, minimal_softmax_config())
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_numeric_strings_and_integral_floats_accepted(self):

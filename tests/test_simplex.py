@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grapemix import (
     ASCEND,
@@ -16,6 +18,7 @@ from grapemix import (
     multiplicative_update,
     normalize,
 )
+from grapemix.simplex import SIMPLEX_TOL
 from grapemix.verify import closed_form_update
 
 
@@ -141,6 +144,33 @@ class TestMultiplicativeUpdate:
             rel = max(abs((float(o) - g) / float(o)) for g, o in zip(ours.values, oracle))
             worst = max(worst, rel)
         assert worst <= 1e-12
+
+
+@st.composite
+def weights_and_scores(draw):
+    """A simplex with some exactly-zero entries, and one score per entry."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=8)
+               .filter(lambda xs: sum(xs) > 0.0))
+    scores = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(raw), max_size=len(raw)))
+    return normalize(raw), np.array(scores)
+
+
+class TestMultiplicativeUpdateProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=weights_and_scores(),
+        ratio=st.floats(0.0, 20.0),
+        direction=st.sampled_from([ASCEND, DESCEND]),
+        shift=st.floats(-5.0, 5.0),
+    )
+    def test_simplex_shift_invariance_and_dead_entries(self, case, ratio, direction, shift):
+        w, scores = case
+        out = multiplicative_update(w, scores, UpdateParams(ratio, direction))
+        assert np.all(out.values >= 0.0)
+        assert abs(float(out.values.sum()) - 1.0) <= SIMPLEX_TOL
+        shifted = multiplicative_update(w, scores + shift, UpdateParams(ratio, direction))
+        assert np.max(np.abs(shifted.values - out.values)) <= 1e-12
+        assert np.all(out.values[w.values == 0.0] == 0.0)
 
 
 class TestBregmanDivergence:
