@@ -119,7 +119,10 @@ def task_variance(losses) -> float:
 
 
 def variance_series(trajectory: Trajectory) -> np.ndarray:
-    return np.array([task_variance(r.losses) for r in trajectory.records])
+    """``task_variance`` of every record's losses, in record order."""
+    # shaped (records, tasks) also when there are no records
+    losses = trajectory.losses.reshape(len(trajectory), len(trajectory.task_labels))
+    return np.var(losses, axis=1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .data import (
@@ -28,7 +27,7 @@ from .data import (
     ingest_dataset,
     stream_rng,
 )
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, GrapemixError
 from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
 from .reweighting import CHOICES, ReweightConfig
 from .simplex import SimplexWeights
@@ -44,13 +43,6 @@ _FIELD_TYPES = typing.get_type_hints(ReweightConfig)
 _RUN_KEYS = {"seed", "out_dir", "model", "domains", "tasks", "init_alpha", "init_z", "init_params"}
 _NESTED_FIELDS = {name for names in _SECTIONS.values() for name in names.values()}
 _TOP_KEYS = (_FIELD_TYPES.keys() - _NESTED_FIELDS) | _SECTIONS.keys() | _RUN_KEYS
-_MODEL_KEYS = {"kind", "vocab_size", "n_features", "n_classes", "dim", "curvatures", "centers"}
-# Numeric entry keys: (integral, least allowed value).
-_ENTRY_NUMBERS = {"length": (True, 2), "seq_len": (True, 1), "size": (True, 1), "task_index": (True, 0),
-                  "noise": (False, 0.0)}
-_ENTRY_KEYS = {"label", "path", "markov", "markov_mix", "mix"} | _ENTRY_NUMBERS.keys()
-_MARKOV_KEYS = {"vocab_size", "transition"}
-_MIX_KEYS = {"of", "coeffs"}
 
 
 def _require(condition: bool, message: str):
@@ -60,9 +52,8 @@ def _require(condition: bool, message: str):
 
 def _check_keys(mapping: dict, allowed: set[str], where: str):
     _require(isinstance(mapping, dict), f"{where} must be a mapping")
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+    unknown = [key for key in mapping if key not in allowed]
+    _require(not unknown, f"unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))} in {where}")
 
 
 def _number(value, where: str, integral: bool = False, minimum: float | None = None):
@@ -95,14 +86,45 @@ def _field_value(name: str, value, where: str):
     return _number(value, where, integral=kind is int)
 
 
-def _path(value, where: str, base_dir) -> str | None:
-    """The file ``value`` names, resolved against ``base_dir`` and required to exist."""
-    if value is None:
-        return None
-    _require(isinstance(value, str), f"field {where} must be a file path")
-    resolved = Path(base_dir) / value
-    _require(resolved.exists(), f"field {where}: file {resolved} does not exist")
-    return str(resolved)
+def _typed(value, type_, where: str, base_dir="."):
+    """``value`` read as ``type_``, or ConfigError naming ``where``: an
+    integer (int), an existing file (Path), a str or a list, or, for a dict
+    of such types, a mapping of exactly its keys."""
+    if isinstance(type_, dict):
+        _check_keys(value, type_.keys(), where)
+        return {key: _typed(value.get(key), t, f"{where}.{key}", base_dir) for key, t in type_.items()}
+    if type_ is int:
+        return _number(value, where, integral=True)
+    if type_ is Path:  # resolved against base_dir; None (an optional file left out) stays None
+        if value is None:
+            return None
+        _require(isinstance(value, str), f"field {where} must be a file path")
+        resolved = Path(base_dir) / value
+        _require(resolved.exists(), f"field {where}: file {resolved} does not exist")
+        return str(resolved)
+    _require(isinstance(value, type_), f"field {where} must be a {type_.__name__}")
+    return value
+
+
+# Each model kind: the types of its spec keys (see _typed), and the
+# constructor that takes their values in that order.
+_MODEL_KINDS = {
+    "quadratic": ({"curvatures": list, "centers": list},
+                  lambda curvatures, centers: QuadraticTaskFamily(curvatures, centers).model()),
+    "softmax": ({"n_features": int, "n_classes": int}, SoftmaxModel),
+    "char_lm": ({"vocab_size": int}, CharLMModel),
+}
+# The extra keys of a synthetic corpus: name -> (integral, least value, default).
+_CORPUS_KEYS = {"length": (True, 2, 10000), "seq_len": (True, 1, 64)}
+# Each dataset source: the type of its own value (see _typed), and the
+# extra keys an entry of that source may give.
+_SOURCES = {
+    "path": (Path, {}),
+    "markov": ({"vocab_size": int, "transition": list}, _CORPUS_KEYS),
+    "markov_mix": ({"of": list, "coeffs": list}, _CORPUS_KEYS),
+    "mix": (list, {"noise": (False, 0.0, 0.0), "size": (True, 1, 1)}),
+    "task_index": (int, {}),
+}
 
 
 @dataclass
@@ -122,8 +144,7 @@ class RunConfig:
 
 def load_config_file(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    _require(path.exists(), f"config file {path} does not exist")
     text = path.read_text(encoding="utf-8")
     try:
         if path.suffix == ".json":
@@ -154,10 +175,11 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid field value: {exc}") from exc
 
-    model_spec = raw.get("model", {})
-    _check_keys(model_spec, _MODEL_KEYS, "model")
-    kind = model_spec.get("kind")
-    _require(kind in ("quadratic", "softmax", "char_lm"), "field model.kind must be quadratic, softmax or char_lm")
+    model = raw.get("model", {})
+    kind = model.get("kind") if isinstance(model, dict) else None
+    _require(isinstance(kind, str) and kind in _MODEL_KINDS,
+             f"field model.kind must be one of {', '.join(_MODEL_KINDS)}")
+    model_spec = _typed(model, {"kind": str, **_MODEL_KINDS[kind][0]}, "model")
 
     domain_specs = _parse_entries(raw.get("domains"), "domains", base_dir)
     task_specs = _parse_entries(raw.get("tasks"), "tasks", base_dir)
@@ -172,43 +194,34 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
 
     return RunConfig(
         reweight=reweight,
-        model_spec=dict(model_spec),
+        model_spec=model_spec,
         domain_specs=domain_specs,
         task_specs=task_specs,
         seed=_number(raw.get("seed", RunConfig.seed), "seed", integral=True),
         out_dir=out_dir,
-        init_alpha_path=_path(raw.get("init_alpha"), "init_alpha", base_dir),
-        init_z_path=_path(raw.get("init_z"), "init_z", base_dir),
+        init_alpha_path=_typed(raw.get("init_alpha"), Path, "init_alpha", base_dir),
+        init_z_path=_typed(raw.get("init_z"), Path, "init_z", base_dir),
         init_params=init_params,
     )
 
 
 def _parse_entries(entries, where: str, base_dir) -> list[dict]:
+    """Each entry with its source's value read and its source's defaults filled in."""
     _require(isinstance(entries, list) and entries, f"field {where} must be a nonempty list")
     parsed = []
     for i, entry in enumerate(entries):
         spot = f"{where}[{i}]"
-        _check_keys(entry, _ENTRY_KEYS, spot)
+        _require(isinstance(entry, dict), f"{spot} must be a mapping")
         _require(isinstance(entry.get("label"), str), f"field {spot}.label is required and must be a string")
-        sources = [key for key in ("path", "markov", "markov_mix", "mix", "task_index") if key in entry]
-        _require(len(sources) == 1, f"field {spot}: need exactly one of path/markov/markov_mix/mix/task_index")
-        entry = dict(entry)
-        if "path" in entry:
-            entry["path"] = _path(entry["path"], f"{spot}.path", base_dir)
-        if "markov" in entry:
-            markov = entry["markov"]
-            _check_keys(markov, _MARKOV_KEYS, f"{spot}.markov")
-            for key in sorted(_MARKOV_KEYS):
-                _require(key in markov, f"field {spot}.markov.{key} is required")
-        if "markov_mix" in entry:
-            mix = entry["markov_mix"]
-            _check_keys(mix, _MIX_KEYS, f"{spot}.markov_mix")
-            for key in sorted(_MIX_KEYS):
-                _require(isinstance(mix.get(key), list), f"field {spot}.markov_mix.{key} must be a list")
-        for key, (integral, least) in _ENTRY_NUMBERS.items():
-            if key in entry:
-                entry[key] = _number(entry[key], f"{spot}.{key}", integral=integral, minimum=least)
-        parsed.append(entry)
+        sources = [key for key in _SOURCES if key in entry]
+        _require(len(sources) == 1, f"field {spot}: need exactly one of {'/'.join(_SOURCES)}")
+        source = sources[0]
+        type_, extras = _SOURCES[source]
+        _check_keys(entry, {"label", source} | extras.keys(), f"{spot}, a {source} entry")
+        spec = {"label": entry["label"], source: _typed(entry[source], type_, f"{spot}.{source}", base_dir)}
+        for key, (integral, least, default) in extras.items():
+            spec[key] = _number(entry.get(key, default), f"{spot}.{key}", integral=integral, minimum=least)
+        parsed.append(spec)
     return parsed
 
 
@@ -219,21 +232,9 @@ def _parse_entries(entries, where: str, base_dir) -> list[dict]:
 
 def build_model(cfg: RunConfig) -> DifferentiableModel:
     """The configured model; ``init_params``, if given, must fit its parameter vector."""
-    spec = cfg.model_spec
-    kind = spec["kind"]
+    keys, construct = _MODEL_KINDS[cfg.model_spec["kind"]]
     try:
-        if kind == "char_lm":
-            _require("vocab_size" in spec, "field model.vocab_size is required for char_lm")
-            model = CharLMModel(int(spec["vocab_size"]))
-        elif kind == "softmax":
-            _require("n_features" in spec and "n_classes" in spec,
-                     "fields model.n_features and model.n_classes are required for softmax")
-            model = SoftmaxModel(int(spec["n_features"]), int(spec["n_classes"]))
-        else:
-            _require("curvatures" in spec and "centers" in spec,
-                     "fields model.curvatures and model.centers are required for quadratic")
-            model = QuadraticTaskFamily(np.asarray(spec["curvatures"], dtype=np.float64),
-                                        np.asarray(spec["centers"], dtype=np.float64)).model()
+        model = construct(*(cfg.model_spec[key] for key in keys))
     except (TypeError, ValueError, DimensionError) as exc:  # a model value of the wrong type, range or shape
         raise ConfigError(f"field model: {exc}") from exc
     _require(cfg.init_params is None or len(cfg.init_params) == model.param_dim,
@@ -246,7 +247,10 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
 
     Synthetic corpora use per-label RNG streams derived from the run
     seed, so the data layer is reproducible and independent of entry
-    order elsewhere in the config.
+    order elsewhere in the config.  The model is the one judge of each
+    dataset: a loss at its initial parameters runs the preparation that
+    training runs (and keeps it, for full batches), so a record the model
+    cannot use fails here, as a ConfigError naming the entry.
     """
     markov_specs: dict[str, MarkovLanguageSpec] = {}
 
@@ -256,47 +260,32 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
             return ingest_dataset(entry["path"])
         if "markov" in entry or "markov_mix" in entry:
             if "markov" in entry:
-                m = entry["markov"]
-                spec = MarkovLanguageSpec(int(m["vocab_size"]), np.asarray(m["transition"], dtype=np.float64))
+                spec = MarkovLanguageSpec(**entry["markov"])
             else:
                 mix = entry["markov_mix"]
                 missing = [name for name in mix["of"] if name not in markov_specs]
                 _require(not missing, f"markov_mix for {label!r} references unknown languages {missing}")
-                spec = MarkovLanguageSpec.interpolate(
-                    [markov_specs[name] for name in mix["of"]],
-                    [float(c) for c in mix["coeffs"]],
-                )
+                spec = MarkovLanguageSpec.interpolate([markov_specs[name] for name in mix["of"]], mix["coeffs"])
             markov_specs[label] = spec
-            length = int(entry.get("length", 10000))
-            seq_len = int(entry.get("seq_len", 64))
-            return generate_markov_corpus(spec, length, stream_rng(cfg.seed, f"corpus/{label}"), seq_len)
+            rng = stream_rng(cfg.seed, f"corpus/{label}")
+            return generate_markov_corpus(spec, entry["length"], rng, entry["seq_len"])
         family = getattr(model, "family", None)
         _require(family is not None, f"entry {label!r} needs a quadratic model")
         if "task_index" in entry:
-            index = int(entry["task_index"])
-            _require(0 <= index < family.num_tasks,
-                     f"entry {label!r}: task_index {index} is out of range for {family.num_tasks} tasks")
-            return family.task_dataset(index)
-        noise = float(entry.get("noise", 0.0))
-        size = int(entry.get("size", 1))
-        rng = stream_rng(cfg.seed, f"corpus/{label}") if noise > 0 else None
-        return family.domain_dataset(np.asarray(entry["mix"], dtype=np.float64), noise=noise, size=size, rng=rng)
+            return family.task_dataset(entry["task_index"])
+        rng = stream_rng(cfg.seed, f"corpus/{label}") if entry["noise"] > 0 else None
+        return family.domain_dataset(entry["mix"], noise=entry["noise"], size=entry["size"], rng=rng)
 
     datasets: dict[str, Dataset] = {}
     for entry in cfg.domain_specs + cfg.task_specs:
         label = entry["label"]
         try:
             datasets[label] = build_one(entry)
-        except (TypeError, ValueError, DimensionError) as exc:  # a spec value of the wrong type or shape
+            model.loss(model.initial_params(), datasets[label])
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, GrapemixError) as exc:  # a spec value, or a record the model cannot use
             raise ConfigError(f"entry {label!r}: {exc}") from exc
-        examples = datasets[label].examples
-        if isinstance(model, CharLMModel):
-            _require(all(isinstance(text, str) for text in examples), f"entry {label!r}: char_lm needs text records")
-            unknown = "".join(sorted(set("".join(examples)) - set(model.vocab)))
-            _require(not unknown, f"entry {label!r} has characters outside the model vocabulary: {unknown!r}")
-        if isinstance(model, SoftmaxModel):
-            _require(all(isinstance(ex, tuple) and np.shape(ex[0]) == (model.n_features,) for ex in examples),
-                     f"entry {label!r}: softmax needs x/y records with {model.n_features} features")
     return MixtureStore({e["label"]: datasets[e["label"]] for e in cfg.domain_specs},
                         {e["label"]: datasets[e["label"]] for e in cfg.task_specs})
 

@@ -38,7 +38,7 @@ class DifferentiableModel(Protocol):
     A batch is a list of examples (sampled batches) or a whole
     ``Dataset`` (full batches in expected mode).  Datasets are immutable,
     so a model may memoize what it derives from one, keyed by the
-    ``Dataset`` object.
+    ``Dataset`` object.  A record it cannot use raises a typed error.
     """
 
     param_dim: int
@@ -168,6 +168,8 @@ class QuadraticTaskFamily:
 
     def task_dataset(self, n: int) -> Dataset:
         """Single clean example whose loss/grad equal task n's exactly."""
+        if not 0 <= n < self.num_tasks:
+            raise DimensionError(f"task_index {n} is out of range for {self.num_tasks} tasks")
         mix = np.zeros(self.num_tasks)
         mix[n] = 1.0
         return Dataset([QuadraticExample(mix, np.zeros(self.dim))])
@@ -293,8 +295,11 @@ class QuadraticModel:
     def _stack_examples(batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
         if len(batch) == 0:
             raise EmptyBatch("quadratic model got an empty batch")
-        mixes = np.stack([ex.mix for ex in batch])
-        deltas = np.stack([ex.delta for ex in batch])
+        try:
+            mixes = np.stack([ex.mix for ex in batch])
+            deltas = np.stack([ex.delta for ex in batch])
+        except AttributeError as exc:
+            raise TypeError("quadratic model needs QuadraticExample records") from exc
         return mixes, deltas
 
     def loss(self, params: np.ndarray, batch: Batch) -> float:
@@ -333,11 +338,13 @@ class CharLMModel:
         if isinstance(vocab, int):
             from .data import _ALPHABET
 
+            if vocab > len(_ALPHABET):
+                raise ValueError(f"vocab_size above {len(_ALPHABET)} is not supported")
             vocab = _ALPHABET[:vocab]
         if len(set(vocab)) != len(vocab) or len(vocab) < 2:
             raise ValueError("vocabulary must have at least 2 distinct characters")
-        if _SEPARATOR in vocab:
-            raise ValueError("vocabulary must not contain NUL, which separates the strings of a batch")
+        if not vocab.isascii() or _SEPARATOR in vocab:
+            raise ValueError("vocabulary must be ASCII without NUL, which separates the strings of a batch")
         self.vocab = vocab
         self.vocab_size = len(vocab)
         self.param_dim = self.vocab_size**2
@@ -363,12 +370,11 @@ class CharLMModel:
         # The separator gets code V, so every pair that spans two strings
         # lands outside the V x V block of the (V+1) x (V+1) pair counts.
         text = _SEPARATOR.join(batch)
-        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        if raw.size != len(text):
-            raise ValueError("batch contains non-ASCII characters")
-        codes = self._lut.take(raw)
+        # A non-ASCII character encodes to bytes >= 128, none of which is in the vocabulary.
+        codes = self._lut.take(np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
         if np.any(codes < 0) or np.count_nonzero(codes == self.vocab_size) != len(batch) - 1:
-            raise ValueError("batch contains characters outside the vocabulary")
+            unknown = "".join(sorted(set("".join(batch)) - set(self.vocab)))
+            raise ValueError(f"batch contains characters outside the vocabulary: {unknown!r}")
         side = self.vocab_size + 1
         pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
         counts = pairs[:-1, :-1]
@@ -418,12 +424,12 @@ class SoftmaxModel:
         if len(batch) == 0:
             raise EmptyBatch("softmax model got an empty batch")
         xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
-        ys = np.asarray([int(y) for _, y in batch], dtype=np.int64)
-        if xs.shape[1] != self.n_features:
-            raise DimensionError(f"features have length {xs.shape[1]}, expected {self.n_features}")
-        if np.any(ys < 0) or np.any(ys >= self.n_classes):
-            raise ValueError("labels must lie in [0, n_classes)")
-        return xs, ys
+        ys = np.asarray([y for _, y in batch], dtype=np.float64)
+        if xs.shape[1:] != (self.n_features,):
+            raise DimensionError(f"features have shape {xs.shape[1:]}, expected ({self.n_features},)")
+        if ys.shape != (len(xs),) or np.any(ys % 1 != 0) or np.any(ys < 0) or np.any(ys >= self.n_classes):
+            raise ValueError(f"labels must be integers in [0, {self.n_classes})")
+        return xs, ys.astype(np.int64)
 
     def _log_probs(self, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
         weights = _check_params(params, self.param_dim).reshape(self.n_classes, self.n_features)

@@ -57,9 +57,9 @@ def closed_form_update(weights, scores, step_ratio, direction, dps=50):
     """Extended-precision evaluation of w_i * exp(+/- r s_i) / Z."""
     with mpmath.workdps(dps):
         sign = mpmath.mpf(1) if direction == ASCEND else mpmath.mpf(-1)
-        ratio = mpmath.mpf(repr(float(step_ratio)))
+        ratio = mpmath.mpf(float(step_ratio))
         unnorm = [
-            mpmath.mpf(repr(float(w))) * mpmath.e ** (sign * ratio * mpmath.mpf(repr(float(s))))
+            mpmath.mpf(float(w)) * mpmath.e ** (sign * ratio * mpmath.mpf(float(s)))
             for w, s in zip(weights, scores)
         ]
         total = mpmath.fsum(unnorm)
@@ -88,7 +88,7 @@ def verify_updates(instances: int = 1000, seed: int = 2024) -> list[CheckResult]
                 if got != 0.0:
                     worst_rel = max(worst_rel, float("inf"))
                 continue
-            worst_rel = max(worst_rel, abs((mpmath.mpf(repr(float(got))) - want) / want))
+            worst_rel = max(worst_rel, abs((mpmath.mpf(float(got)) - want) / want))
     elapsed = time.perf_counter() - start
     return [
         CheckResult(

@@ -16,6 +16,7 @@ from grapemix import (
     render_trajectory,
     task_variance,
     variance_monotonicity_check,
+    variance_series,
 )
 from grapemix.analysis import VECTOR_COLUMNS
 
@@ -66,6 +67,21 @@ class TestTaskVariance:
 
     def test_single_task(self):
         assert task_variance([2.0]) == 0.0
+
+
+class TestVarianceSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), count=st.integers(1, 60))
+    def test_bitwise_equal_to_per_record_variance(self, data, n, count):
+        # bounded so that no square overflows
+        row = st.lists(st.floats(-1e150, 1e150), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=count, max_size=count))
+        traj = make_trajectory(list(enumerate(rows)))
+        want = np.array([task_variance(r.losses) for r in traj.records])
+        assert variance_series(traj).tobytes() == want.tobytes()
+
+    def test_empty_trajectory_gives_empty_series(self):
+        assert variance_series(Trajectory(("d0",), ("t0", "t1"))).shape == (0,)
 
 
 class TestVarianceCheck:

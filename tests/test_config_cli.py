@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from grapemix import ConfigError, import_trajectory
+from grapemix import ConfigError, import_trajectory, train_run
 from grapemix.cli import main
-from grapemix.config import build_model, build_store, load_config_file, parse_config
+from grapemix.config import _MODEL_KINDS, build_model, build_store, load_config_file, parse_config
 
 
 def minimal_quadratic_config(**overrides):
@@ -63,7 +63,43 @@ def write_config(tmp_path, cfg, name="run.yaml"):
     return path
 
 
+# The least spec of each model kind, and its parameter count.
+MINIMAL_MODELS = {
+    "quadratic": ({"curvatures": [[1.0, 2.0]], "centers": [[0.0, 1.0]]}, 2),
+    "softmax": ({"n_features": 1, "n_classes": 2}, 2),
+    "char_lm": ({"vocab_size": 2}, 4),
+}
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("kind", list(_MODEL_KINDS))
+    def test_every_model_kind_builds_from_a_minimal_spec(self, kind):
+        spec, param_dim = MINIMAL_MODELS[kind]
+        cfg = parse_config(minimal_quadratic_config(model={"kind": kind, **spec}))
+        assert build_model(cfg).param_dim == param_dim
+
+    def test_entry_defaults_filled_in(self, tmp_path):
+        (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n')
+        cfg = parse_config(minimal_char_config(domains=[{"label": "lang", "markov": {
+            "vocab_size": 2, "transition": [[0.5, 0.5], [0.5, 0.5]]}}]), base_dir=tmp_path)
+        assert cfg.domain_specs[0]["length"] == 10000 and cfg.domain_specs[0]["seq_len"] == 64
+        chunks = build_store(cfg, build_model(cfg)).domains["lang"]
+        assert len(chunks) == 157 and all(len(chunk) == 64 for chunk in chunks)
+        quadratic = parse_config(minimal_quadratic_config())
+        assert quadratic.domain_specs == [{"label": "d0", "mix": [1.0], "noise": 0.0, "size": 1}]
+
+    def test_store_judging_prepares_each_dataset_once(self, monkeypatch):
+        cfg = parse_config(minimal_quadratic_config(total_steps=20))
+        model = build_model(cfg)
+        stacks = []
+        stack = model._stack_examples
+        monkeypatch.setattr(model, "_stack_examples", lambda batch: stacks.append(batch) or stack(batch))
+        store = build_store(cfg, model)
+        datasets = [*store.domains.values(), *store.tasks.values()]
+        assert stacks == datasets
+        train_run(cfg.reweight, model, store, seed=cfg.seed)  # expected mode: whole datasets as batches
+        assert stacks == datasets
+
     def test_minimal_with_defaults(self, tmp_path):
         raw = {
             "model": {"kind": "quadratic", "curvatures": [[1.0]], "centers": [[0.0]]},
@@ -275,6 +311,24 @@ def _set_task(key, value):
     return edit
 
 
+def _set_model(key, value):
+    def edit(cfg):
+        cfg["model"][key] = value
+    return edit
+
+
+def _model_with_other_kinds_keys(cfg):
+    cfg["model"].update(n_features=3, dim=7)
+
+
+def _softmax_labels_out_of_range(cfg):
+    cfg["domains"][0]["path"] = "labels.jsonl"
+
+
+def _entry_with_other_sources_keys(cfg):
+    cfg["domains"][0] = {"label": "lang", "path": "data.jsonl", "noise": 0.5, "length": 99}
+
+
 # (case id, config builder, edit of the raw mapping, text the error must name)
 MALFORMED = [
     ("lr-scalar", minimal_quadratic_config, {"lr": 5}, "lr"),
@@ -298,7 +352,31 @@ MALFORMED = [
     # the features file holds 2-feature records; the model expects 3
     ("softmax-width", minimal_softmax_config, None, "'feats'"),
     ("init-params-length", minimal_quadratic_config, {"init_params": [0.0, 0.0, 0.0]}, "init_params"),
+    # text records under a quadratic model
+    ("quadratic-text-records", minimal_quadratic_config, {"domains": [{"label": "d0", "path": "data.jsonl"}]},
+     "'d0'"),
+    ("softmax-label-range", minimal_softmax_config, _softmax_labels_out_of_range, "'feats'"),
+    ("no-transitions", minimal_char_config, _set_task("path", "single.jsonl"), "'corpus'"),
+    ("bad-jsonl-line", minimal_char_config, _set_task("path", "bad.jsonl"), "'corpus'"),
+    ("model-key-of-other-kind", minimal_char_config, _model_with_other_kinds_keys, "'dim', 'n_features'"),
+    ("vocab-size-fraction", minimal_char_config, _set_model("vocab_size", 2.7), "model.vocab_size"),
+    ("path-entry-extra-keys", minimal_char_config, _entry_with_other_sources_keys, "'length', 'noise'"),
+    ("mix-entry-length", minimal_quadratic_config, _set_domain("length", 500), "key 'length' in domains[0]"),
+    ("task-index-entry-noise", minimal_quadratic_config, _set_task("noise", 3.0), "key 'noise' in tasks[0]"),
+    ("empty-dataset-file", minimal_char_config, _set_task("path", "empty.jsonl"), "'corpus'"),
 ]
+
+# The dataset files every malformed config may point at.
+DATASET_FILES = {
+    # "z" lies outside the two-letter vocabulary of the char config
+    "data.jsonl": '{"text": "abab"}\n{"text": "abza"}\n',
+    "features.jsonl": '{"x": [1.0, 0.5], "y": 0}\n{"x": [0.0, 2.0], "y": 1}\n',
+    # 3-feature records for the 2-class softmax config, one labelled 5
+    "labels.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": 5}\n',
+    "single.jsonl": '{"text": "a"}\n{"text": "b"}\n',
+    "bad.jsonl": '{"text": "abab"}\n{"text": \n',
+    "empty.jsonl": "",
+}
 
 
 class TestMalformedConfigs:
@@ -307,9 +385,8 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize("builder,edit,named", [case[1:] for case in MALFORMED],
                              ids=[case[0] for case in MALFORMED])
     def test_exit_2_naming_field(self, tmp_path, capsys, builder, edit, named):
-        # "z" lies outside the two-letter vocabulary of the char config
-        (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abza"}\n')
-        (tmp_path / "features.jsonl").write_text('{"x": [1.0, 0.5], "y": 0}\n{"x": [0.0, 2.0], "y": 1}\n')
+        for name, text in DATASET_FILES.items():
+            (tmp_path / name).write_text(text)
         cfg = builder()
         if callable(edit):
             edit(cfg)

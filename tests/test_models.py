@@ -59,6 +59,12 @@ class TestQuadratic:
         with pytest.raises(DimensionError):
             model.loss(np.zeros(3), list(simple_family().task_dataset(0)))
 
+    def test_records_of_other_models_rejected(self):
+        model = simple_family().model()
+        for batch in (["abab"], [(np.zeros(2), 0)]):
+            with pytest.raises(TypeError, match="QuadraticExample"):
+                model.loss(np.zeros(2), batch)
+
     def test_minimax_equal_losses_at_saddle(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -149,6 +155,17 @@ class TestCharLM:
             model.loss(np.zeros(9), ["ab\0c"])  # NUL separates strings internally
         with pytest.raises(ValueError):
             CharLMModel("ab\0")
+        # the error names every unknown character, non-ASCII and NUL included
+        with pytest.raises(ValueError, match="outside the vocabulary: 'zé'"):
+            model.loss(np.zeros(9), ["abz", "cé", "ba"])
+        with pytest.raises(ValueError, match=r"outside the vocabulary: '\\x00z'"):
+            model.loss(np.zeros(9), Dataset(["ab\0c", "zz"]))
+
+    def test_vocabulary_must_be_ascii_and_fit_the_alphabet(self):
+        with pytest.raises(ValueError, match="ASCII"):
+            CharLMModel("abé")
+        with pytest.raises(ValueError, match="vocab_size above 36"):
+            CharLMModel(40)
 
     def test_no_transitions_raises(self):
         model = CharLMModel(3)
@@ -166,13 +183,16 @@ class TestSoftmax:
 
     def test_label_range_checked(self):
         model = SoftmaxModel(2, 3)
-        with pytest.raises(ValueError):
-            model.loss(np.zeros(6), [(np.zeros(2), 7)])
+        for label in (7, -1, 1.5):
+            with pytest.raises(ValueError):
+                model.loss(np.zeros(6), [(np.zeros(2), label)])
 
     def test_feature_length_checked(self):
         model = SoftmaxModel(2, 3)
         with pytest.raises(DimensionError):
             model.loss(np.zeros(6), [(np.zeros(5), 0)])
+        with pytest.raises(DimensionError):  # scalar features
+            SoftmaxModel(1, 3).loss(np.zeros(3), [(1.0, 0), (2.0, 1)])
 
 
 def _quadratic_case(rng):
