@@ -31,7 +31,6 @@ from .data import (
     sample_task_batches,
     stationary_distribution,
     stream_rng,
-    write_dataset,
 )
 from .errors import (
     ConfigError,
@@ -48,7 +47,7 @@ from .errors import (
     ScoreError,
     SpecError,
 )
-from .metrics import LOSS_FLOOR, TaskLossState, ema_update, roi
+from .metrics import LOSS_FLOOR, roi
 from .models import (
     CharLMModel,
     DifferentiableModel,

@@ -16,7 +16,7 @@ every value exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -170,37 +170,23 @@ def variance_monotonicity_check(
 
 @dataclass(frozen=True)
 class TheoremHarnessReport:
-    """Empirical convergence and variance evidence from one trajectory."""
+    """Empirical convergence evidence from one trajectory."""
 
     steps: np.ndarray
-    suboptimality: np.ndarray
     running_min: np.ndarray
-    variance: np.ndarray
     epsilon: float
     first_step_within_epsilon: int | None
     fit_slope: float
-    fit_intercept: float
-    fit_r2: float
-    variance_check: VarianceCheck = field(repr=False)
-
-    @property
-    def t0(self) -> int | None:
-        return self.variance_check.t0
 
 
-def convergence_report(
-    trajectory: Trajectory,
-    true_opt: float,
-    epsilon: float = 1e-3,
-    burn_in_fraction: float = 0.2,
-) -> TheoremHarnessReport:
+def convergence_report(trajectory: Trajectory, true_opt: float, epsilon: float = 1e-3) -> TheoremHarnessReport:
     """Measure worst-task suboptimality against a known minimax optimum.
 
-    Reports the raw and running-minimum suboptimality series, the first
-    recorded step with running minimum <= epsilon, and a least-squares
-    fit of log(running min) against log(step) over the final half of the
-    run (slope near -1 is the signature of a 1/t decay; steeper is
-    faster).
+    Reports the running minimum of the worst-task suboptimality, the first
+    recorded step with running minimum <= epsilon, and the slope of a
+    least-squares fit of log(running min) against log(step) over the final
+    half of the run (slope near -1 is the signature of a 1/t decay;
+    steeper is faster).
     """
     if not trajectory.records:
         raise ReportError("trajectory has no records")
@@ -209,41 +195,25 @@ def convergence_report(
             raise ReportError(f"record at step {r.step} lacks usable task losses")
 
     steps = trajectory.steps
-    worst = trajectory.losses.max(axis=1)
-    subopt = worst - true_opt
-    running_min = np.minimum.accumulate(subopt)
-
+    running_min = np.minimum.accumulate(trajectory.losses.max(axis=1) - true_opt)
     hit = np.flatnonzero(running_min <= epsilon)
-    first_step = int(steps[hit[0]]) if hit.size else None
-
     tail = (steps >= steps[-1] / 2) & (steps > 0)
-    slope, intercept, r2 = _loglog_fit(steps[tail], running_min[tail])
-
     return TheoremHarnessReport(
         steps=steps,
-        suboptimality=subopt,
         running_min=running_min,
-        variance=variance_series(trajectory),
         epsilon=epsilon,
-        first_step_within_epsilon=first_step,
-        fit_slope=slope,
-        fit_intercept=intercept,
-        fit_r2=r2,
-        variance_check=variance_monotonicity_check(trajectory, burn_in_fraction),
+        first_step_within_epsilon=int(steps[hit[0]]) if hit.size else None,
+        fit_slope=_loglog_fit(steps[tail], running_min[tail]),
     )
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _loglog_fit(x: np.ndarray, y: np.ndarray) -> float:
+    """Slope of the least-squares line through (log x, log y)."""
     if x.size < 2:
-        return (float("nan"), float("nan"), float("nan"))
+        return float("nan")
     log_x = np.log(x.astype(np.float64))
     log_y = np.log(np.maximum(y, 1e-300))
-    slope, intercept = np.polyfit(log_x, log_y, 1)
-    predicted = slope * log_x + intercept
-    total = float(((log_y - log_y.mean()) ** 2).sum())
-    resid = float(((log_y - predicted) ** 2).sum())
-    r2 = 1.0 - resid / total if total > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(np.polyfit(log_x, log_y, 1)[0])
 
 
 # ---------------------------------------------------------------------------

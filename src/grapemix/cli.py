@@ -32,7 +32,7 @@ from .config import build_model, build_store, load_config_file, load_initial_wei
 from .errors import ConfigError, GrapemixError, IngestError, NumericalDivergence
 from .reweighting import ALGORITHMS, train_run
 from .simplex import SimplexWeights
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}", file=sys.stderr)
         return EXIT_USAGE
-    results = run_suite(args.suite)
+    results = SUITES[args.suite]()
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else 1

@@ -99,28 +99,20 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), stream_key]))
 
 
-def sample_mixture_batch(
-    store: MixtureStore,
-    w: SimplexWeights,
-    size: int,
-    rng: np.random.Generator,
-    side: str | None = None,
-) -> Batch:
+def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng: np.random.Generator) -> Batch:
     """Draw ``size`` examples, each from a dataset chosen by categorical(w).
 
     ``w.labels`` must match either the store's domain labels or its task
-    labels; ``side`` ("domains" / "tasks") can force the choice.  Sampling
-    is per example, not per batch, so the batch composition itself is a
-    draw from the mixture.
+    labels, which says the side.  Sampling is per example, not per batch,
+    so the batch composition itself is a draw from the mixture.
     """
-    if side is None:
-        if w.labels == store.domain_labels:
-            side = "domains"
-        elif w.labels == store.task_labels:
-            side = "tasks"
-        else:
-            raise DimensionError("weight labels match neither domains nor tasks")
-    datasets = [getattr(store, side)[label] for label in w.labels]
+    if w.labels == store.domain_labels:
+        group = store.domains
+    elif w.labels == store.task_labels:
+        group = store.tasks
+    else:
+        raise DimensionError("weight labels match neither domains nor tasks")
+    datasets = [group[label] for label in w.labels]
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     cum = np.cumsum(w.values)
@@ -128,12 +120,8 @@ def sample_mixture_batch(
     # goes to the last component with positive weight, never to a dead one.
     last_live = np.searchsorted(cum, cum[-1], side="left")
     which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), last_live)
-    picks = rng.random(size)
-    batch = []
-    for ds_idx, u in zip(which, picks):
-        ds = datasets[ds_idx]
-        batch.append(ds[min(int(u * len(ds)), len(ds) - 1)])
-    return batch
+    rows = _rows(rng.random(size), np.array([len(ds) for ds in datasets])[which])
+    return [datasets[k][i] for k, i in zip(which.tolist(), rows.tolist())]
 
 
 def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Batch]:
@@ -149,9 +137,14 @@ def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator
 def _uniform_batch(dataset: Dataset, size: int, rng: np.random.Generator) -> Batch:
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
-    # floor(u * n) keeps the draw count independent of n
-    picks = np.minimum((rng.random(size) * len(dataset)).astype(np.int64), len(dataset) - 1)
-    return [dataset[i] for i in picks]
+    return [dataset[i] for i in _rows(rng.random(size), len(dataset)).tolist()]
+
+
+def _rows(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+    """The row each uniform draw ``u`` picks in a dataset of ``n`` rows:
+    floor(u * n), clamped to n - 1.  One draw per example, whatever n is,
+    keeps every stream's draw count independent of the dataset sizes."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +269,9 @@ def ingest_dataset(path: str | Path) -> Dataset:
     """Load a line-delimited dataset file, preserving record order.
 
     Each line is a JSON object: either ``{"text": "..."}`` or
-    ``{"x": [numbers], "y": number-or-list}``.  Malformed lines raise
-    IngestError with the 1-based line number; a file with no records
-    raises EmptyDataset.
+    ``{"x": [numbers], "y": number}``; a label is a JSON number, never a
+    boolean.  Malformed lines raise IngestError with the 1-based line
+    number; a file with no records raises EmptyDataset.
     """
     examples = []
     with open(path, encoding="utf-8") as fh:
@@ -297,30 +290,18 @@ def ingest_dataset(path: str | Path) -> Dataset:
                     raise IngestError("'text' must be a string", lineno)
                 examples.append(record["text"])
             elif "x" in record and "y" in record:
+                y = record["y"]
+                # JSON true/false parse as bool, a subclass of int
+                if isinstance(y, bool) or not isinstance(y, (int, float)):
+                    raise IngestError(f"'y' must be a number, got {type(y).__name__}", lineno)
                 try:
                     x = np.asarray(record["x"], dtype=np.float64)
-                    y = record["y"]
-                    if isinstance(y, list):
-                        y = np.asarray(y, dtype=np.float64)
-                    else:
-                        y = float(y)
                 except (TypeError, ValueError) as exc:
                     raise IngestError(f"bad feature record: {exc}", lineno) from exc
-                examples.append((x, y))
+                examples.append((x, float(y)))
             else:
                 raise IngestError("record needs 'text' or 'x'/'y' fields", lineno)
     if not examples:
         raise EmptyDataset(f"{path}: no records")
     return Dataset(examples)
 
-
-def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Inverse of ingest_dataset: one JSON record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset:
-            if isinstance(ex, str):
-                fh.write(json.dumps({"text": ex}) + "\n")
-            else:
-                x, y = ex
-                y_out = y.tolist() if isinstance(y, np.ndarray) else y
-                fh.write(json.dumps({"x": np.asarray(x).tolist(), "y": y_out}) + "\n")

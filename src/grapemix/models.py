@@ -101,6 +101,12 @@ def _per_dataset(memo: weakref.WeakKeyDictionary, batch: Batch | Dataset, prepar
     return out
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, each row shifted by its peak so no exp overflows."""
+    peak = logits.max(axis=1, keepdims=True)
+    return logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
+
+
 def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (dim,):
@@ -383,9 +389,7 @@ class CharLMModel:
         return counts.astype(np.float64)
 
     def _log_probs(self, params: np.ndarray) -> np.ndarray:
-        logits = _check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size)
-        peak = logits.max(axis=1, keepdims=True)
-        return logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
+        return _log_softmax(_check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size))
 
     def loss(self, params: np.ndarray, batch: Batch) -> float:
         counts = self.transition_counts(batch)
@@ -423,6 +427,8 @@ class SoftmaxModel:
     def _stack_examples(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
         if len(batch) == 0:
             raise EmptyBatch("softmax model got an empty batch")
+        if not all(isinstance(ex, tuple) and len(ex) == 2 for ex in batch):
+            raise TypeError("softmax model needs (features, label) records")
         xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
         ys = np.asarray([y for _, y in batch], dtype=np.float64)
         if xs.shape[1:] != (self.n_features,):
@@ -433,9 +439,7 @@ class SoftmaxModel:
 
     def _log_probs(self, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
         weights = _check_params(params, self.param_dim).reshape(self.n_classes, self.n_features)
-        logits = xs @ weights.T
-        peak = logits.max(axis=1, keepdims=True)
-        return logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
+        return _log_softmax(xs @ weights.T)
 
     def loss(self, params: np.ndarray, batch: Batch) -> float:
         xs, ys = self._stack(batch)

@@ -31,14 +31,13 @@ from .data import (
     Batch,
     Dataset,
     MixtureStore,
-    _uniform_batch,
     sample_domain_batches,
     sample_mixture_batch,
     sample_task_batches,
     stream_rng,
 )
 from .errors import DimensionError, NumericalDivergence
-from .metrics import LOSS_FLOOR, TaskLossState, ema_update
+from .metrics import LOSS_FLOOR
 from .models import DifferentiableModel
 from .simplex import ASCEND, DESCEND, SimplexWeights, UpdateParams, multiplicative_update
 
@@ -287,7 +286,7 @@ def _mixture_direction(
         for weight, batch in live:
             direction += weight * _grad(model, params, batch, normalize)
         return direction, len(live)
-    return _grad(model, params, sample_mixture_batch(store, weights, size, rng, side=side), normalize), 1
+    return _grad(model, params, sample_mixture_batch(store, weights, size, rng), normalize), 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +324,33 @@ def task_reweight_step(
     rng: np.random.Generator,
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
-    ema: list[TaskLossState] | None = None,
+    ema: np.ndarray | None = None,
 ) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every task against the training direction and downweight
     the well-aligned (fast-improving) ones.
 
     The score of task n is the inner product of its scorer gradient (the
     ``scorer`` of the algorithm's table row) with a fresh
-    training-mixture gradient.  The ``"ema"`` scorer also folds the
-    observed loss into ``ema`` in place.  Returns the new task weights
-    and the scores, averaged over ``eval_replicates`` estimates.
+    training-mixture gradient.  The ``"ema"`` scorer also folds each
+    observed loss into ``ema``, the per-task loss averages (NaN until a
+    task's first observation, which sets it exactly: a zero start would
+    blow up the first normalized score), in place:
+    ``ema' = ema_beta * ema + (1 - ema_beta) * loss``.  Returns the new
+    task weights and the scores, averaged over ``eval_replicates``
+    estimates.
     """
     if not cfg.adapts_z:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update task weights")
     scorer = ALGORITHM_TABLE[cfg.algorithm].scorer
     if scorer == "ema" and ema is None:
-        raise ValueError(f"{cfg.algorithm} needs the per-task EMA state list")
+        raise ValueError(f"{cfg.algorithm} needs the per-task EMA loss array")
     size = cfg.resolved_eval_batch_size
 
     def scorer_grad(n: int, batch: Batch | Dataset) -> np.ndarray:
         if scorer == "ema":
-            grad = model.grad(params, batch)
-            ema[n] = ema_update(ema[n], model.loss(params, batch))
-            return _normalized(grad, ema[n].ema_loss)
+            grad, loss = model.grad(params, batch), model.loss(params, batch)
+            ema[n] = loss if np.isnan(ema[n]) else cfg.ema_beta * ema[n] + (1.0 - cfg.ema_beta) * loss
+            return _normalized(grad, ema[n])
         return _grad(model, params, batch, normalize=scorer == "loss")
 
     def score_once() -> np.ndarray:
@@ -476,15 +479,13 @@ def train_run(
     if theta.shape != (model.param_dim,):
         raise DimensionError(f"params0 must have length {model.param_dim}")
 
-    ema = [TaskLossState(beta=cfg.ema_beta) for _ in store.task_labels]
+    ema = np.full(store.num_tasks, np.nan)
     counters = OverheadCounter()
     optimizer = (_AdamW if cfg.optimizer == "adamw" else _Sgd)(cfg, model.param_dim)
     trajectory = Trajectory(store.domain_labels, store.task_labels)
 
     def eval_task_losses() -> np.ndarray:
-        batches = [store.tasks[label] for label in store.task_labels]
-        if cfg.task_mix_mode == "sampled":
-            batches = [_uniform_batch(dataset, cfg.resolved_eval_batch_size, record_rng) for dataset in batches]
+        batches = _component_batches(store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
         return np.array([model.loss(theta, batch) for batch in batches])
 
     def guard(losses: np.ndarray, step: int) -> None:

@@ -107,32 +107,38 @@ def verify_updates(instances: int = 1000, seed: int = 2024) -> list[CheckResult]
 
 def verify_gradients(trials: int = 100, seed: int = 7) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    results = []
-
     family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, size=(3, 4)), rng.normal(size=(3, 4)))
-    quad = family.model()
-    worst = 0.0
-    for _ in range(trials):
-        batch = list(family.domain_dataset(rng.dirichlet(np.ones(3)), noise=0.3, size=4, rng=rng))
-        worst = max(worst, finite_diff_check(quad, rng.normal(size=4), batch))
-    results.append(CheckResult("quadratic gradients", worst <= 1e-6, f"max |fd-analytic| {worst:.2e} (tol 1e-6)"))
-
     lm = CharLMModel(5)
-    worst = 0.0
-    for _ in range(trials):
+    sm = SoftmaxModel(3, 4)
+
+    # Each draw returns (batch, params), drawing the batch first.
+    def quadratic_draw():
+        batch = list(family.domain_dataset(rng.dirichlet(np.ones(3)), noise=0.3, size=4, rng=rng))
+        return batch, rng.normal(size=4)
+
+    def char_draw():
         batch = [
             "".join(lm.vocab[i] for i in rng.integers(0, 5, size=rng.integers(2, 40)))
             for _ in range(int(rng.integers(1, 8)))
         ]
-        worst = max(worst, finite_diff_check(lm, rng.normal(size=lm.param_dim), batch))
-    results.append(CheckResult("char-LM gradients", worst <= 1e-6, f"max |fd-analytic| {worst:.2e} (tol 1e-6)"))
+        return batch, rng.normal(size=lm.param_dim)
 
-    sm = SoftmaxModel(3, 4)
-    worst = 0.0
-    for _ in range(trials):
+    def softmax_draw():
         batch = [(rng.normal(size=3), int(rng.integers(4))) for _ in range(int(rng.integers(1, 9)))]
-        worst = max(worst, finite_diff_check(sm, 0.5 * rng.normal(size=sm.param_dim), batch))
-    results.append(CheckResult("softmax gradients", worst <= 1e-6, f"max |fd-analytic| {worst:.2e} (tol 1e-6)"))
+        return batch, 0.5 * rng.normal(size=sm.param_dim)
+
+    cases = (
+        ("quadratic gradients", family.model(), quadratic_draw),
+        ("char-LM gradients", lm, char_draw),
+        ("softmax gradients", sm, softmax_draw),
+    )
+    results = []
+    for name, model, draw in cases:
+        worst = 0.0
+        for _ in range(trials):
+            batch, params = draw()
+            worst = max(worst, finite_diff_check(model, params, batch))
+        results.append(CheckResult(name, worst <= 1e-6, f"max |fd-analytic| {worst:.2e} (tol 1e-6)"))
     return results
 
 
@@ -402,8 +408,3 @@ SUITES = {
     "overhead": verify_overhead,
 }
 
-
-def run_suite(suite: str) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
-    return SUITES[suite]()

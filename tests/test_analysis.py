@@ -115,14 +115,11 @@ class TestConvergenceReport:
         true_opt = 0.4
         report = convergence_report(traj, true_opt, epsilon=0.35)
         # spreadsheet-style recomputation
-        for i, (_, losses) in enumerate(rows):
-            worst = max(losses)
-            assert report.suboptimality[i] == pytest.approx(worst - true_opt, abs=1e-12)
+        for i in range(len(rows)):
             running = min(max(l) for _, l in rows[: i + 1]) - true_opt
             assert report.running_min[i] == pytest.approx(running, abs=1e-12)
-            mean = sum(losses) / 3
-            var = sum((l - mean) ** 2 for l in losses) / 3
-            assert report.variance[i] == pytest.approx(var, abs=1e-12)
+        hits = [t for i, (t, _) in enumerate(rows) if report.running_min[i] <= 0.35]
+        assert report.first_step_within_epsilon == (hits[0] if hits else None)
 
     def test_running_min_nonincreasing(self):
         rng = np.random.default_rng(2)
@@ -133,7 +130,8 @@ class TestConvergenceReport:
     def test_already_at_optimum(self):
         traj = make_trajectory([(t, [0.7, 0.7]) for t in range(5)])
         report = convergence_report(traj, 0.7)
-        np.testing.assert_allclose(report.suboptimality, np.zeros(5), atol=1e-15)
+        np.testing.assert_allclose(report.running_min, np.zeros(5), atol=1e-15)
+        assert report.first_step_within_epsilon == 0
 
     def test_first_step_within_epsilon(self):
         losses = [(0, [2.0, 1.0]), (5, [1.4, 1.0]), (10, [1.05, 1.0]), (15, [1.01, 1.0])]

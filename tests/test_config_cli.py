@@ -321,10 +321,6 @@ def _model_with_other_kinds_keys(cfg):
     cfg["model"].update(n_features=3, dim=7)
 
 
-def _softmax_labels_out_of_range(cfg):
-    cfg["domains"][0]["path"] = "labels.jsonl"
-
-
 def _entry_with_other_sources_keys(cfg):
     cfg["domains"][0] = {"label": "lang", "path": "data.jsonl", "noise": 0.5, "length": 99}
 
@@ -355,7 +351,14 @@ MALFORMED = [
     # text records under a quadratic model
     ("quadratic-text-records", minimal_quadratic_config, {"domains": [{"label": "d0", "path": "data.jsonl"}]},
      "'d0'"),
-    ("softmax-label-range", minimal_softmax_config, _softmax_labels_out_of_range, "'feats'"),
+    ("softmax-label-range", minimal_softmax_config, _set_domain("path", "labels.jsonl"), "'feats'"),
+    # a JSON boolean or list is not a label, even where true would read as class 1
+    ("softmax-bool-label", minimal_softmax_config, _set_domain("path", "boolean.jsonl"),
+     "entry 'feats': line 2: 'y' must be a number"),
+    ("softmax-list-label", minimal_softmax_config, _set_domain("path", "onehot.jsonl"),
+     "entry 'feats': line 1: 'y' must be a number"),
+    ("softmax-text-records", minimal_softmax_config, _set_domain("path", "data.jsonl"),
+     "entry 'feats': softmax model needs (features, label) records"),
     ("no-transitions", minimal_char_config, _set_task("path", "single.jsonl"), "'corpus'"),
     ("bad-jsonl-line", minimal_char_config, _set_task("path", "bad.jsonl"), "'corpus'"),
     ("model-key-of-other-kind", minimal_char_config, _model_with_other_kinds_keys, "'dim', 'n_features'"),
@@ -373,6 +376,8 @@ DATASET_FILES = {
     "features.jsonl": '{"x": [1.0, 0.5], "y": 0}\n{"x": [0.0, 2.0], "y": 1}\n',
     # 3-feature records for the 2-class softmax config, one labelled 5
     "labels.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": 5}\n',
+    "boolean.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": true}\n',
+    "onehot.jsonl": '{"x": [1.0, 0.5, 0.0], "y": [1.0, 0.0]}\n',
     "single.jsonl": '{"text": "a"}\n{"text": "b"}\n',
     "bad.jsonl": '{"text": "abab"}\n{"text": \n',
     "empty.jsonl": "",

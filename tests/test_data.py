@@ -28,7 +28,6 @@ from grapemix import (
     sample_task_batches,
     stationary_distribution,
     stream_rng,
-    write_dataset,
 )
 
 
@@ -124,6 +123,52 @@ class TestMixtureSampling:
         batch = sample_mixture_batch(store, w, len(draws), _StubRng(*draws))
         for ex in batch:
             assert values[int(ex[1:].split("-")[0])] > 0.0
+
+
+def _per_example_reference(datasets, values, size, rng):
+    """The mixture sampler written one example at a time, from the same two
+    ``rng.random(size)`` draws: a component for every example first, then a
+    row in each example's component."""
+    cum = np.cumsum(values)
+    which, picks = rng.random(size), rng.random(size)
+    batch = []
+    for u, p in zip(which, picks):
+        # the first component whose cumulative weight exceeds u; a draw at or
+        # past the total goes to the first component that reaches the total
+        k = next((k for k in range(len(cum)) if cum[k] > u), None)
+        if k is None:
+            k = next(k for k in range(len(cum)) if cum[k] >= cum[-1])
+        ds = datasets[k]
+        batch.append(ds[min(int(p * len(ds)), len(ds) - 1)])
+    return batch
+
+
+class TestMixtureSamplerReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        data=st.data(),
+        shortfall=st.sampled_from([0.0, 1e-12, 1e-10]),
+        size=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        on_tasks=st.booleans(),
+    )
+    def test_same_examples_as_per_example_reference(self, lengths, data, shortfall, size, seed, on_tasks):
+        raw = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=len(lengths), max_size=len(lengths))
+            .filter(lambda xs: sum(xs) > 0.0)
+        )
+        values = np.array(raw) / sum(raw) * (1.0 - shortfall)
+        # distinct objects, so the comparison below is by identity
+        datasets = [Dataset([object() for _ in range(n)]) for n in lengths]
+        named = {f"s{k}": ds for k, ds in enumerate(datasets)}
+        other = {"other": Dataset([object()])}
+        store = MixtureStore(other, named) if on_tasks else MixtureStore(named, other)
+        w = SimplexWeights(values, tuple(named))
+        got = sample_mixture_batch(store, w, size, np.random.default_rng(seed))
+        want = _per_example_reference(datasets, values, size, np.random.default_rng(seed))
+        assert len(got) == size
+        assert all(a is b for a, b in zip(got, want))
 
 
 class _StubRng:
@@ -278,18 +323,26 @@ class TestIngest:
 
     def test_feature_records(self, tmp_path):
         path = tmp_path / "xy.jsonl"
-        path.write_text('{"x": [1.0, 2.0], "y": 1}\n{"x": [0.5, -1.5], "y": [0.0, 1.0]}\n')
+        path.write_text('{"x": [1.0, 2.0], "y": 1}\n{"x": [0.5, -1.5], "y": 0.0}\n')
         ds = ingest_dataset(path)
         x0, y0 = ds[0]
         np.testing.assert_array_equal(x0, [1.0, 2.0])
-        assert y0 == 1.0
-        _, y1 = ds[1]
-        np.testing.assert_array_equal(y1, [0.0, 1.0])
+        assert y0 == 1.0 and type(y0) is float
+        x1, y1 = ds[1]
+        np.testing.assert_array_equal(x1, [0.5, -1.5])
+        assert y1 == 0.0
+
+    @pytest.mark.parametrize("label", ["true", "false", "[0.0, 1.0]", '"1"', "null"])
+    def test_label_must_be_a_number(self, tmp_path, label):
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0], "y": 0}\n{"x": [2.0], "y": %s}\n' % label)
+        with pytest.raises(IngestError) as excinfo:
+            ingest_dataset(path)
+        assert excinfo.value.line == 2
 
     def test_round_trip(self, tmp_path):
-        original = Dataset(["abc", (np.array([1.0, 2.5]), 3.0), "xyz"])
         path = tmp_path / "rt.jsonl"
-        write_dataset(original, path)
+        path.write_text('{"text": "abc"}\n{"x": [1.0, 2.5], "y": 3}\n{"text": "xyz"}\n')
         back = ingest_dataset(path)
         assert len(back) == 3
         assert back[0] == "abc" and back[2] == "xyz"

@@ -1,17 +1,21 @@
-"""Progress metrics and the EMA loss tracker."""
+"""Progress metrics and the grape_ema loss tracker."""
 
 import numpy as np
 import pytest
 
 from grapemix import (
     LOSS_FLOOR,
+    Dataset,
     DegenerateLoss,
+    MixtureStore,
     QuadraticTaskFamily,
-    TaskLossState,
+    ReweightConfig,
+    SimplexWeights,
     alignment,
-    ema_update,
     normalized_grad,
     roi,
+    stream_rng,
+    task_reweight_step,
 )
 
 
@@ -44,26 +48,49 @@ class TestRoi:
             assert roi(c * prev, c * nxt) == pytest.approx(roi(prev, nxt), rel=1e-10)
 
 
+class _FixedLossModel:
+    """Every batch has the loss that is next in line and a unit gradient."""
+
+    param_dim = 1
+
+    def __init__(self, *losses):
+        self.losses = list(losses)
+
+    def grad(self, params, batch):
+        return np.ones(1)
+
+    def loss(self, params, batch):
+        return self.losses.pop(0)
+
+
 class TestEma:
+    """The grape_ema tracker, as the task step folds observed losses into it."""
+
+    @staticmethod
+    def _observe(*losses):
+        store = MixtureStore({"d": Dataset(["d"])}, {"t": Dataset(["t"])})
+        cfg = ReweightConfig(algorithm="grape_ema", task_mix_mode="expected", domain_mix_mode="expected")
+        ema = np.full(1, np.nan)
+        z, alpha = SimplexWeights.uniform(store.task_labels), SimplexWeights.uniform(store.domain_labels)
+        model = _FixedLossModel(*losses)
+        for _ in losses:
+            task_reweight_step(z, model, np.zeros(1), store, alpha, cfg, stream_rng(0, "t"), ema=ema)
+        return float(ema[0])
+
     def test_fixed_point(self):
-        state = ema_update(TaskLossState(beta=0.7), 2.0)
-        state = ema_update(state, 2.0)
-        assert state.ema_loss == 2.0
+        assert self._observe(2.0, 2.0) == 2.0
 
     def test_paper_default_beta_step(self):
-        state = ema_update(TaskLossState(beta=0.7), 2.0)
-        state = ema_update(state, 1.0)
-        assert state.ema_loss == pytest.approx(1.7, rel=1e-15)
+        assert self._observe(2.0, 1.0) == pytest.approx(0.7 * 2.0 + 0.3 * 1.0, rel=0.0, abs=1e-15)
 
     def test_first_observation_initializes_exactly(self):
-        state = ema_update(TaskLossState(beta=0.7), 3.25)
-        assert state.ema_loss == 3.25
+        assert self._observe(3.25) == 3.25
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
-            TaskLossState(beta=1.0)
+            ReweightConfig(ema_beta=1.0)
         with pytest.raises(ValueError):
-            TaskLossState(beta=0.0)
+            ReweightConfig(ema_beta=0.0)
 
 
 class TestNormalizedGrad:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grapemix.reweighting as reweighting
 import grapemix.verify as verify
@@ -31,7 +33,7 @@ from grapemix import (
     task_reweight_step,
     train_run,
 )
-from grapemix.metrics import LOSS_FLOOR, TaskLossState
+from grapemix.metrics import LOSS_FLOOR
 
 
 class TestAlignment:
@@ -189,7 +191,7 @@ class TestTaskReweightStep:
         family, model, store, theta = two_task_setup()
         alpha = SimplexWeights.uniform(store.domain_labels)
         z = SimplexWeights.uniform(store.task_labels)
-        ema = [TaskLossState(beta=0.7) for _ in range(2)]
+        ema = np.full(2, np.nan)
         _, scores = task_reweight_step(
             z, model, theta, store, alpha, expected_cfg(algorithm="grape_ema"),
             stream_rng(0, "t"), ema=ema,
@@ -197,9 +199,8 @@ class TestTaskReweightStep:
         # first observation: ema equals the current loss, so scores match grape's
         hand = self._hand_scores(family, store, theta, alpha, lambda g, l: g / max(l, LOSS_FLOOR))
         np.testing.assert_allclose(scores, hand, rtol=1e-12)
-        assert all(state.initialized for state in ema)
         losses = [family.task_loss(n, theta) for n in range(2)]
-        assert [s.ema_loss for s in ema] == pytest.approx(losses)
+        assert list(ema) == pytest.approx(losses)
 
     def test_relative_scores_contrast_gap_vs_roi(self):
         # identical gradients, losses 10 and 0.1: the normalized scorer
@@ -324,6 +325,42 @@ def test_non_finite_scores_raise_score_error(step, mode):
     weights, other = (z, alpha) if step is task_reweight_step else (alpha, z)
     with pytest.raises(ScoreError):
         step(weights, _NanGradModel(model), theta, store, other, cfg, stream_rng(0, "s"))
+
+
+class TestReweightProperties:
+    """The update's invariants hold for the replicate-averaged scores that
+    ``_reweight`` feeds it: a constant shift of every replicate's scores
+    moves no weight, and a zero weight stays zero."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=6).filter(
+            lambda xs: sum(xs) > 0.0
+        ),
+        data=st.data(),
+        step_ratio=st.floats(1e-3, 20.0),
+        lr_scale=st.floats(0.1, 1.0),
+        direction=st.sampled_from([ASCEND, DESCEND]),
+        shift=st.floats(-5.0, 5.0),
+    )
+    def test_shift_invariance_and_dead_entries(self, raw, data, step_ratio, lr_scale, direction, shift):
+        weights = SimplexWeights(np.array(raw) / sum(raw))
+        row = st.lists(st.floats(-5.0, 5.0), min_size=len(raw), max_size=len(raw))
+        replicates = [np.array(data.draw(row)) for _ in range(3)]
+        cfg = ReweightConfig(eval_replicates=3)
+
+        def update(offset):
+            draws = iter(replicates)
+            return reweighting._reweight(
+                weights, lambda: next(draws) + offset, step_ratio, direction, cfg, lr_scale * cfg.base_lr
+            )
+
+        plain, scores = update(0.0)
+        shifted, _ = update(shift)
+        np.testing.assert_array_equal(scores, sum(replicates) / 3)
+        assert np.max(np.abs(shifted.values - plain.values)) <= 1e-12
+        for out in (plain, shifted):
+            assert np.all(out.values[weights.values == 0.0] == 0.0)
 
 
 class TestSchedules:
