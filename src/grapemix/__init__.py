@@ -47,7 +47,7 @@ from .errors import (
     ScoreError,
     SpecError,
 )
-from .metrics import LOSS_FLOOR, roi
+from .metrics import LOSS_FLOOR, normalized_grad, roi
 from .models import (
     CharLMModel,
     DifferentiableModel,
@@ -56,7 +56,6 @@ from .models import (
     QuadraticTaskFamily,
     SoftmaxModel,
     finite_diff_check,
-    normalized_grad,
 )
 from .reweighting import (
     ALGORITHMS,
@@ -71,10 +70,7 @@ from .reweighting import (
     train_run,
 )
 from .simplex import (
-    ASCEND,
-    DESCEND,
     SimplexWeights,
-    UpdateParams,
     bregman_entropy_divergence,
     multiplicative_update,
     normalize,

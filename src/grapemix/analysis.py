@@ -247,9 +247,14 @@ def import_trajectory(path: str | Path) -> Trajectory:
 
     Labels are recovered from the header.  The three-way split of the
     gradient-evaluation counter is not part of the format; the total is
-    restored into the training counter.
+    restored into the training counter.  Text that is not UTF-8, and any
+    row that does not parse or that ``Trajectory.append`` rejects, raise
+    IngestError (with the line number for a row).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"trajectory file is not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
         raise IngestError("trajectory file is empty", 1)
@@ -271,17 +276,12 @@ def import_trajectory(path: str | Path) -> Trajectory:
         parts = line.split(",")
         if len(parts) != len(columns):
             raise IngestError(f"expected {len(columns)} fields, got {len(parts)}", lineno)
-        try:
+        try:  # a field that is not a number, or a record the trajectory rejects
             values = [float(p) for p in parts[1:-1]]
-            step = int(parts[0])
-            evals = int(parts[-1])
+            row = np.array(values[:-1])
+            vectors = {name: row[lo:hi] for (name, _, _), lo, hi in zip(VECTOR_COLUMNS, bounds, bounds[1:])}
+            trajectory.append(TrajectoryRecord(step=int(parts[0]), lr=values[-1], train_grad_evals=int(parts[-1]),
+                                               task_grad_evals=0, domain_grad_evals=0, **vectors))
         except ValueError as exc:
             raise IngestError(str(exc), lineno) from exc
-        row = np.array(values[:-1])
-        vectors = {name: row[lo:hi] for (name, _, _), lo, hi in zip(VECTOR_COLUMNS, bounds, bounds[1:])}
-        trajectory.append(
-            TrajectoryRecord(
-                step=step, lr=values[-1], train_grad_evals=evals, task_grad_evals=0, domain_grad_evals=0, **vectors
-            )
-        )
     return trajectory

@@ -291,6 +291,15 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
 
 
 def load_initial_weights(cfg: RunConfig) -> tuple[SimplexWeights | None, SimplexWeights | None]:
-    alpha = SimplexWeights.load(cfg.init_alpha_path) if cfg.init_alpha_path else None
-    z = SimplexWeights.load(cfg.init_z_path) if cfg.init_z_path else None
-    return alpha, z
+    """The warm-start weights of ``init_alpha`` and ``init_z``, or None for
+    a field left out.  A file that is not a weights record raises
+    ConfigError naming the field and the file; OSError passes through."""
+
+    def load(path: str | None, where: str) -> SimplexWeights | None:
+        try:
+            return None if path is None else SimplexWeights.load(path)
+        except (KeyError, TypeError, ValueError, GrapemixError) as exc:  # JSON, shape or simplex errors
+            raise ConfigError(f"field {where}: {path} is not a weights record "
+                              f'{{"labels": [...], "values": [...]}}: {exc}') from exc
+
+    return load(cfg.init_alpha_path, "init_alpha"), load(cfg.init_z_path, "init_z")

@@ -1,12 +1,14 @@
-"""One-step learning progress and the loss floor.
+"""Loss-relative quantities and the loss floor.
 
-``roi`` is the relative loss decrease (l_prev - l_next) / l_prev.  It is
+``roi`` is the relative loss decrease (l_prev - l_next) / l_prev, and
+``normalized_grad`` divides a gradient by its loss.  Both are
 scale-invariant: halving a loss of 10 scores the same as halving a loss
 of 0.1.
 
-Denominators are guarded by ``LOSS_FLOOR``: losses below the floor raise
-DegenerateLoss, and callers substitute the floor where they need a total
-function (near-zero losses occur on easy tasks late in training).
+Denominators are guarded by ``LOSS_FLOOR``.  ``roi`` raises
+DegenerateLoss below the floor; ``normalized_grad``, which the training
+loop runs, clamps the loss at the floor instead, because near-zero
+losses occur on easy tasks late in training.
 """
 
 from __future__ import annotations
@@ -37,3 +39,10 @@ def roi(l_prev: float, l_next: float) -> float:
         raise DegenerateLoss(f"l_prev={l_prev!r} is below the loss floor {LOSS_FLOOR}")
     return (l_prev - l_next) / l_prev
 
+
+def normalized_grad(grad: np.ndarray, loss: float) -> np.ndarray:
+    """``grad / loss`` (the gradient of log-loss), the loss clamped at LOSS_FLOOR.
+
+    Equalizes tasks of different loss magnitudes.
+    """
+    return grad / max(loss, LOSS_FLOOR)

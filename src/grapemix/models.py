@@ -27,9 +27,8 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 import numpy as np
 from scipy.optimize import fsolve, minimize
 
-from .data import Batch, Dataset
-from .errors import DegenerateLoss, DimensionError, EmptyBatch
-from .metrics import LOSS_FLOOR
+from .data import _ALPHABET, Batch, Dataset
+from .errors import DimensionError, EmptyBatch
 
 
 class DifferentiableModel(Protocol):
@@ -48,18 +47,6 @@ class DifferentiableModel(Protocol):
     def loss(self, params: np.ndarray, batch: Batch | Dataset) -> float: ...
 
     def grad(self, params: np.ndarray, batch: Batch | Dataset) -> np.ndarray: ...
-
-
-def normalized_grad(g: np.ndarray, loss_value: float) -> np.ndarray:
-    """Gradient divided by its loss value (the gradient of log-loss).
-
-    Equalizes tasks of different loss magnitudes.  Raises DegenerateLoss
-    below LOSS_FLOOR; callers clamp the denominator when they need a
-    total function.
-    """
-    if loss_value < LOSS_FLOOR:
-        raise DegenerateLoss(f"loss {loss_value!r} below floor {LOSS_FLOOR}")
-    return np.asarray(g, dtype=np.float64) / float(loss_value)
 
 
 def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Batch, h: float = 1e-5) -> float:
@@ -333,29 +320,22 @@ _SEPARATOR = "\0"
 class CharLMModel:
     """Bigram character LM: a flat V x V logit table, loss = mean NLL/char.
 
-    Batches are lists of strings over the model's vocabulary.  Loss and
-    gradient are computed from pooled transition counts, so cost per call
-    is O(batch chars + V^2) regardless of how the text is chunked; on a
-    ``Dataset`` the counts are kept after the first call, and later calls
-    cost O(V^2).
+    The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
+    batches are lists of strings over it.  Loss and gradient are computed
+    from pooled transition counts, so cost per call is O(batch chars +
+    V^2) regardless of how the text is chunked; on a ``Dataset`` the
+    counts are kept after the first call, and later calls cost O(V^2).
     """
 
-    def __init__(self, vocab: str | int):
-        if isinstance(vocab, int):
-            from .data import _ALPHABET
-
-            if vocab > len(_ALPHABET):
-                raise ValueError(f"vocab_size above {len(_ALPHABET)} is not supported")
-            vocab = _ALPHABET[:vocab]
-        if len(set(vocab)) != len(vocab) or len(vocab) < 2:
-            raise ValueError("vocabulary must have at least 2 distinct characters")
-        if not vocab.isascii() or _SEPARATOR in vocab:
-            raise ValueError("vocabulary must be ASCII without NUL, which separates the strings of a batch")
-        self.vocab = vocab
-        self.vocab_size = len(vocab)
-        self.param_dim = self.vocab_size**2
+    def __init__(self, vocab_size: int):
+        if not 2 <= vocab_size <= len(_ALPHABET):
+            raise ValueError(f"vocab_size must lie in [2, {len(_ALPHABET)}], got {vocab_size!r}")
+        # Distinct ASCII characters without NUL, which separates the strings of a batch.
+        self.vocab = _ALPHABET[:vocab_size]
+        self.vocab_size = vocab_size
+        self.param_dim = vocab_size**2
         self._lut = np.full(256, -1, dtype=np.int64)
-        for i, ch in enumerate(vocab):
+        for i, ch in enumerate(self.vocab):
             self._lut[ord(ch)] = i
         self._lut[ord(_SEPARATOR)] = self.vocab_size
         self._prepared = weakref.WeakKeyDictionary()

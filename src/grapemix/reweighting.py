@@ -37,9 +37,9 @@ from .data import (
     stream_rng,
 )
 from .errors import DimensionError, NumericalDivergence
-from .metrics import LOSS_FLOOR
+from .metrics import LOSS_FLOOR, normalized_grad
 from .models import DifferentiableModel
-from .simplex import ASCEND, DESCEND, SimplexWeights, UpdateParams, multiplicative_update
+from .simplex import SimplexWeights, multiplicative_update
 
 
 @dataclass(frozen=True)
@@ -232,15 +232,10 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-def _normalized(grad: np.ndarray, denominator: float) -> np.ndarray:
-    """``grad / denominator``, with the denominator clamped at LOSS_FLOOR."""
-    return grad / max(denominator, LOSS_FLOOR)
-
-
 def _grad(model: DifferentiableModel, params: np.ndarray, batch: Batch | Dataset, normalize: bool) -> np.ndarray:
     """The gradient of ``batch``, divided by the batch loss when ``normalize``."""
     grad = model.grad(params, batch)
-    return _normalized(grad, model.loss(params, batch)) if normalize else grad
+    return normalized_grad(grad, model.loss(params, batch)) if normalize else grad
 
 
 def _mix_mode(cfg: ReweightConfig, side: str) -> str:
@@ -298,20 +293,19 @@ def _reweight(
     weights: SimplexWeights,
     score_once: Callable[[], np.ndarray],
     step_ratio: float,
-    direction: str,
     cfg: ReweightConfig,
     gamma: float | None,
 ) -> tuple[SimplexWeights, np.ndarray]:
     """One exponentiated-gradient move of either player.
 
     Averages ``score_once()`` over ``eval_replicates`` estimates, scales
-    ``step_ratio`` by the schedule (``gamma / base_lr``; unscaled when
-    ``gamma`` is None) and steps ``weights`` in ``direction``.  Returns
-    (new weights, averaged scores).
+    the signed ``step_ratio`` by the schedule (``gamma / base_lr``;
+    unscaled when ``gamma`` is None) and steps ``weights`` by it: a
+    negative ratio descends.  Returns (new weights, averaged scores).
     """
     scores = sum(score_once() for _ in range(cfg.eval_replicates)) / cfg.eval_replicates
     ratio = step_ratio if gamma is None else step_ratio * gamma / cfg.base_lr
-    return multiplicative_update(weights, scores, UpdateParams(ratio, direction), floor=cfg.weight_floor), scores
+    return multiplicative_update(weights, scores, ratio, floor=cfg.weight_floor), scores
 
 
 def task_reweight_step(
@@ -350,7 +344,7 @@ def task_reweight_step(
         if scorer == "ema":
             grad, loss = model.grad(params, batch), model.loss(params, batch)
             ema[n] = loss if np.isnan(ema[n]) else cfg.ema_beta * ema[n] + (1.0 - cfg.ema_beta) * loss
-            return _normalized(grad, ema[n])
+            return normalized_grad(grad, ema[n])
         return _grad(model, params, batch, normalize=scorer == "loss")
 
     def score_once() -> np.ndarray:
@@ -361,7 +355,7 @@ def task_reweight_step(
             counters.task_grad_evals += len(batches) + direction_evals
         return scores
 
-    return _reweight(z, score_once, cfg.step_ratio_z, DESCEND, cfg, gamma)
+    return _reweight(z, score_once, -cfg.step_ratio_z, cfg, gamma)
 
 
 def domain_reweight_step(
@@ -400,7 +394,7 @@ def domain_reweight_step(
             counters.domain_grad_evals += len(domain_grads) + target_evals
         return np.array([alignment(g, target) for g in domain_grads])
 
-    return _reweight(alpha, score_once, cfg.step_ratio_alpha, ASCEND, cfg, gamma)
+    return _reweight(alpha, score_once, cfg.step_ratio_alpha, cfg, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ The reweighting algorithms in this package maintain two probability
 vectors: sampling weights over source domains and priority weights over
 target tasks.  Both are updated multiplicatively,
 
-    w'_i  propto  w_i * exp(+/- step_ratio * score_i),
+    w'_i  propto  w_i * exp(step * score_i),
 
 followed by renormalization, which is the closed-form solution of an
 entropy-regularized linear objective on the simplex (online mirror
-descent with the KL divergence as the proximity term).  Updates are
+descent with the KL divergence as the proximity term).  Only the sign
+of ``step`` differs between the players: domain weights ascend toward
+high scores, task weights descend away from them.  Updates are
 computed in log space with max-subtraction so that large
-``step_ratio * score`` products never overflow, and so that adding a
+``step * score`` products never overflow, and so that adding a
 constant to every score leaves the result unchanged.
 """
 
@@ -26,9 +28,6 @@ import numpy as np
 from .errors import DegenerateWeights, DimensionError, DivergenceUndefined, ScoreError
 
 SIMPLEX_TOL = 1e-9
-
-ASCEND = "ascend"
-DESCEND = "descend"
 
 
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
@@ -67,12 +66,6 @@ class SimplexWeights:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", _as_labels(self.labels, values.size))
 
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __getitem__(self, label: str) -> float:
-        return float(self.values[self.labels.index(label)])
-
     @classmethod
     def uniform(cls, labels: Sequence[str] | int) -> "SimplexWeights":
         if isinstance(labels, int):
@@ -80,40 +73,15 @@ class SimplexWeights:
         m = len(labels)
         return cls(np.full(m, 1.0 / m), tuple(labels))
 
-    def to_record(self) -> dict:
-        """Plain-data form used for warm starts and exports."""
-        return {"labels": list(self.labels), "values": [float(v) for v in self.values]}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SimplexWeights":
-        return cls(np.asarray(record["values"], dtype=np.float64), tuple(record["labels"]))
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_record(), indent=2) + "\n")
+        """Write ``{"labels": [...], "values": [...]}``, the warm-start format."""
+        record = {"labels": list(self.labels), "values": [float(v) for v in self.values]}
+        Path(path).write_text(json.dumps(record, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "SimplexWeights":
-        return cls.from_record(json.loads(Path(path).read_text()))
-
-
-@dataclass(frozen=True)
-class UpdateParams:
-    """Step size and sign of a multiplicative update.
-
-    ``step_ratio`` is the ratio of the current learning rate to the
-    entropic regularization coefficient of the relevant simplex.  A zero
-    ratio degenerates to the identity (useful for ablations); negative
-    ratios are rejected.
-    """
-
-    step_ratio: float
-    direction: str = DESCEND
-
-    def __post_init__(self):
-        if not np.isfinite(self.step_ratio) or self.step_ratio < 0.0:
-            raise ValueError(f"step_ratio must be finite and >= 0, got {self.step_ratio!r}")
-        if self.direction not in (ASCEND, DESCEND):
-            raise ValueError(f"direction must be {ASCEND!r} or {DESCEND!r}")
+        record = json.loads(Path(path).read_text())
+        return cls(np.asarray(record["values"], dtype=np.float64), tuple(record["labels"]))
 
 
 def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = None) -> SimplexWeights:
@@ -138,33 +106,35 @@ def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = 
 def multiplicative_update(
     w: SimplexWeights,
     scores: Sequence[float] | np.ndarray,
-    params: UpdateParams,
+    step: float,
     floor: float = 0.0,
 ) -> SimplexWeights:
     """Exponentiated-gradient step on the simplex.
 
-    Computes ``w_i * exp(sign * step_ratio * score_i)`` and renormalizes,
-    where sign is +1 for ``ascend`` and -1 for ``descend``.  Evaluated in
-    log space with max-subtraction: invariant (to ~1e-12) under adding a
-    constant to all scores, and overflow-free for any score magnitude.
+    Computes ``w_i * exp(step * score_i)`` and renormalizes: a positive
+    ``step`` moves weight toward high scores, a negative one away from
+    them, and zero is the identity.  Evaluated in log space with
+    max-subtraction: invariant (to ~1e-12) under adding a constant to all
+    scores, and overflow-free for any score magnitude.
 
     Entries that are exactly zero stay zero (a dead entry can never
     revive under a multiplicative update).  An optional ``floor`` clamps
     every entry up to that value after the update and renormalizes; the
     default of 0 applies no floor.
     """
+    if not np.isfinite(step):
+        raise ValueError(f"step must be finite, got {step!r}")
     s = np.asarray(scores, dtype=np.float64)
     if s.shape != w.values.shape:
         raise DimensionError(f"scores shape {s.shape} != weights shape {w.values.shape}")
     if not np.all(np.isfinite(s)):
         raise ScoreError("scores contain NaN or Inf")
 
-    if params.step_ratio == 0.0:
+    if step == 0.0:
         updated = w.values
     else:
-        sign = 1.0 if params.direction == ASCEND else -1.0
         with np.errstate(divide="ignore"):  # log(0) -> -inf keeps dead entries dead
-            arg = np.log(w.values) + sign * params.step_ratio * s
+            arg = np.log(w.values) + step * s
         shifted = np.exp(arg - np.max(arg))
         total = float(shifted.sum())
         if not np.isfinite(total) or total <= 0.0:

@@ -36,7 +36,7 @@ from .analysis import convergence_report, variance_monotonicity_check, variance_
 from .data import MarkovLanguageSpec, MixtureStore, generate_markov_corpus, stream_rng
 from .models import CharLMModel, QuadraticTaskFamily, SoftmaxModel, finite_diff_check
 from .reweighting import ReweightConfig, train_run
-from .simplex import ASCEND, DESCEND, SimplexWeights, UpdateParams, multiplicative_update
+from .simplex import SimplexWeights, multiplicative_update
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -53,13 +53,12 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_update(weights, scores, step_ratio, direction, dps=50):
-    """Extended-precision evaluation of w_i * exp(+/- r s_i) / Z."""
+def closed_form_update(weights, scores, step, dps=50):
+    """Extended-precision evaluation of w_i * exp(step * s_i) / Z."""
     with mpmath.workdps(dps):
-        sign = mpmath.mpf(1) if direction == ASCEND else mpmath.mpf(-1)
-        ratio = mpmath.mpf(float(step_ratio))
+        step = mpmath.mpf(float(step))
         unnorm = [
-            mpmath.mpf(float(w)) * mpmath.e ** (sign * ratio * mpmath.mpf(float(s)))
+            mpmath.mpf(float(w)) * mpmath.e ** (step * mpmath.mpf(float(s)))
             for w, s in zip(weights, scores)
         ]
         total = mpmath.fsum(unnorm)
@@ -80,9 +79,9 @@ def verify_updates(instances: int = 1000, seed: int = 2024) -> list[CheckResult]
         weights = SimplexWeights(raw / raw.sum())
         scores = rng.uniform(-5.0, 5.0, size=m)
         ratio = rng.uniform(1e-3, 20.0)
-        direction = ASCEND if rng.random() < 0.5 else DESCEND
-        ours = multiplicative_update(weights, scores, UpdateParams(ratio, direction))
-        oracle = closed_form_update(weights.values, scores, ratio, direction)
+        step = ratio if rng.random() < 0.5 else -ratio
+        ours = multiplicative_update(weights, scores, step)
+        oracle = closed_form_update(weights.values, scores, step)
         for got, want in zip(ours.values, oracle):
             if want == 0:
                 if got != 0.0:

@@ -230,6 +230,31 @@ class TestExportImport:
             import_trajectory(path)
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [("alpha.d0", "0.9", "record field alpha is not a valid simplex vector"),
+         ("step", "0", "steps must strictly increase")],
+        ids=["alpha-not-simplex", "step-not-increasing"],
+    )
+    def test_import_names_the_line_of_a_rejected_record(self, tmp_path, column, value, message):
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(0, [1.0, 2.0]), (5, [1.0, 2.0])]), path)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[lines[0].split(",").index(column)] = value
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=f"line 3: {message}") as excinfo:
+            import_trajectory(path)
+        assert excinfo.value.line == 3
+
+    def test_import_rejects_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(0, [1.0, 2.0])]), path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(IngestError, match="not UTF-8"):
+            import_trajectory(path)
+
     def test_shortest_roundtrip_floats(self, tmp_path):
         # value with no short decimal form survives exactly
         value = 0.1 + 0.2  # 0.30000000000000004

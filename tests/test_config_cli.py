@@ -285,6 +285,16 @@ class TestCli:
                      "--out", str(copy)]) == 0
         assert copy.read_bytes() == (out / "trajectory.csv").read_bytes()
 
+    def test_export_of_a_malformed_trajectory_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_quadratic_config())
+        out = tmp_path / "out"
+        main(["run", "--config", str(path), "--out", str(out)])
+        # a repeated last row: its step does not increase
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        (out / "trajectory.csv").write_text("\n".join([*lines, lines[-1]]) + "\n")
+        assert main(["export", "--trajectory", str(out / "trajectory.csv")]) == 2
+        assert f"config error: line {len(lines) + 1}: steps must strictly increase" in capsys.readouterr().err
+
     def test_warm_start_from_files(self, tmp_path):
         from grapemix import SimplexWeights
 
@@ -367,6 +377,13 @@ MALFORMED = [
     ("mix-entry-length", minimal_quadratic_config, _set_domain("length", 500), "key 'length' in domains[0]"),
     ("task-index-entry-noise", minimal_quadratic_config, _set_task("noise", 3.0), "key 'noise' in tasks[0]"),
     ("empty-dataset-file", minimal_char_config, _set_task("path", "empty.jsonl"), "'corpus'"),
+    ("vocab-size-negative", minimal_char_config, _set_model("vocab_size", -30),
+     "field model: vocab_size must lie in [2, 36], got -30"),
+    # warm-start files that are not weights records
+    ("init-alpha-truncated", minimal_quadratic_config, {"init_alpha": "truncated.json"}, "field init_alpha"),
+    ("init-alpha-no-values", minimal_quadratic_config, {"init_alpha": "no_values.json"}, "field init_alpha"),
+    ("init-alpha-bare-list", minimal_quadratic_config, {"init_alpha": "bare_list.json"}, "field init_alpha"),
+    ("init-z-sum", minimal_quadratic_config, {"init_z": "sum_above_one.json"}, "field init_z"),
 ]
 
 # The dataset files every malformed config may point at.
@@ -381,6 +398,10 @@ DATASET_FILES = {
     "single.jsonl": '{"text": "a"}\n{"text": "b"}\n',
     "bad.jsonl": '{"text": "abab"}\n{"text": \n',
     "empty.jsonl": "",
+    "truncated.json": '{"labels": ["d0"], "values": [1.0',
+    "no_values.json": '{"labels": ["d0"]}',
+    "bare_list.json": "[1.0]",
+    "sum_above_one.json": '{"labels": ["t0"], "values": [1.4]}',
 }
 
 

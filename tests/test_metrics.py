@@ -105,8 +105,10 @@ class TestNormalizedGrad:
         np.testing.assert_array_equal(normalized_grad(np.zeros(3), 0.5), np.zeros(3))
 
     def test_floor_guard(self):
-        with pytest.raises(DegenerateLoss):
-            normalized_grad(np.ones(2), 0.0)
+        # a loss below the floor is clamped to it, as the training loop needs
+        g = np.array([1.0, -3.0])
+        np.testing.assert_array_equal(normalized_grad(g, 0.0), g / LOSS_FLOOR)
+        np.testing.assert_array_equal(normalized_grad(g, LOSS_FLOOR / 2), g / LOSS_FLOOR)
 
 
 class TestTaylorProperty:

@@ -153,19 +153,17 @@ class TestCharLM:
             model.loss(np.zeros(9), ["abz"])
         with pytest.raises(ValueError, match="outside the vocabulary"):
             model.loss(np.zeros(9), ["ab\0c"])  # NUL separates strings internally
-        with pytest.raises(ValueError):
-            CharLMModel("ab\0")
         # the error names every unknown character, non-ASCII and NUL included
         with pytest.raises(ValueError, match="outside the vocabulary: 'zé'"):
             model.loss(np.zeros(9), ["abz", "cé", "ba"])
         with pytest.raises(ValueError, match=r"outside the vocabulary: '\\x00z'"):
             model.loss(np.zeros(9), Dataset(["ab\0c", "zz"]))
 
-    def test_vocabulary_must_be_ascii_and_fit_the_alphabet(self):
-        with pytest.raises(ValueError, match="ASCII"):
-            CharLMModel("abé")
-        with pytest.raises(ValueError, match="vocab_size above 36"):
-            CharLMModel(40)
+    def test_vocab_size_must_fit_the_alphabet(self):
+        for size in (-30, 0, 1, 37, 40):
+            with pytest.raises(ValueError, match=r"vocab_size must lie in \[2, 36\]"):
+                CharLMModel(size)
+        assert CharLMModel(2).vocab == "ab" and CharLMModel(36).vocab_size == 36
 
     def test_no_transitions_raises(self):
         model = CharLMModel(3)

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grapemix import (
-    ASCEND,
-    DESCEND,
     DegenerateWeights,
     DimensionError,
     DivergenceUndefined,
     ScoreError,
     SimplexWeights,
-    UpdateParams,
     bregman_entropy_divergence,
     multiplicative_update,
     normalize,
@@ -54,14 +51,14 @@ class TestMultiplicativeUpdate:
     def test_uniform_scores_cancel(self):
         w = SimplexWeights(np.array([0.5, 0.5]))
         for c in (0.0, 3.7, -123.0):
-            for direction in (ASCEND, DESCEND):
-                out = multiplicative_update(w, [c, c], UpdateParams(2.0, direction))
+            for step in (2.0, -2.0):
+                out = multiplicative_update(w, [c, c], step)
                 np.testing.assert_allclose(out.values, [0.5, 0.5], atol=1e-15)
 
     def test_descend_two_entries(self):
         # 0.5 e^{-1} / (0.5 e^{-1} + 0.5 e^{1}) = 1 / (1 + e^2)
         w = SimplexWeights(np.array([0.5, 0.5]))
-        out = multiplicative_update(w, [0.1, -0.1], UpdateParams(10.0, DESCEND))
+        out = multiplicative_update(w, [0.1, -0.1], -10.0)
         np.testing.assert_allclose(
             out.values, [0.11920292202211755, 0.8807970779778824], rtol=1e-12
         )
@@ -69,7 +66,7 @@ class TestMultiplicativeUpdate:
     def test_ascend_four_entries(self):
         # e^{.3}, 1, e^{-.3}, 1 over their sum
         w = SimplexWeights.uniform(4)
-        out = multiplicative_update(w, [0.2, 0.0, -0.2, 0.0], UpdateParams(1.5, ASCEND))
+        out = multiplicative_update(w, [0.2, 0.0, -0.2, 0.0], 1.5)
         np.testing.assert_allclose(
             out.values,
             [0.32998420512091314, 0.24445831169074586, 0.18109917149759513, 0.24445831169074586],
@@ -83,9 +80,10 @@ class TestMultiplicativeUpdate:
             w = normalize(rng.random(m) + 1e-3)
             scores = rng.uniform(-4, 4, size=m)
             shift = rng.uniform(-50, 50)
-            params = UpdateParams(rng.uniform(0.1, 15.0), ASCEND if rng.random() < 0.5 else DESCEND)
-            a = multiplicative_update(w, scores, params)
-            b = multiplicative_update(w, scores + shift, params)
+            ratio = rng.uniform(0.1, 15.0)
+            step = ratio if rng.random() < 0.5 else -ratio
+            a = multiplicative_update(w, scores, step)
+            b = multiplicative_update(w, scores + shift, step)
             np.testing.assert_allclose(a.values, b.values, atol=1e-12)
 
     def test_sum_preserved_over_many_updates(self):
@@ -93,42 +91,42 @@ class TestMultiplicativeUpdate:
         w = SimplexWeights.uniform(5)
         for _ in range(500):
             scores = rng.uniform(-3, 3, size=5)
-            params = UpdateParams(rng.uniform(0.0, 10.0), ASCEND if rng.random() < 0.5 else DESCEND)
-            w = multiplicative_update(w, scores, params)
+            ratio = rng.uniform(0.0, 10.0)
+            w = multiplicative_update(w, scores, ratio if rng.random() < 0.5 else -ratio)
             assert abs(w.values.sum() - 1.0) <= 1e-9
             assert np.all(w.values >= 0.0)
 
     def test_zero_ratio_is_identity(self):
         w = normalize([0.3, 0.2, 0.5])
-        out = multiplicative_update(w, [5.0, -2.0, 1.0], UpdateParams(0.0, DESCEND))
+        out = multiplicative_update(w, [5.0, -2.0, 1.0], 0.0)
         np.testing.assert_array_equal(out.values, normalize(w.values).values)
 
     def test_no_overflow_for_huge_exponents(self):
         w = SimplexWeights(np.array([0.5, 0.5]))
-        out = multiplicative_update(w, [1000.0, -1000.0], UpdateParams(20.0, ASCEND))
+        out = multiplicative_update(w, [1000.0, -1000.0], 20.0)
         assert np.all(np.isfinite(out.values))
         np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-300)
 
     def test_dead_entry_stays_dead(self):
         w = SimplexWeights(np.array([0.0, 0.4, 0.6]))
-        out = multiplicative_update(w, [100.0, 0.0, 0.0], UpdateParams(5.0, ASCEND))
+        out = multiplicative_update(w, [100.0, 0.0, 0.0], 5.0)
         assert out.values[0] == 0.0
 
     def test_floor_revives_and_renormalizes(self):
         w = SimplexWeights(np.array([0.5, 0.5]))
-        out = multiplicative_update(w, [10.0, -10.0], UpdateParams(5.0, DESCEND), floor=0.01)
+        out = multiplicative_update(w, [10.0, -10.0], -5.0, floor=0.01)
         assert out.values.min() >= 0.009  # floor then renormalize
         assert abs(out.values.sum() - 1.0) <= 1e-12
 
     def test_nonfinite_scores_rejected(self):
         w = SimplexWeights.uniform(2)
         with pytest.raises(ScoreError):
-            multiplicative_update(w, [np.inf, 0.0], UpdateParams(1.0, ASCEND))
+            multiplicative_update(w, [np.inf, 0.0], 1.0)
 
     def test_length_mismatch_rejected(self):
         w = SimplexWeights.uniform(2)
         with pytest.raises(DimensionError):
-            multiplicative_update(w, [1.0, 2.0, 3.0], UpdateParams(1.0, ASCEND))
+            multiplicative_update(w, [1.0, 2.0, 3.0], 1.0)
 
     def test_matches_extended_precision_closed_form(self):
         rng = np.random.default_rng(99)
@@ -138,12 +136,18 @@ class TestMultiplicativeUpdate:
             w = normalize(rng.random(m))
             scores = rng.uniform(-5, 5, size=m)
             ratio = rng.uniform(1e-3, 20.0)
-            direction = ASCEND if rng.random() < 0.5 else DESCEND
-            ours = multiplicative_update(w, scores, UpdateParams(ratio, direction))
-            oracle = closed_form_update(w.values, scores, ratio, direction)
+            step = ratio if rng.random() < 0.5 else -ratio
+            ours = multiplicative_update(w, scores, step)
+            oracle = closed_form_update(w.values, scores, step)
             rel = max(abs((float(o) - g) / float(o)) for g, o in zip(ours.values, oracle))
             worst = max(worst, rel)
         assert worst <= 1e-12
+
+    def test_nonfinite_step_rejected(self):
+        w = SimplexWeights.uniform(2)
+        for step in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="step must be finite"):
+                multiplicative_update(w, [1.0, 0.0], step)
 
 
 @st.composite
@@ -159,18 +163,26 @@ class TestMultiplicativeUpdateProperties:
     @settings(max_examples=300, deadline=None)
     @given(
         case=weights_and_scores(),
-        ratio=st.floats(0.0, 20.0),
-        direction=st.sampled_from([ASCEND, DESCEND]),
+        step=st.floats(-20.0, 20.0),
         shift=st.floats(-5.0, 5.0),
     )
-    def test_simplex_shift_invariance_and_dead_entries(self, case, ratio, direction, shift):
+    def test_simplex_shift_invariance_and_dead_entries(self, case, step, shift):
         w, scores = case
-        out = multiplicative_update(w, scores, UpdateParams(ratio, direction))
+        out = multiplicative_update(w, scores, step)
         assert np.all(out.values >= 0.0)
         assert abs(float(out.values.sum()) - 1.0) <= SIMPLEX_TOL
-        shifted = multiplicative_update(w, scores + shift, UpdateParams(ratio, direction))
+        shifted = multiplicative_update(w, scores + shift, step)
         assert np.max(np.abs(shifted.values - out.values)) <= 1e-12
         assert np.all(out.values[w.values == 0.0] == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=weights_and_scores(), ratio=st.floats(0.0, 20.0))
+    def test_negated_step_equals_negated_scores(self, case, ratio):
+        # the sign may sit on the step or on the scores: the weights agree bit for bit
+        w, scores = case
+        descend = multiplicative_update(w, scores, -ratio)
+        flipped = multiplicative_update(w, -scores, ratio)
+        assert descend.values.tobytes() == flipped.values.tobytes()
 
 
 class TestBregmanDivergence:
@@ -213,14 +225,7 @@ class TestWeightPlumbing:
         back = SimplexWeights.load(path)
         assert back.labels == ("books", "web")
         np.testing.assert_array_equal(back.values, w.values)
-        assert back["web"] == 0.75
-
-    def test_update_params_validation(self):
-        with pytest.raises(ValueError):
-            UpdateParams(-1.0, ASCEND)
-        with pytest.raises(ValueError):
-            UpdateParams(1.0, "sideways")
-        UpdateParams(0.0, DESCEND)  # zero allowed: degenerates to the identity
+        assert back.values[back.labels.index("web")] == 0.75
 
     def test_values_immutable(self):
         w = SimplexWeights.uniform(3)
