@@ -82,7 +82,8 @@ class Trajectory:
                 raise ValueError(f"record field {name} has wrong length")
         for name in ("alpha", "z"):
             vec = getattr(record, name)
-            if np.any(vec < 0.0) or abs(float(vec.sum()) - 1.0) > SIMPLEX_TOL:
+            # stated positively, so that NaN and infinity fail it
+            if not (np.all(vec >= 0.0) and abs(float(vec.sum()) - 1.0) <= SIMPLEX_TOL):
                 raise ValueError(f"record field {name} is not a valid simplex vector")
         self.records.append(record)
 
@@ -255,25 +256,25 @@ def import_trajectory(path: str | Path) -> Trajectory:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise IngestError(f"trajectory file is not UTF-8 text: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
+    # (physical line number, fields) of each non-blank line, split lazily to keep peak memory down
+    rows = ((lineno, line.split(",")) for lineno, line in enumerate(text.splitlines(), start=1) if line)
+    header_line, columns = next(rows, (1, None))
+    if columns is None:
         raise IngestError("trajectory file is empty", 1)
-    columns = lines[0].split(",")
     # Each side's labels come from the first vector that side labels.
     labels = {}
     for _, prefix, side in VECTOR_COLUMNS:
         if side not in labels:
             labels[side] = [c[len(prefix) + 1 :] for c in columns if c.startswith(prefix + ".")]
     if not all(labels.values()):
-        raise IngestError("header lacks per-task or per-domain columns", 1)
+        raise IngestError("header lacks per-task or per-domain columns", header_line)
     trajectory = Trajectory(**labels)
     if columns != _header(trajectory):
-        raise IngestError("header does not match the trajectory schema", 1)
+        raise IngestError("header does not match the trajectory schema", header_line)
 
     sizes = [len(getattr(trajectory, side)) for _, _, side in VECTOR_COLUMNS]
     bounds = np.cumsum([0, *sizes]).tolist()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    for lineno, parts in rows:
         if len(parts) != len(columns):
             raise IngestError(f"expected {len(columns)} fields, got {len(parts)}", lineno)
         try:  # a field that is not a number, or a record the trajectory rejects

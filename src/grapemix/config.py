@@ -292,14 +292,20 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
 
 def load_initial_weights(cfg: RunConfig) -> tuple[SimplexWeights | None, SimplexWeights | None]:
     """The warm-start weights of ``init_alpha`` and ``init_z``, or None for
-    a field left out.  A file that is not a weights record raises
+    a field left out.  A file that is not a weights record, or whose labels
+    are not the configured domain (task) labels in order, raises
     ConfigError naming the field and the file; OSError passes through."""
 
-    def load(path: str | None, where: str) -> SimplexWeights | None:
+    def load(path: str | None, where: str, specs: list[dict]) -> SimplexWeights | None:
+        if path is None:
+            return None
         try:
-            return None if path is None else SimplexWeights.load(path)
+            weights = SimplexWeights.load(path)
         except (KeyError, TypeError, ValueError, GrapemixError) as exc:  # JSON, shape or simplex errors
             raise ConfigError(f"field {where}: {path} is not a weights record "
                               f'{{"labels": [...], "values": [...]}}: {exc}') from exc
+        labels = tuple(spec["label"] for spec in specs)
+        _require(weights.labels == labels, f"field {where}: {path} has labels {weights.labels}, not {labels}")
+        return weights
 
-    return load(cfg.init_alpha_path, "init_alpha"), load(cfg.init_z_path, "init_z")
+    return load(cfg.init_alpha_path, "init_alpha", cfg.domain_specs), load(cfg.init_z_path, "init_z", cfg.task_specs)

@@ -7,9 +7,9 @@ from a named stream so that toggling one consumer (say, gradient-surgery
 ordering) never perturbs another's sequence.  Given (seed, config) the
 entire layer reproduces bit-identical batches.
 
-Models rely on that immutability: they may keep what they derive from a
-``Dataset`` (counts, stacked arrays) for the dataset's lifetime.  Never
-mutate an example, or an array inside one, in place.
+Every batch is a ``Dataset`` (a store dataset, or a sampled draw), which
+keeps what models derive from it (counts, stacked arrays) for its
+lifetime.  Never mutate an example, or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,17 +39,28 @@ ROW_SUM_TOL = 1e-9
 #   char-level LM  -> str
 #   softmax classifier -> (features: np.ndarray, label: int)
 #   quadratic family   -> QuadraticExample (see models.py)
-Batch = list
 
 
 class Dataset:
-    """An immutable, indexed collection of examples."""
+    """An immutable, indexed collection of examples, and what models derive from it."""
 
     def __init__(self, examples: Sequence):
         examples = list(examples)
         if not examples:
             raise EmptyDataset("dataset has no examples")
         self._examples = examples
+        self._prepared = {}
+
+    def prepared(self, prepare: Callable):
+        """``prepare(self)``, computed on first use and kept, read-only, for the
+        dataset's lifetime; a failed preparation is not kept and fails again."""
+        out = self._prepared.get(prepare)
+        if out is None:
+            out = prepare(self)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.flags.writeable = False
+            self._prepared[prepare] = out
+        return out
 
     def __len__(self) -> int:
         return len(self._examples)
@@ -99,8 +110,8 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), stream_key]))
 
 
-def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng: np.random.Generator) -> Batch:
-    """Draw ``size`` examples, each from a dataset chosen by categorical(w).
+def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng: np.random.Generator) -> Dataset:
+    """A ``Dataset`` of ``size`` examples, each from a dataset chosen by categorical(w).
 
     ``w.labels`` must match either the store's domain labels or its task
     labels, which says the side.  Sampling is per example, not per batch,
@@ -121,23 +132,23 @@ def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng:
     last_live = np.searchsorted(cum, cum[-1], side="left")
     which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), last_live)
     rows = _rows(rng.random(size), np.array([len(ds) for ds in datasets])[which])
-    return [datasets[k][i] for k, i in zip(which.tolist(), rows.tolist())]
+    return Dataset([datasets[k][i] for k, i in zip(which.tolist(), rows.tolist())])
 
 
-def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Batch]:
+def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:
     """One uniformly drawn batch from every domain, in label order."""
     return [_uniform_batch(store.domains[lbl], size, rng) for lbl in store.domain_labels]
 
 
-def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Batch]:
+def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:
     """One uniformly drawn batch from every task, in label order."""
     return [_uniform_batch(store.tasks[lbl], size, rng) for lbl in store.task_labels]
 
 
-def _uniform_batch(dataset: Dataset, size: int, rng: np.random.Generator) -> Batch:
+def _uniform_batch(dataset: Dataset, size: int, rng: np.random.Generator) -> Dataset:
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
-    return [dataset[i] for i in _rows(rng.random(size), len(dataset)).tolist()]
+    return Dataset([dataset[i] for i in _rows(rng.random(size), len(dataset)).tolist()])
 
 
 def _rows(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ class IngestError(GrapemixError):
         self.line = line
 
 
-class EmptyDataset(GrapemixError):
-    """A dataset file or spec produced no examples."""
+class EmptyDataset(EmptyBatch):
+    """A dataset file, spec or batch has no examples."""
 
 
 class ConfigError(GrapemixError):

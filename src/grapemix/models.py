@@ -21,35 +21,34 @@ Built-ins:
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 from scipy.optimize import fsolve, minimize
 
-from .data import _ALPHABET, Batch, Dataset
+from .data import _ALPHABET, Dataset
 from .errors import DimensionError, EmptyBatch
 
 
 class DifferentiableModel(Protocol):
     """What the training loop needs: a loss and its gradient on a batch.
 
-    A batch is a list of examples (sampled batches) or a whole
-    ``Dataset`` (full batches in expected mode).  Datasets are immutable,
-    so a model may memoize what it derives from one, keyed by the
-    ``Dataset`` object.  A record it cannot use raises a typed error.
+    A batch is a ``Dataset``: a sampled draw or a whole store dataset.
+    The dataset keeps what a model derives from it (``Dataset.prepared``),
+    so ``loss`` and ``grad`` on one batch prepare it once, in either
+    order.  A record the model cannot use raises a typed error.
     """
 
     param_dim: int
 
     def initial_params(self) -> np.ndarray: ...
 
-    def loss(self, params: np.ndarray, batch: Batch | Dataset) -> float: ...
+    def loss(self, params: np.ndarray, batch: Dataset) -> float: ...
 
-    def grad(self, params: np.ndarray, batch: Batch | Dataset) -> np.ndarray: ...
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray: ...
 
 
-def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Batch, h: float = 1e-5) -> float:
+def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dataset | list, h: float = 1e-5) -> float:
     """Max abs deviation between analytic gradient and central differences."""
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h!r}")
@@ -69,23 +68,10 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Bat
     return worst
 
 
-def _per_dataset(memo: weakref.WeakKeyDictionary, batch: Batch | Dataset, prepare: Callable):
-    """``prepare(batch)``, computed once per ``Dataset`` and kept in ``memo``.
-
-    List batches are prepared on every call.  Cached arrays are made
-    read-only, because every later call on the dataset shares them; the
-    memo holds datasets weakly, so an entry lives only as long as its
-    dataset.  A failed preparation is not cached and fails again.
-    """
-    if not isinstance(batch, Dataset):
-        return prepare(batch)
-    out = memo.get(batch)
-    if out is None:
-        out = prepare(batch)
-        for arr in out if isinstance(out, tuple) else (out,):
-            arr.flags.writeable = False
-        memo[batch] = out
-    return out
+def _prepared(batch: Dataset | list, prepare: Callable):
+    """``batch.prepared(prepare)``; a list of examples from outside the
+    loop (a final eval, a test) is wrapped in a ``Dataset`` first."""
+    return (batch if isinstance(batch, Dataset) else Dataset(batch)).prepared(prepare)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -276,18 +262,15 @@ class QuadraticModel:
     def __init__(self, family: QuadraticTaskFamily):
         self.family = family
         self.param_dim = family.dim
-        self._prepared = weakref.WeakKeyDictionary()
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
 
-    def _stack(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
-        return _per_dataset(self._prepared, batch, self._stack_examples)
+    def _stack(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        return _prepared(batch, self._stack_examples)
 
     @staticmethod
-    def _stack_examples(batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
-        if len(batch) == 0:
-            raise EmptyBatch("quadratic model got an empty batch")
+    def _stack_examples(batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
         try:
             mixes = np.stack([ex.mix for ex in batch])
             deltas = np.stack([ex.delta for ex in batch])
@@ -295,14 +278,14 @@ class QuadraticModel:
             raise TypeError("quadratic model needs QuadraticExample records") from exc
         return mixes, deltas
 
-    def loss(self, params: np.ndarray, batch: Batch) -> float:
+    def loss(self, params: np.ndarray, batch: Dataset) -> float:
         theta = _check_params(params, self.param_dim)
         mixes, deltas = self._stack(batch)
         diff = theta[None, None, :] - self.family.centers[None, :, :] - deltas[:, None, :]
         per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.family.curvatures, diff, diff)
         return float((mixes * per_task).sum() / len(batch))
 
-    def grad(self, params: np.ndarray, batch: Batch) -> np.ndarray:
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
         theta = _check_params(params, self.param_dim)
         mixes, deltas = self._stack(batch)
         diff = theta[None, None, :] - self.family.centers[None, :, :] - deltas[:, None, :]
@@ -321,10 +304,10 @@ class CharLMModel:
     """Bigram character LM: a flat V x V logit table, loss = mean NLL/char.
 
     The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
-    batches are lists of strings over it.  Loss and gradient are computed
-    from pooled transition counts, so cost per call is O(batch chars +
-    V^2) regardless of how the text is chunked; on a ``Dataset`` the
-    counts are kept after the first call, and later calls cost O(V^2).
+    batches are datasets of strings over it.  Loss and gradient are
+    computed from pooled transition counts, which the batch keeps after
+    the first call: that call costs O(batch chars + V^2) regardless of how
+    the text is chunked, and later calls on the batch cost O(V^2).
     """
 
     def __init__(self, vocab_size: int):
@@ -338,21 +321,16 @@ class CharLMModel:
         for i, ch in enumerate(self.vocab):
             self._lut[ord(ch)] = i
         self._lut[ord(_SEPARATOR)] = self.vocab_size
-        self._prepared = weakref.WeakKeyDictionary()
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)  # uniform next-char distribution
 
-    def transition_counts(self, batch: Batch | Dataset) -> np.ndarray:
-        """Pooled V x V counts of (char, next char) pairs, per string.
+    def transition_counts(self, batch: Dataset) -> np.ndarray:
+        """Pooled V x V counts of (char, next char) pairs, per string;
+        read-only, and computed once per batch."""
+        return _prepared(batch, self._count_transitions)
 
-        Read-only, and computed once, when ``batch`` is a ``Dataset``.
-        """
-        return _per_dataset(self._prepared, batch, self._count_transitions)
-
-    def _count_transitions(self, batch: Batch | Dataset) -> np.ndarray:
-        if len(batch) == 0:
-            raise EmptyBatch("char LM got an empty batch")
+    def _count_transitions(self, batch: Dataset) -> np.ndarray:
         # The separator gets code V, so every pair that spans two strings
         # lands outside the V x V block of the (V+1) x (V+1) pair counts.
         text = _SEPARATOR.join(batch)
@@ -371,11 +349,11 @@ class CharLMModel:
     def _log_probs(self, params: np.ndarray) -> np.ndarray:
         return _log_softmax(_check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size))
 
-    def loss(self, params: np.ndarray, batch: Batch) -> float:
+    def loss(self, params: np.ndarray, batch: Dataset) -> float:
         counts = self.transition_counts(batch)
         return float(-(counts * self._log_probs(params)).sum() / counts.sum())
 
-    def grad(self, params: np.ndarray, batch: Batch) -> np.ndarray:
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
         counts = self.transition_counts(batch)
         probs = np.exp(self._log_probs(params))
         row_totals = counts.sum(axis=1, keepdims=True)
@@ -396,17 +374,14 @@ class SoftmaxModel:
         self.n_features = n_features
         self.n_classes = n_classes
         self.param_dim = n_features * n_classes
-        self._prepared = weakref.WeakKeyDictionary()
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
 
-    def _stack(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
-        return _per_dataset(self._prepared, batch, self._stack_examples)
+    def _stack(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        return _prepared(batch, self._stack_examples)
 
-    def _stack_examples(self, batch: Batch | Dataset) -> tuple[np.ndarray, np.ndarray]:
-        if len(batch) == 0:
-            raise EmptyBatch("softmax model got an empty batch")
+    def _stack_examples(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
         if not all(isinstance(ex, tuple) and len(ex) == 2 for ex in batch):
             raise TypeError("softmax model needs (features, label) records")
         xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
@@ -421,12 +396,12 @@ class SoftmaxModel:
         weights = _check_params(params, self.param_dim).reshape(self.n_classes, self.n_features)
         return _log_softmax(xs @ weights.T)
 
-    def loss(self, params: np.ndarray, batch: Batch) -> float:
+    def loss(self, params: np.ndarray, batch: Dataset) -> float:
         xs, ys = self._stack(batch)
         logp = self._log_probs(params, xs)
         return float(-logp[np.arange(len(ys)), ys].mean())
 
-    def grad(self, params: np.ndarray, batch: Batch) -> np.ndarray:
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
         xs, ys = self._stack(batch)
         probs = np.exp(self._log_probs(params, xs))
         probs[np.arange(len(ys)), ys] -= 1.0

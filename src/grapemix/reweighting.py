@@ -28,7 +28,6 @@ import numpy as np
 
 from .analysis import Trajectory, TrajectoryRecord
 from .data import (
-    Batch,
     Dataset,
     MixtureStore,
     sample_domain_batches,
@@ -232,7 +231,7 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-def _grad(model: DifferentiableModel, params: np.ndarray, batch: Batch | Dataset, normalize: bool) -> np.ndarray:
+def _grad(model: DifferentiableModel, params: np.ndarray, batch: Dataset, normalize: bool) -> np.ndarray:
     """The gradient of ``batch``, divided by the batch loss when ``normalize``."""
     grad = model.grad(params, batch)
     return normalized_grad(grad, model.loss(params, batch)) if normalize else grad
@@ -244,7 +243,7 @@ def _mix_mode(cfg: ReweightConfig, side: str) -> str:
 
 def _component_batches(
     store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator
-) -> list[Batch | Dataset]:
+) -> list[Dataset]:
     """One batch per domain or per task, in label order: a uniform draw
     in sampled mode, the whole dataset in expected mode."""
     if side == "domains":
@@ -252,7 +251,7 @@ def _component_batches(
     else:
         datasets, labels, sample = store.tasks, store.task_labels, sample_task_batches
     if _mix_mode(cfg, side) == "expected":
-        # The Dataset itself, not a copy of its examples: models memoize per Dataset.
+        # The Dataset itself, not a copy of its examples: it keeps what models derive from it.
         return [datasets[lbl] for lbl in labels]
     return sample(store, size, rng)
 
@@ -340,7 +339,7 @@ def task_reweight_step(
         raise ValueError(f"{cfg.algorithm} needs the per-task EMA loss array")
     size = cfg.resolved_eval_batch_size
 
-    def scorer_grad(n: int, batch: Batch | Dataset) -> np.ndarray:
+    def scorer_grad(n: int, batch: Dataset) -> np.ndarray:
         if scorer == "ema":
             grad, loss = model.grad(params, batch), model.loss(params, batch)
             ema[n] = loss if np.isnan(ema[n]) else cfg.ema_beta * ema[n] + (1.0 - cfg.ema_beta) * loss

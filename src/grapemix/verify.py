@@ -33,7 +33,7 @@ import mpmath
 import numpy as np
 
 from .analysis import convergence_report, variance_monotonicity_check, variance_series
-from .data import MarkovLanguageSpec, MixtureStore, generate_markov_corpus, stream_rng
+from .data import Dataset, MarkovLanguageSpec, MixtureStore, generate_markov_corpus, stream_rng
 from .models import CharLMModel, QuadraticTaskFamily, SoftmaxModel, finite_diff_check
 from .reweighting import ReweightConfig, train_run
 from .simplex import SimplexWeights, multiplicative_update
@@ -110,20 +110,20 @@ def verify_gradients(trials: int = 100, seed: int = 7) -> list[CheckResult]:
     lm = CharLMModel(5)
     sm = SoftmaxModel(3, 4)
 
-    # Each draw returns (batch, params), drawing the batch first.
+    # Each draw returns (batch, params), drawing the batch first; a Dataset, so a trial's probes share one preparation.
     def quadratic_draw():
-        batch = list(family.domain_dataset(rng.dirichlet(np.ones(3)), noise=0.3, size=4, rng=rng))
+        batch = family.domain_dataset(rng.dirichlet(np.ones(3)), noise=0.3, size=4, rng=rng)
         return batch, rng.normal(size=4)
 
     def char_draw():
-        batch = [
+        batch = Dataset([
             "".join(lm.vocab[i] for i in rng.integers(0, 5, size=rng.integers(2, 40)))
             for _ in range(int(rng.integers(1, 8)))
-        ]
+        ])
         return batch, rng.normal(size=lm.param_dim)
 
     def softmax_draw():
-        batch = [(rng.normal(size=3), int(rng.integers(4))) for _ in range(int(rng.integers(1, 9)))]
+        batch = Dataset([(rng.normal(size=3), int(rng.integers(4))) for _ in range(int(rng.integers(1, 9)))])
         return batch, 0.5 * rng.normal(size=sm.param_dim)
 
     cases = (
@@ -395,7 +395,7 @@ def multilingual_run(algorithm: str, seed: int, store: MixtureStore | None = Non
         eval_every=2000,
     )
     params, _ = train_run(cfg, model, store, seed=seed)
-    return np.array([model.loss(params, store.tasks[label].examples) for label in store.task_labels])
+    return np.array([model.loss(params, store.tasks[label]) for label in store.task_labels])
 
 
 # The suites behind ``grapemix verify``, by name.

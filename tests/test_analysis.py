@@ -233,8 +233,10 @@ class TestExportImport:
     @pytest.mark.parametrize(
         "column,value,message",
         [("alpha.d0", "0.9", "record field alpha is not a valid simplex vector"),
+         ("alpha.d0", "nan", "record field alpha is not a valid simplex vector"),
+         ("z.t1", "nan", "record field z is not a valid simplex vector"),
          ("step", "0", "steps must strictly increase")],
-        ids=["alpha-not-simplex", "step-not-increasing"],
+        ids=["alpha-not-simplex", "alpha-nan", "z-nan", "step-not-increasing"],
     )
     def test_import_names_the_line_of_a_rejected_record(self, tmp_path, column, value, message):
         path = tmp_path / "traj.csv"
@@ -247,6 +249,16 @@ class TestExportImport:
         with pytest.raises(IngestError, match=f"line 3: {message}") as excinfo:
             import_trajectory(path)
         assert excinfo.value.line == 3
+
+    def test_import_names_physical_lines_after_blank_lines(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(0, [1.0, 2.0])]), path)
+        header, row = path.read_text().splitlines()
+        # the repeated row sits on physical line 5, after two blank lines
+        path.write_text("\n".join([header, row, "", "", row]) + "\n")
+        with pytest.raises(IngestError, match="line 5: steps must strictly increase") as excinfo:
+            import_trajectory(path)
+        assert excinfo.value.line == 5
 
     def test_import_rejects_text_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -295,6 +295,19 @@ class TestCli:
         assert main(["export", "--trajectory", str(out / "trajectory.csv")]) == 2
         assert f"config error: line {len(lines) + 1}: steps must strictly increase" in capsys.readouterr().err
 
+    def test_export_of_a_nan_weight_row_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_quadratic_config())
+        out = tmp_path / "out"
+        main(["run", "--config", str(path), "--out", str(out)])
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        alpha = lines[0].split(",").index("alpha.d0")
+        parts = lines[-1].split(",")
+        parts[alpha] = "nan"
+        (out / "trajectory.csv").write_text("\n".join([*lines[:-1], ",".join(parts)]) + "\n")
+        assert main(["export", "--trajectory", str(out / "trajectory.csv")]) == 2
+        assert (f"config error: line {len(lines)}: record field alpha is not a valid simplex vector"
+                in capsys.readouterr().err)
+
     def test_warm_start_from_files(self, tmp_path):
         from grapemix import SimplexWeights
 
@@ -384,6 +397,10 @@ MALFORMED = [
     ("init-alpha-no-values", minimal_quadratic_config, {"init_alpha": "no_values.json"}, "field init_alpha"),
     ("init-alpha-bare-list", minimal_quadratic_config, {"init_alpha": "bare_list.json"}, "field init_alpha"),
     ("init-z-sum", minimal_quadratic_config, {"init_z": "sum_above_one.json"}, "field init_z"),
+    # a weights record whose labels are not the configured domain (task) labels
+    ("init-alpha-labels", minimal_quadratic_config, {"init_alpha": "other_label.json"},
+     "field init_alpha: "),
+    ("init-z-labels", minimal_quadratic_config, {"init_z": "other_label.json"}, "field init_z: "),
 ]
 
 # The dataset files every malformed config may point at.
@@ -402,6 +419,7 @@ DATASET_FILES = {
     "no_values.json": '{"labels": ["d0"]}',
     "bare_list.json": "[1.0]",
     "sum_above_one.json": '{"labels": ["t0"], "values": [1.4]}',
+    "other_label.json": '{"labels": ["other"], "values": [1.0]}',
 }
 
 

@@ -1,6 +1,7 @@
 """Built-in models: exact values, gradient contracts, minimax oracle."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -227,7 +228,8 @@ class TestDatasetMemo:
         for arr in first:
             with pytest.raises(ValueError):
                 arr[...] = 0
-        assert all(arr.flags.writeable for arr in prepared(model, list(dataset)))
+        # a list is wrapped in a Dataset, so what is prepared from it is read-only too
+        assert not any(arr.flags.writeable for arr in prepared(model, list(dataset)))
 
     def test_memo_holds_datasets_weakly(self, case):
         model, dataset, _, _ = case(np.random.default_rng(6))
@@ -235,10 +237,12 @@ class TestDatasetMemo:
         cfg = ReweightConfig(total_steps=2, update_every_alpha=1, update_every_z=1,
                              task_mix_mode="expected", domain_mix_mode="expected")
         train_run(cfg, model, store, seed=0)
-        assert len(model._prepared) == 2
+        refs = [weakref.ref(ds) for ds in (*store.domains.values(), *store.tasks.values())]
+        assert all(len(ref()._prepared) == 1 for ref in refs)
         del store, dataset
         gc.collect()
-        assert len(model._prepared) == 0
+        # neither the model nor anything the run left behind keeps a dataset alive
+        assert all(ref() is None for ref in refs)
 
 
 def test_char_dataset_error_is_never_cached():
@@ -249,7 +253,7 @@ def test_char_dataset_error_is_never_cached():
             model.grad(np.zeros(9), dataset)
         with pytest.raises(ValueError, match="outside the vocabulary"):
             model.loss(np.zeros(9), dataset)
-    assert len(model._prepared) == 0
+    assert not dataset._prepared
 
 
 class _NoParamsModel:

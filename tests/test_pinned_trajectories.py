@@ -3,7 +3,9 @@
 Criterion 11 compares two runs of one build; these digests pin the
 trajectories across builds, so a refactor of the loop, the config layer
 or the models that changes any recorded byte fails here.  The values
-were computed before the algorithm table replaced per-name branches.
+were computed before the algorithm table replaced per-name branches;
+the quadratic control and softmax pins, before every batch became a
+``Dataset``.
 """
 
 import hashlib
@@ -12,7 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grapemix import ALGORITHMS, CharLMModel, ReweightConfig, render_trajectory, train_run, verify
+from grapemix import (
+    ALGORITHMS,
+    CharLMModel,
+    Dataset,
+    MixtureStore,
+    ReweightConfig,
+    SoftmaxModel,
+    render_trajectory,
+    train_run,
+    verify,
+)
 from grapemix.config import build_model, build_store, load_config_file, load_initial_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -36,6 +48,11 @@ SHORT_RUN_DIGESTS = {
     ("grape_ema", "sampled"): "fbf66e0185e191f31507bbda0a0959dbfaf243981b38a4997c7634211cc27444",
     ("grape_ema", "expected"): "21cbcea3448250ead49fea59c61deeb000d869d402ff3c8f6f53e62a3f09f194",
 }
+
+
+# theorem 2's stochastic control: sampled quadratic batches from noisy domains
+UNIFORM_CONTROL_DIGEST = "412d8d90f0813762f385d62e949e6f65ae2b0e23012c8973f042db1f79508cf8"
+SOFTMAX_SAMPLED_DIGEST = "71a37c0afc43f9e45aa57913835252b44ed0ada7422c71a6cb6965dfbcf2def9"
 
 
 def _digest(trajectory) -> str:
@@ -80,3 +97,28 @@ def test_short_char_run_trajectory(multilingual, algorithm, mode):
     )
     _, trajectory = train_run(cfg, model, store, seed=5)
     assert _digest(trajectory) == SHORT_RUN_DIGESTS[(algorithm, mode)]
+
+
+def test_uniform_control_run_trajectory():
+    assert _digest(verify.uniform_control_run()[1]) == UNIFORM_CONTROL_DIGEST
+
+
+def _softmax_store() -> MixtureStore:
+    """Three shifted feature domains and two target tasks, labelled by one linear rule."""
+    rng = np.random.default_rng(31)
+    rule = rng.normal(size=(3, 4))
+
+    def records(mean, n):
+        xs = rng.normal(mean, 1.0, size=(n, 4))
+        return Dataset([(x, int(np.argmax(rule @ x))) for x in xs])
+
+    domains = {f"d{k}": records(mean, 40) for k, mean in enumerate((-1.0, 0.0, 1.0))}
+    tasks = {f"t{n}": records(mean, 20) for n, mean in enumerate((-0.5, 0.8))}
+    return MixtureStore(domains, tasks)
+
+
+def test_short_softmax_sampled_run_trajectory():
+    cfg = ReweightConfig(algorithm="grape", total_steps=200, base_lr=0.3, train_batch_size=8, eval_batch_size=16,
+                         update_every_alpha=20, update_every_z=20, eval_every=50, step_ratio_z=2.0)
+    _, trajectory = train_run(cfg, SoftmaxModel(4, 3), _softmax_store(), seed=2)
+    assert _digest(trajectory) == SOFTMAX_SAMPLED_DIGEST

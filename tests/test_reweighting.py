@@ -611,6 +611,22 @@ class TestFullBatchesAsDatasets:
         assert texts[0] == texts[1]
 
 
+class TestSampledBatchesPreparedOnce:
+    def test_each_batch_is_counted_once(self, monkeypatch):
+        """``grad`` then ``loss`` on one sampled batch count its transitions
+        once: the batch keeps what the model derived from it."""
+        counted = []
+        count = CharLMModel._count_transitions
+        monkeypatch.setattr(CharLMModel, "_count_transitions",
+                            lambda self, batch: counted.append(batch) or count(self, batch))
+        cfg = ReweightConfig(algorithm="grape", total_steps=200, base_lr=0.15, train_batch_size=16,
+                             eval_batch_size=32, update_every_alpha=100, update_every_z=100, eval_every=50)
+        train_run(cfg, CharLMModel(verify.MULTILINGUAL_VOCAB), verify.multilingual_store(seed=5), seed=5)
+        # ``counted`` keeps every batch alive, so distinct batches have distinct ids
+        assert len(counted) > cfg.total_steps
+        assert len({id(batch) for batch in counted}) == len(counted)
+
+
 def _counting(monkeypatch, names):
     """Wrap each named module global of ``reweighting`` with a call counter."""
     calls = dict.fromkeys(names, 0)
