@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestError, ReportError
-from .simplex import SIMPLEX_TOL
+from .simplex import on_simplex
 
 VARIANCE_TOL = 1e-12
 
@@ -81,9 +81,7 @@ class Trajectory:
             if getattr(record, name).shape != (len(getattr(self, labels)),):
                 raise ValueError(f"record field {name} has wrong length")
         for name in ("alpha", "z"):
-            vec = getattr(record, name)
-            # stated positively, so that NaN and infinity fail it
-            if not (np.all(vec >= 0.0) and abs(float(vec.sum()) - 1.0) <= SIMPLEX_TOL):
+            if not on_simplex(getattr(record, name)):
                 raise ValueError(f"record field {name} is not a valid simplex vector")
         self.records.append(record)
 
@@ -173,9 +171,7 @@ def variance_monotonicity_check(
 class TheoremHarnessReport:
     """Empirical convergence evidence from one trajectory."""
 
-    steps: np.ndarray
     running_min: np.ndarray
-    epsilon: float
     first_step_within_epsilon: int | None
     fit_slope: float
 
@@ -200,9 +196,7 @@ def convergence_report(trajectory: Trajectory, true_opt: float, epsilon: float =
     hit = np.flatnonzero(running_min <= epsilon)
     tail = (steps >= steps[-1] / 2) & (steps > 0)
     return TheoremHarnessReport(
-        steps=steps,
         running_min=running_min,
-        epsilon=epsilon,
         first_step_within_epsilon=int(steps[hit[0]]) if hit.size else None,
         fit_slope=_loglog_fit(steps[tail], running_min[tail]),
     )

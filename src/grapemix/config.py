@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import ConfigError, DimensionError, GrapemixError
 from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
-from .reweighting import CHOICES, ReweightConfig
+from .reweighting import CHOICES, FIELD_TYPES, ReweightConfig
 from .simplex import SimplexWeights
 
 # The two nested sections of the file; every other ReweightConfig field
@@ -39,10 +39,9 @@ _SECTIONS = {
     "optimizer": {"kind": "optimizer", "beta1": "adam_beta1", "beta2": "adam_beta2",
                   "eps": "adam_eps", "weight_decay": "weight_decay"},
 }
-_FIELD_TYPES = typing.get_type_hints(ReweightConfig)
 _RUN_KEYS = {"seed", "out_dir", "model", "domains", "tasks", "init_alpha", "init_z", "init_params"}
 _NESTED_FIELDS = {name for names in _SECTIONS.values() for name in names.values()}
-_TOP_KEYS = (_FIELD_TYPES.keys() - _NESTED_FIELDS) | _SECTIONS.keys() | _RUN_KEYS
+_TOP_KEYS = (FIELD_TYPES.keys() - _NESTED_FIELDS) | _SECTIONS.keys() | _RUN_KEYS
 
 
 def _require(condition: bool, message: str):
@@ -77,7 +76,7 @@ def _number(value, where: str, integral: bool = False, minimum: float | None = N
 
 def _field_value(name: str, value, where: str):
     """``value`` as the type of ReweightConfig field ``name``."""
-    kind, *optional = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
+    kind, *optional = typing.get_args(FIELD_TYPES[name]) or (FIELD_TYPES[name],)
     if value is None and optional:
         return None
     if kind is str:
@@ -162,7 +161,7 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "config")
 
     values = {key: _field_value(key, value, key)
-              for key, value in raw.items() if key in _FIELD_TYPES and key not in _NESTED_FIELDS}
+              for key, value in raw.items() if key in FIELD_TYPES and key not in _NESTED_FIELDS}
     for section, names in _SECTIONS.items():
         nested = raw.get(section, {})
         _check_keys(nested, names.keys(), section)

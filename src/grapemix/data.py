@@ -25,15 +25,14 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateWeights,
     DimensionError,
     EmptyBatch,
     EmptyDataset,
     IngestError,
     SpecError,
 )
-from .simplex import SimplexWeights
-
-ROW_SUM_TOL = 1e-9
+from .simplex import SimplexWeights, normalize, on_simplex
 
 # Example types, by model:
 #   char-level LM  -> str
@@ -178,10 +177,8 @@ class MarkovLanguageSpec:
             raise SpecError(f"transition must be {self.vocab_size}x{self.vocab_size}, got {trans.shape}")
         if self.vocab_size > len(_ALPHABET):
             raise SpecError(f"vocab_size above {len(_ALPHABET)} is not supported")
-        if np.any(trans < 0.0) or not np.all(np.isfinite(trans)):
-            raise SpecError("transition entries must be finite and >= 0")
-        if np.max(np.abs(trans.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise SpecError("transition rows must sum to 1")
+        if not on_simplex(trans, axis=1):
+            raise SpecError("transition rows must be probability vectors")
         trans.flags.writeable = False
         object.__setattr__(self, "transition", trans)
 
@@ -194,10 +191,10 @@ class MarkovLanguageSpec:
         """A related language whose transitions are a convex mix of others'."""
         if len(specs) != len(coeffs) or not specs:
             raise SpecError("need one coefficient per source language")
-        c = np.asarray(coeffs, dtype=np.float64)
-        if np.any(c < 0.0) or c.sum() <= 0.0:
-            raise SpecError("interpolation coefficients must be nonnegative with positive sum")
-        c = c / c.sum()
+        try:
+            c = normalize(coeffs).values
+        except DegenerateWeights as exc:
+            raise SpecError(f"interpolation coefficients: {exc}") from exc
         v = specs[0].vocab_size
         if any(sp.vocab_size != v for sp in specs):
             raise SpecError("all source languages must share one vocabulary size")
@@ -213,8 +210,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     b = np.zeros(v + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.maximum(pi, 0.0)
-    return pi / pi.sum()
+    return normalize(np.maximum(pi, 0.0)).values
 
 
 def chain_cross_entropy(spec: MarkovLanguageSpec, model_probs: np.ndarray) -> float:
@@ -276,13 +272,18 @@ def generate_markov_corpus(
 # ---------------------------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def ingest_dataset(path: str | Path) -> Dataset:
     """Load a line-delimited dataset file, preserving record order.
 
     Each line is a JSON object: either ``{"text": "..."}`` or
     ``{"x": [numbers], "y": number}``; a label is a JSON number, never a
-    boolean.  Malformed lines raise IngestError with the 1-based line
-    number; a file with no records raises EmptyDataset.
+    boolean, and ``NaN`` and ``Infinity`` are not numbers.  Malformed lines
+    raise IngestError with the 1-based line number; a file with no records
+    raises EmptyDataset.
     """
     examples = []
     with open(path, encoding="utf-8") as fh:
@@ -291,9 +292,11 @@ def ingest_dataset(path: str | Path) -> Dataset:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"invalid JSON ({exc.msg})", lineno) from exc
+            except ValueError as exc:
+                raise IngestError(str(exc), lineno) from exc
             if not isinstance(record, dict):
                 raise IngestError("record is not an object", lineno)
             if "text" in record:

@@ -28,6 +28,7 @@ from scipy.optimize import fsolve, minimize
 
 from .data import _ALPHABET, Dataset
 from .errors import DimensionError, EmptyBatch
+from .simplex import on_simplex
 
 
 class DifferentiableModel(Protocol):
@@ -55,6 +56,7 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     params = np.asarray(params, dtype=np.float64)
     if params.size == 0:
         return 0.0
+    batch = batch if isinstance(batch, Dataset) else Dataset(batch)  # prepared once for all 2D + 1 model calls
     analytic = model.grad(params, batch)
     worst = 0.0
     probe = params.copy()
@@ -169,6 +171,8 @@ class QuadraticTaskFamily:
         mix = np.asarray(mix, dtype=np.float64)
         if mix.shape != (self.num_tasks,):
             raise DimensionError(f"mix must have length {self.num_tasks}")
+        if not on_simplex(mix):
+            raise ValueError(f"mix {mix.tolist()} is not a probability vector")
         if noise > 0.0:
             if rng is None:
                 raise ValueError("noisy domains need an rng")

@@ -21,6 +21,8 @@ gradient the domain step aligns against.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,21 +119,21 @@ class ReweightConfig:
         for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.update_every_alpha < 1 or self.update_every_z < 1:
-            raise ValueError("update frequencies must be >= 1")
-        for name in ("step_ratio_alpha", "step_ratio_z", "base_lr"):
+        for name, kind in FIELD_TYPES.items():  # every integer field is a count or a period, so >= 1
+            value = getattr(self, name)
+            if int in (kind, *typing.get_args(kind)) and (kind is int or value is not None) and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("step_ratio_alpha", "step_ratio_z", "base_lr", "adam_eps"):
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("adam_beta1", "adam_beta2", "weight_floor"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if not (0.0 < self.ema_beta < 1.0):
             raise ValueError("ema_beta must lie in (0, 1)")
-        if self.train_batch_size < 1 or self.eval_every < 1 or self.eval_replicates < 1:
-            raise ValueError("batch size, eval_every and eval_replicates must be >= 1")
-        if self.eval_batch_size is not None and self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
-        if not (0.0 <= self.weight_floor < 1.0):
-            raise ValueError("weight_floor must lie in [0, 1)")
         if self.divergence_factor <= 1.0:
             raise ValueError("divergence_factor must be > 1")
 
@@ -146,6 +148,10 @@ class ReweightConfig:
     @property
     def adapts_alpha(self) -> bool:
         return ALGORITHM_TABLE[self.algorithm].adapts_alpha
+
+
+# The type of each ReweightConfig field, which its values (and config files) are checked against.
+FIELD_TYPES = typing.get_type_hints(ReweightConfig)
 
 
 def learning_rate_at(cfg: ReweightConfig, step: int) -> float:

@@ -30,6 +30,13 @@ from .errors import DegenerateWeights, DimensionError, DivergenceUndefined, Scor
 SIMPLEX_TOL = 1e-9
 
 
+def on_simplex(values, axis: int = -1) -> bool:
+    """True when ``values`` is nonempty and every vector along ``axis`` is >= 0 and
+    sums to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
+    values = np.asarray(values, dtype=np.float64)
+    return bool(values.size and values.min() >= 0.0 and (abs(values.sum(axis=axis) - 1.0) <= SIMPLEX_TOL).all())
+
+
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
     if labels is None:
         return tuple(f"w{i}" for i in range(m))
@@ -56,12 +63,8 @@ class SimplexWeights:
         values = np.array(self.values, dtype=np.float64, copy=True)
         if values.ndim != 1 or values.size < 1:
             raise DimensionError("weights must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise DegenerateWeights("weights contain NaN or Inf")
-        if np.any(values < 0.0):
-            raise DegenerateWeights("weights contain negative entries")
-        if abs(float(values.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DegenerateWeights(f"weights sum to {values.sum()!r}, not 1")
+        if not on_simplex(values):
+            raise DegenerateWeights(f"weights {values.tolist()} are not a probability vector")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", _as_labels(self.labels, values.size))
@@ -87,19 +90,13 @@ class SimplexWeights:
 def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = None) -> SimplexWeights:
     """Scale a nonnegative vector to sum to 1.
 
-    Raises DegenerateWeights if the input has no positive mass or any
-    non-finite entry.
+    Raises DegenerateWeights unless every entry is >= 0 and the total is
+    finite and positive; ``SimplexWeights`` checks the result.
     """
     values = np.asarray(raw, dtype=np.float64)
-    if values.ndim != 1 or values.size < 1:
-        raise DimensionError("expected a nonempty 1-D vector")
-    if not np.all(np.isfinite(values)):
-        raise DegenerateWeights("cannot normalize: non-finite entries")
-    if np.any(values < 0.0):
-        raise DegenerateWeights("cannot normalize: negative entries")
-    total = float(values.sum())
-    if total <= 0.0:
-        raise DegenerateWeights("cannot normalize: all entries are zero")
+    total = float(values.sum()) if np.all(values >= 0.0) else np.nan  # NaN entries fail both tests
+    if not 0.0 < total < np.inf:
+        raise DegenerateWeights(f"cannot normalize {values.tolist()}: need entries >= 0 with a finite positive sum")
     return SimplexWeights(values / total, None if labels is None else tuple(labels))
 
 
@@ -136,10 +133,7 @@ def multiplicative_update(
         with np.errstate(divide="ignore"):  # log(0) -> -inf keeps dead entries dead
             arg = np.log(w.values) + step * s
         shifted = np.exp(arg - np.max(arg))
-        total = float(shifted.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise DegenerateWeights("update produced no positive mass")
-        updated = shifted / total
+        updated = shifted / shifted.sum()  # a NaN total gives NaN entries, which normalize rejects
 
     if floor > 0.0:
         updated = np.maximum(updated, floor)

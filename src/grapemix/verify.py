@@ -36,7 +36,7 @@ from .analysis import convergence_report, variance_monotonicity_check, variance_
 from .data import Dataset, MarkovLanguageSpec, MixtureStore, generate_markov_corpus, stream_rng
 from .models import CharLMModel, QuadraticTaskFamily, SoftmaxModel, finite_diff_check
 from .reweighting import ReweightConfig, train_run
-from .simplex import SimplexWeights, multiplicative_update
+from .simplex import multiplicative_update, normalize
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -74,9 +74,7 @@ def verify_updates(instances: int = 1000, seed: int = 2024) -> list[CheckResult]
         raw = rng.random(m)
         if rng.random() < 0.2:
             raw[int(rng.integers(m))] = 0.0
-        if raw.sum() == 0.0:
-            raw[0] = 1.0
-        weights = SimplexWeights(raw / raw.sum())
+        weights = normalize(raw)
         scores = rng.uniform(-5.0, 5.0, size=m)
         ratio = rng.uniform(1e-3, 20.0)
         step = ratio if rng.random() < 0.5 else -ratio

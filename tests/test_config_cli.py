@@ -340,6 +340,12 @@ def _set_model(key, value):
     return edit
 
 
+def _set_paths(path):
+    def edit(cfg):
+        cfg["domains"][0]["path"] = cfg["tasks"][0]["path"] = path
+    return edit
+
+
 def _model_with_other_kinds_keys(cfg):
     cfg["model"].update(n_features=3, dim=7)
 
@@ -368,6 +374,14 @@ MALFORMED = [
     ("lr-base-inf", minimal_quadratic_config, {"lr": {"base": float("inf")}}, "lr.base"),
     ("divergence-factor-inf", minimal_quadratic_config, {"divergence_factor": float("inf")}, "divergence_factor"),
     ("mix-length", minimal_quadratic_config, _set_domain("mix", [0.5, 0.5]), "'d0'"),
+    # a mix is a probability vector over the one task
+    ("mix-nan", minimal_quadratic_config, _set_domain("mix", [float("nan")]), "entry 'd0': mix"),
+    ("mix-negative", minimal_quadratic_config, _set_domain("mix", [-1.0]), "entry 'd0': mix"),
+    ("mix-sum", minimal_quadratic_config, _set_domain("mix", [0.7]), "entry 'd0': mix"),
+    # AdamW divides by 1 - beta ** t, and a negative decay grows the parameters
+    ("adam-beta1-one", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "beta1": 1.0}}, "adam_beta1"),
+    ("weight-decay-negative", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "weight_decay": -50.0}},
+     "weight_decay"),
     # the features file holds 2-feature records; the model expects 3
     ("softmax-width", minimal_softmax_config, None, "'feats'"),
     ("init-params-length", minimal_quadratic_config, {"init_params": [0.0, 0.0, 0.0]}, "init_params"),
@@ -382,6 +396,9 @@ MALFORMED = [
      "entry 'feats': line 1: 'y' must be a number"),
     ("softmax-text-records", minimal_softmax_config, _set_domain("path", "data.jsonl"),
      "entry 'feats': softmax model needs (features, label) records"),
+    # json.loads reads NaN as a float, which no loss rejects
+    ("softmax-nan-feature", minimal_softmax_config, _set_paths("nan_feature.jsonl"),
+     "entry 'feats': line 2: NaN is not a JSON number"),
     ("no-transitions", minimal_char_config, _set_task("path", "single.jsonl"), "'corpus'"),
     ("bad-jsonl-line", minimal_char_config, _set_task("path", "bad.jsonl"), "'corpus'"),
     ("model-key-of-other-kind", minimal_char_config, _model_with_other_kinds_keys, "'dim', 'n_features'"),
@@ -412,6 +429,7 @@ DATASET_FILES = {
     "labels.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": 5}\n',
     "boolean.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": true}\n',
     "onehot.jsonl": '{"x": [1.0, 0.5, 0.0], "y": [1.0, 0.0]}\n',
+    "nan_feature.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [NaN, 2.0, 1.0], "y": 1}\n',
     "single.jsonl": '{"text": "a"}\n{"text": "b"}\n',
     "bad.jsonl": '{"text": "abab"}\n{"text": \n',
     "empty.jsonl": "",

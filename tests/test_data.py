@@ -340,6 +340,15 @@ class TestIngest:
             ingest_dataset(path)
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected(self, tmp_path, constant):
+        # json.loads reads these as floats; a dataset file may not hold them
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0], "y": 0}\n{"x": [%s], "y": 1}\n' % constant)
+        with pytest.raises(IngestError, match=f"line 2: {constant} is not a JSON number") as excinfo:
+            ingest_dataset(path)
+        assert excinfo.value.line == 2
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rt.jsonl"
         path.write_text('{"text": "abc"}\n{"x": [1.0, 2.5], "y": 3}\n{"text": "xyz"}\n')

@@ -282,6 +282,17 @@ class TestFiniteDiff:
         batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=30))]
         assert finite_diff_check(model, rng.normal(size=16), batch, h=1e-5) <= 1e-6
 
+    def test_list_batch_prepared_once(self, monkeypatch):
+        counted = []
+        count = CharLMModel._count_transitions
+        monkeypatch.setattr(CharLMModel, "_count_transitions",
+                            lambda self, batch: counted.append(batch) or count(self, batch))
+        rng = np.random.default_rng(2)
+        model = CharLMModel(4)
+        batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=30))]
+        finite_diff_check(model, rng.normal(size=16), batch)
+        assert len(counted) == 1  # not once per each of the 2 * 16 + 1 model calls
+
     def test_zero_dim_model_vacuous(self):
         assert finite_diff_check(_NoParamsModel(), np.zeros(0), ["x"]) == 0.0
 

@@ -559,6 +559,22 @@ class TestTrainRun:
         with pytest.raises(ValueError, match=field):
             ReweightConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta1", math.nan),
+        ("adam_eps", 0.0), ("adam_eps", math.inf), ("weight_decay", -50.0), ("weight_decay", math.inf),
+        ("total_steps", 1.7), ("total_steps", 40.0), ("train_batch_size", True), ("eval_batch_size", 2.5),
+    ])
+    def test_optimizer_ranges_and_integer_fields(self, field, value):
+        # checked whatever the optimizer, so an SGD config cannot carry an unusable AdamW value
+        for optimizer in ("sgd", "adamw"):
+            with pytest.raises(ValueError, match=field):
+                ReweightConfig(optimizer=optimizer, **{field: value})
+
+    def test_range_edges_accepted(self):
+        cfg = ReweightConfig(optimizer="adamw", adam_beta1=0.0, adam_beta2=0.0, weight_decay=0.0,
+                             total_steps=np.int64(3), eval_batch_size=None)
+        assert cfg.total_steps == 3 and cfg.eval_batch_size is None
+
 
 class _ListBatchModel:
     """Hands the wrapped model every batch as a plain list of examples, so

@@ -9,13 +9,17 @@ from grapemix import (
     DegenerateWeights,
     DimensionError,
     DivergenceUndefined,
+    QuadraticTaskFamily,
     ScoreError,
     SimplexWeights,
     bregman_entropy_divergence,
     multiplicative_update,
     normalize,
 )
-from grapemix.simplex import SIMPLEX_TOL
+from grapemix.analysis import Trajectory, TrajectoryRecord
+from grapemix.data import MarkovLanguageSpec
+from grapemix.errors import SpecError
+from grapemix.simplex import SIMPLEX_TOL, on_simplex
 from grapemix.verify import closed_form_update
 
 
@@ -231,3 +235,64 @@ class TestWeightPlumbing:
         w = SimplexWeights.uniform(3)
         with pytest.raises(ValueError):
             w.values[0] = 0.9
+
+
+# Entries that sit on or just past the edge of the simplex test.
+EDGE_ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300, -1e-12, 1.0]
+
+
+@st.composite
+def near_simplex_vectors(draw):
+    """A probability vector with one entry moved by up to 2e-9, and up to
+    two entries replaced by NaN, an infinity, -0.0 or a tiny negative."""
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(lambda xs: sum(xs) > 0.0))
+    values = np.array(raw) / sum(raw)
+    values[draw(st.integers(0, values.size - 1))] += draw(st.sampled_from([-2e-9, -5e-10, 0.0, 5e-10, 2e-9]))
+    for i in draw(st.lists(st.integers(0, values.size - 1), max_size=2)):
+        values[i] = draw(st.sampled_from(EDGE_ENTRIES))
+    return values
+
+
+def _accepts(construct, error) -> bool:
+    try:
+        construct()
+    except error:
+        return False
+    return True
+
+
+class TestOneSimplexRule:
+    """Every place that takes a probability vector accepts exactly what ``on_simplex`` accepts."""
+
+    def test_hand_cases(self):
+        assert on_simplex([0.25, 0.75]) and on_simplex([-0.0, 1.0]) and on_simplex([1.0 + 5e-10])
+        for values in ([np.nan], [np.inf], [0.5, np.nan], [-1e-300, 1.0], [1.0 + 2e-9], []):
+            assert not on_simplex(values)
+        assert on_simplex([[0.5, 0.5], [1.0, 0.0]], axis=1)
+        assert not on_simplex([[0.5, 0.5], [1.0, 0.0]], axis=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=near_simplex_vectors())
+    def test_every_checker_agrees(self, values):
+        expected = on_simplex(values)
+        n = values.size
+        assert _accepts(lambda: SimplexWeights(values), DegenerateWeights) == expected
+        record = TrajectoryRecord(step=0, losses=[1.0], alpha=values, z=[1.0], task_scores=[0.0],
+                                  domain_scores=np.zeros(n), lr=0.1, train_grad_evals=0, task_grad_evals=0,
+                                  domain_grad_evals=0)
+        trajectory = Trajectory([f"d{i}" for i in range(n)], ["t0"])
+        assert _accepts(lambda: trajectory.append(record), ValueError) == expected
+        transition = np.full((n, n), 1.0 / n)
+        transition[0] = values
+        assert _accepts(lambda: MarkovLanguageSpec(n, transition), SpecError) == expected
+        family = QuadraticTaskFamily(np.ones((n, 1)), np.zeros((n, 1)))
+        assert _accepts(lambda: family.domain_dataset(values), ValueError) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=near_simplex_vectors(), scale=st.floats(1e-3, 1e3))
+    def test_normalize_needs_nonnegative_entries_and_a_finite_positive_sum(self, values, scale):
+        values = values * scale
+        expected = bool(np.all(values >= 0.0)) and 0.0 < float(values.sum()) < np.inf
+        assert _accepts(lambda: normalize(values), DegenerateWeights) == expected
+        if expected:
+            assert on_simplex(normalize(values).values)
