@@ -40,8 +40,8 @@ _SECTIONS = {
                   "eps": "adam_eps", "weight_decay": "weight_decay"},
 }
 _RUN_KEYS = {"seed", "out_dir", "model", "domains", "tasks", "init_alpha", "init_z", "init_params"}
-_NESTED_FIELDS = {name for names in _SECTIONS.values() for name in names.values()}
-_TOP_KEYS = (FIELD_TYPES.keys() - _NESTED_FIELDS) | _SECTIONS.keys() | _RUN_KEYS
+_FILE_KEYS = {name: f"{section}.{key}" for section, names in _SECTIONS.items() for key, name in names.items()}
+_TOP_KEYS = (FIELD_TYPES.keys() - _FILE_KEYS.keys()) | _SECTIONS.keys() | _RUN_KEYS
 
 
 def _require(condition: bool, message: str):
@@ -161,7 +161,7 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "config")
 
     values = {key: _field_value(key, value, key)
-              for key, value in raw.items() if key in FIELD_TYPES and key not in _NESTED_FIELDS}
+              for key, value in raw.items() if key in FIELD_TYPES and key not in _FILE_KEYS}
     for section, names in _SECTIONS.items():
         nested = raw.get(section, {})
         _check_keys(nested, names.keys(), section)
@@ -171,8 +171,9 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
         values.setdefault("weight_decay", 0.01)  # AdamW's decay default in files only
     try:
         reweight = ReweightConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid field value: {exc}") from exc
+    except ValueError as exc:  # the message starts with the field, which the file may nest
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"field {_FILE_KEYS.get(field, field)} {rest}") from exc
 
     model = raw.get("model", {})
     kind = model.get("kind") if isinstance(model, dict) else None

@@ -9,7 +9,7 @@ Built-ins:
 
 * ``QuadraticTaskFamily`` / ``QuadraticModel`` -- N diagonal quadratics
   sharing one parameter vector.  Smooth, strongly convex, with a
-  computable minimax optimum: the workhorse for convergence and
+  certified minimax oracle: the workhorse for convergence and
   variance-reduction harnesses.
 * ``CharLMModel`` -- a bigram character language model (a V x V logit
   table).  The smallest model showing genuine cross-domain transfer on
@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
-from scipy.optimize import fsolve, minimize
 
 from .data import _ALPHABET, Dataset
 from .errors import DimensionError, EmptyBatch
@@ -110,9 +109,10 @@ class QuadraticTaskFamily:
     """N diagonal quadratics l_n(theta) = 0.5 (theta-c_n)' A_n (theta-c_n).
 
     Curvature entries all lie in [mu_cvx, L_smooth], giving known
-    smoothness and strong-convexity constants, and the minimax optimum
-    min_theta max_n l_n(theta) is computable to high precision -- which
-    is what makes this family usable as a convergence oracle.
+    smoothness and strong-convexity constants.  For task weights z, the
+    minimizer of sum_n z_n l_n is theta(z) = sum_n z_n a_n c_n / sum_n z_n a_n
+    per coordinate, so min_theta max_n l_n(theta) has an explicit dual and
+    a certified optimum -- a convergence oracle.
     """
 
     def __init__(self, curvatures: np.ndarray, centers: np.ndarray):
@@ -181,83 +181,89 @@ class QuadraticTaskFamily:
             deltas = np.zeros((size, self.dim))
         return Dataset([QuadraticExample(mix.copy(), deltas[i]) for i in range(size)])
 
-    def minimax_optimum(self) -> tuple[np.ndarray, float]:
-        """Solve min_theta max_n l_n(theta).
+    def dual_value(self, z: Sequence[float] | np.ndarray) -> float:
+        """The group-DRO dual g(z) = min_theta sum_n z_n l_n(theta) = sum_n z_n l_n(theta(z)): at most
+        OPT = min_theta max_n l_n(theta) for every probability vector z, and equal at the optimal z."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (self.num_tasks,) or not on_simplex(z):
+            raise ValueError(f"z {z.tolist()} is not a probability vector over the {self.num_tasks} tasks")
+        return float(z @ self.all_task_losses(self._inner_minimizer(z)))
 
-        An SLSQP pass on the epigraph form locates the optimum; a Newton
-        polish on the active set (equal active losses, KKT stationarity)
-        then refines it to near machine precision when it converges.
+    def _inner_minimizer(self, z: np.ndarray) -> np.ndarray:
+        return (z @ (self.curvatures * self.centers)) / (z @ self.curvatures)
+
+    def minimax_weights(self) -> np.ndarray:
+        """The group-DRO task weights z* = argmax_z g(z), certified optimal.
+
+        g is concave with gradient l(theta(z)) (Danskin).  The search follows
+        the central path of max g(z) + mu sum_n log z_n from uniform weights,
+        mu shrinking tenfold in each of 19 stages.  Each stage tries Newton on
+        "equal losses on the support" (the tasks whose weight has not vanished),
+        then the path point, and returns the first with certificate
+        max_n l_n(theta(z)) - g(z) <= 1e-12 max(1, OPT): OPT lies between the
+        two terms.  Raises RuntimeError when no candidate is certified.
         """
-        x0 = np.append(self.centers.mean(axis=0), 0.0)
-        x0[-1] = float(self.all_task_losses(x0[:-1]).max()) + 1.0
+        z = np.full(self.num_tasks, 1.0 / self.num_tasks)
+        mu0 = float(self.all_task_losses(self._inner_minimizer(z)).max()) or 1.0
+        gaps = []
+        for stage in range(19):
+            mu = mu0 * 10.0**-stage
+            z = self._central_point(z, mu) if stage else z
+            support = np.flatnonzero(z >= np.sqrt(mu / mu0) * z.max())
+            for candidate in (self._face_optimum(z, support), z):
+                value = float(self.all_task_losses(self._inner_minimizer(candidate)).max())
+                gaps.append(value - self.dual_value(candidate))
+                if gaps[-1] <= 1e-12 * max(1.0, value):
+                    return candidate
+        raise RuntimeError(f"no certified minimax optimum: smallest duality gap {min(gaps):.3g}")
 
-        def objective(x):
-            return x[-1]
+    def minimax_optimum(self) -> tuple[np.ndarray, float]:
+        """Solve min_theta max_n l_n(theta): theta(z*) and OPT, for z* from ``minimax_weights``."""
+        theta = self._inner_minimizer(self.minimax_weights())
+        return theta, float(self.all_task_losses(theta).max())
 
-        def objective_jac(x):
-            jac = np.zeros_like(x)
-            jac[-1] = 1.0
-            return jac
+    def _newton_step(self, z: np.ndarray, tasks: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Newton step of max g + mu sum log z over the weights z of ``tasks``, their sum kept,
+        and the ascent direction l(theta(z)) + mu / z.  g's Hessian is -G diag(1/s) G', with G
+        the task gradients at theta(z) and s = z @ a."""
+        a, c = self.curvatures[tasks], self.centers[tasks]
+        s = z @ a
+        diff = (z @ (a * c)) / s - c
+        ascent = 0.5 * np.einsum("nd,nd->n", a * diff, diff) + mu / z
+        kkt = np.ones((tasks.size + 1, tasks.size + 1))
+        kkt[-1, -1] = 0.0
+        kkt[:-1, :-1] = (a * diff / s) @ (a * diff).T + np.diag(mu / z**2)
+        # The multiplier absorbs the mean, so the right-hand side shrinks with the residual.
+        rhs = np.append(ascent - ascent.mean(), 0.0)
+        # The barrier makes the system nonsingular; on a face (mu = 0) least squares also
+        # steps where it is singular, as across two identical tasks.
+        return (np.linalg.solve(kkt, rhs) if mu else np.linalg.lstsq(kkt, rhs, rcond=None)[0])[:-1], ascent
 
-        constraints = []
-        for n in range(self.num_tasks):
-            def fun(x, n=n):
-                return x[-1] - self.task_loss(n, x[:-1])
+    def _central_point(self, z: np.ndarray, mu: float) -> np.ndarray:
+        """Newton from z toward argmax g(z) + mu sum log z, each step cut to stay inside the simplex."""
+        for _ in range(50):
+            step, ascent = self._newton_step(z, np.arange(self.num_tasks), mu)
+            shrinking = step < 0.0
+            t = min(1.0, 0.9 * float(np.min(z[shrinking] / -step[shrinking]))) if shrinking.any() else 1.0
+            z = (z + t * step) / (z + t * step).sum()
+            if float(ascent @ step) <= 1e-3 * mu:
+                break
+        return z
 
-            def jac(x, n=n):
-                out = np.empty_like(x)
-                out[:-1] = -self.task_grad(n, x[:-1])
-                out[-1] = 1.0
-                return out
-
-            constraints.append({"type": "ineq", "fun": fun, "jac": jac})
-
-        res = minimize(
-            objective,
-            x0,
-            jac=objective_jac,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        theta = res.x[:-1]
-        value = float(self.all_task_losses(theta).max())
-
-        polished = self._polish_minimax(theta, value)
-        if polished is not None:
-            theta_p, value_p = polished
-            if value_p <= value + 1e-9:
-                return theta_p, value_p
-        return theta, value
-
-    def _polish_minimax(self, theta: np.ndarray, value: float) -> tuple[np.ndarray, float] | None:
-        losses = self.all_task_losses(theta)
-        active = np.flatnonzero(losses >= value - max(1e-6, 1e-6 * value))
-        n_active, dim = active.size, self.dim
-
-        def residual(x):
-            th, w = x[:dim], x[dim:]
-            grads = np.array([self.task_grad(int(n), th) for n in active])
-            l_act = np.array([self.task_loss(int(n), th) for n in active])
-            out = np.empty(dim + n_active)
-            out[:dim] = w @ grads
-            out[dim : dim + n_active - 1] = l_act[0] - l_act[1:]
-            out[-1] = w.sum() - 1.0
-            return out
-
-        x0 = np.concatenate([theta, np.full(n_active, 1.0 / n_active)])
-        sol, info, ok, _ = fsolve(residual, x0, full_output=True)
-        if ok != 1 or np.max(np.abs(info["fvec"])) > 1e-10:
-            return None
-        th, w = sol[:dim], sol[dim:]
-        if np.any(w < -1e-9):
-            return None
-        all_losses = self.all_task_losses(th)
-        val = float(all_losses.max())
-        active_val = float(all_losses[active].max())
-        if val > active_val + 1e-9:  # a task outside the active set dominates
-            return None
-        return th, val
+    def _face_optimum(self, z: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """Full Newton steps on equal losses on ``support`` from z, stopped before one would leave
+        the face, or once they stall; the result as weights over all tasks."""
+        face = z[support] / z[support].sum()
+        for _ in range(10):
+            step, _ = self._newton_step(face, support, 0.0)
+            if not np.all(face + step > 0.0):
+                break
+            face = (face + step) / (face + step).sum()
+            if np.abs(step).max() <= 1e-15:
+                break
+        weights = np.zeros(self.num_tasks)
+        weights[support] = face
+        return weights
 
 
 class QuadraticModel:

@@ -37,7 +37,7 @@ from .data import (
     sample_task_batches,
     stream_rng,
 )
-from .errors import DimensionError, NumericalDivergence
+from .errors import DegenerateWeights, DimensionError, NumericalDivergence, ScoreError
 from .metrics import LOSS_FLOOR, normalized_grad
 from .models import DifferentiableModel
 from .simplex import SimplexWeights, multiplicative_update
@@ -448,6 +448,7 @@ def _initial_weights(
     return init
 
 
+@np.errstate(all="ignore")  # every non-finite value ends in a typed error below, not in a warning
 def train_run(
     cfg: ReweightConfig,
     model: DifferentiableModel,
@@ -466,7 +467,7 @@ def train_run(
     losses are recorded at every reweighting step, every ``eval_every``
     steps, and at the end.  Raises NumericalDivergence if parameters go
     non-finite or any task loss exceeds ``divergence_factor`` times its
-    initial value.
+    initial value, or if a weight update meets non-finite scores or weights.
     """
     train_rng, task_rng, domain_rng, pcgrad_rng, record_rng = (
         stream_rng(seed, name) for name in ("train", "task_step", "domain_step", "pcgrad", "record")
@@ -531,20 +532,22 @@ def train_run(
         if not np.all(np.isfinite(theta)):
             raise NumericalDivergence("parameters are not finite", t + 1)
 
-        reweighted = False
-        if cfg.adapts_z and (t + 1) % cfg.update_every_z == 0:
-            z, last_task_scores = task_reweight_step(
-                z, model, theta, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema
-            )
-            reweighted = True
-        if cfg.adapts_alpha and (t + 1) % cfg.update_every_alpha == 0:
-            alpha, last_domain_scores = domain_reweight_step(
-                alpha, model, theta, store, z, cfg, domain_rng,
-                gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng,
-            )
-            reweighted = True
+        update_z = cfg.adapts_z and (t + 1) % cfg.update_every_z == 0
+        update_alpha = cfg.adapts_alpha and (t + 1) % cfg.update_every_alpha == 0
+        try:
+            if update_z:
+                z, last_task_scores = task_reweight_step(
+                    z, model, theta, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema
+                )
+            if update_alpha:
+                alpha, last_domain_scores = domain_reweight_step(
+                    alpha, model, theta, store, z, cfg, domain_rng,
+                    gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng,
+                )
+        except (ScoreError, DegenerateWeights) as exc:  # non-finite model output at theta
+            raise NumericalDivergence(f"weight update failed: {exc}", t + 1) from exc
 
-        if reweighted or (t + 1) % cfg.eval_every == 0 or (t + 1) == cfg.total_steps:
+        if update_z or update_alpha or (t + 1) % cfg.eval_every == 0 or (t + 1) == cfg.total_steps:
             losses = eval_task_losses()
             guard(losses, t + 1)
             record(t + 1, losses, gamma)

@@ -34,7 +34,8 @@ def on_simplex(values, axis: int = -1) -> bool:
     """True when ``values`` is nonempty and every vector along ``axis`` is >= 0 and
     sums to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
     values = np.asarray(values, dtype=np.float64)
-    return bool(values.size and values.min() >= 0.0 and (abs(values.sum(axis=axis) - 1.0) <= SIMPLEX_TOL).all())
+    with np.errstate(over="ignore"):  # a sum that overflows is infinite, which fails the test
+        return bool(values.size and values.min() >= 0.0 and (abs(values.sum(axis=axis) - 1.0) <= SIMPLEX_TOL).all())
 
 
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
@@ -94,7 +95,8 @@ def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = 
     finite and positive; ``SimplexWeights`` checks the result.
     """
     values = np.asarray(raw, dtype=np.float64)
-    total = float(values.sum()) if np.all(values >= 0.0) else np.nan  # NaN entries fail both tests
+    with np.errstate(over="ignore"):  # an overflowing total is infinite, which the test below rejects
+        total = float(values.sum()) if np.all(values >= 0.0) else np.nan  # NaN entries fail both tests
     if not 0.0 < total < np.inf:
         raise DegenerateWeights(f"cannot normalize {values.tolist()}: need entries >= 0 with a finite positive sum")
     return SimplexWeights(values / total, None if labels is None else tuple(labels))

@@ -167,23 +167,19 @@ def harness_store(family: QuadraticTaskFamily, noise: float = 0.0, size: int = 1
     return MixtureStore(domains, tasks)
 
 
+def _harness_run(family: QuadraticTaskFamily, store: MixtureStore, seed: int, params0: np.ndarray, **settings):
+    """5000 steps on ``family`` at learning rate 1/L, recording every step."""
+    cfg = ReweightConfig(total_steps=5000, base_lr=1.0 / family.smoothness, eval_every=1, **settings)
+    _, trajectory = train_run(cfg, family.model(), store, seed=seed, params0=params0)
+    return family, trajectory
+
+
 def _deterministic_harness_run(step_ratio_alpha: float, step_ratio_z: float, seed: int, params0: np.ndarray):
     """Full-batch ``grape`` on the harness family, both weights updated every step."""
     family = harness_family()
-    cfg = ReweightConfig(
-        algorithm="grape",
-        total_steps=5000,
-        base_lr=1.0 / family.smoothness,
-        update_every_alpha=1,
-        update_every_z=1,
-        step_ratio_alpha=step_ratio_alpha,
-        step_ratio_z=step_ratio_z,
-        task_mix_mode="expected",
-        domain_mix_mode="expected",
-        eval_every=1,
-    )
-    _, trajectory = train_run(cfg, family.model(), harness_store(family), seed=seed, params0=params0)
-    return family, trajectory
+    return _harness_run(family, harness_store(family), seed, params0, algorithm="grape",
+                        update_every_alpha=1, update_every_z=1, step_ratio_alpha=step_ratio_alpha,
+                        step_ratio_z=step_ratio_z, task_mix_mode="expected", domain_mix_mode="expected")
 
 
 def theorem1_run():
@@ -224,17 +220,8 @@ def theorem2_run():
 def uniform_control_run():
     """Stochastic uniform-sampling baseline on the same family (noisy domains)."""
     family = harness_family()
-    cfg = ReweightConfig(
-        algorithm="uniform",
-        total_steps=5000,
-        base_lr=1.0 / family.smoothness,
-        train_batch_size=8,
-        eval_batch_size=8,
-        eval_every=1,
-    )
-    store = harness_store(family, noise=0.05, size=64, seed=3)
-    _, trajectory = train_run(cfg, family.model(), store, seed=3, params0=_THEOREM2_THETA0.copy())
-    return family, trajectory
+    return _harness_run(family, harness_store(family, noise=0.05, size=64, seed=3), 3, _THEOREM2_THETA0.copy(),
+                        algorithm="uniform", train_batch_size=8, eval_batch_size=8)
 
 
 def verify_theorem2() -> list[CheckResult]:

@@ -1,6 +1,7 @@
 """Config parsing and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,20 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("edit", [{"lr": {"schedule": "constant", "base": 1e300}},
+                                      {"model": {"curvatures": [[1e308, 1.0, 0.5]] * 3}}],
+                             ids=["lr-1e300", "curvature-1e308"])
+    def test_non_finite_scores_exit_1_without_a_warning(self, tmp_path, capsys, edit):
+        # the first task update meets infinite losses; tier-1 turns a numpy RuntimeWarning into an error
+        cfg = yaml.safe_load((Path(__file__).parents[1] / "configs" / "quadratic_demo.yaml").read_text())
+        cfg["total_steps"] = 50
+        for key, value in edit.items():
+            cfg[key].update(value)
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: step 1: ") and "RuntimeWarning" not in err
+
     def test_bad_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, minimal_quadratic_config(bogus=1))
         assert main(["run", "--config", str(path)]) == 2
@@ -379,9 +394,19 @@ MALFORMED = [
     ("mix-negative", minimal_quadratic_config, _set_domain("mix", [-1.0]), "entry 'd0': mix"),
     ("mix-sum", minimal_quadratic_config, _set_domain("mix", [0.7]), "entry 'd0': mix"),
     # AdamW divides by 1 - beta ** t, and a negative decay grows the parameters
-    ("adam-beta1-one", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "beta1": 1.0}}, "adam_beta1"),
+    ("adam-beta1-one", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "beta1": 1.0}},
+     "field optimizer.beta1 must lie in [0, 1), got 1.0"),
     ("weight-decay-negative", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "weight_decay": -50.0}},
      "weight_decay"),
+    # a range error names the key as the file spells it, not the ReweightConfig field
+    ("adam-beta2-negative", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "beta2": -0.5}},
+     "field optimizer.beta2 must lie in [0, 1), got -0.5"),
+    ("adam-eps-zero", minimal_quadratic_config, {"optimizer": {"kind": "adamw", "eps": 0}},
+     "field optimizer.eps must be finite and > 0"),
+    ("sgd-weight-decay-negative", minimal_quadratic_config, {"optimizer": {"kind": "sgd", "weight_decay": -1.0}},
+     "field optimizer.weight_decay must be finite and >= 0"),
+    ("lr-base-negative", minimal_quadratic_config, {"lr": {"base": -1.0}}, "field lr.base must be finite and > 0"),
+    ("step-ratio-z-zero", minimal_quadratic_config, {"step_ratio_z": 0}, "field step_ratio_z must be finite and > 0"),
     # the features file holds 2-feature records; the model expects 3
     ("softmax-width", minimal_softmax_config, None, "'feats'"),
     ("init-params-length", minimal_quadratic_config, {"init_params": [0.0, 0.0, 0.0]}, "init_params"),

@@ -1,11 +1,18 @@
 """Built-in models: exact values, gradient contracts, minimax oracle."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grapemix
 from grapemix import (
     CharLMModel,
     Dataset,
@@ -18,6 +25,7 @@ from grapemix import (
     finite_diff_check,
     train_run,
 )
+from grapemix.verify import harness_family
 
 
 def simple_family():
@@ -100,6 +108,73 @@ class TestQuadratic:
         theta, value = family.minimax_optimum()
         np.testing.assert_allclose(theta, [0.3, -0.4], atol=1e-8)
         assert value == pytest.approx(0.0, abs=1e-12)
+
+
+def _certificate(family, z):
+    """max_n l_n(theta(z)) - g(z): by weak duality, an upper bound on how far either term is from OPT."""
+    value = family.all_task_losses((z @ (family.curvatures * family.centers)) / (z @ family.curvatures)).max()
+    return value - family.dual_value(z), value
+
+
+@st.composite
+def normal_families(draw):
+    """N, D in 1..6, curvatures uniform in [0.1, 5], centers standard normal."""
+    tasks, dim, seed = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return QuadraticTaskFamily(rng.uniform(0.1, 5.0, (tasks, dim)), rng.normal(size=(tasks, dim)))
+
+
+@st.composite
+def grid_families(draw):
+    """Entries from a few values, so duplicate tasks, shared centers and tied losses are common."""
+    tasks, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = lambda values: np.array(draw(st.lists(st.sampled_from(values), min_size=tasks * dim,
+                                                    max_size=tasks * dim))).reshape(tasks, dim)
+    return QuadraticTaskFamily(entries([0.1, 1.0, 5.0]), entries([-1.0, 0.0, 0.5, 2.0]))
+
+
+class TestMinimaxOracle:
+    """The dual oracle: g(z) <= OPT for every z, and a certified z* at which the two meet."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.one_of(normal_families(), grid_families()))
+    def test_certified_on_random_families(self, family):
+        z = family.minimax_weights()
+        gap, value = _certificate(family, z)
+        assert gap <= 1e-12 * max(1.0, value)
+        theta, opt = family.minimax_optimum()
+        np.testing.assert_array_equal(theta, (z @ (family.curvatures * family.centers)) / (z @ family.curvatures))
+        assert opt == value
+
+    def test_harness_optimum_pinned(self):
+        _, opt = harness_family().minimax_optimum()
+        assert abs(opt - 0.12196848164316046) <= 1e-12
+
+    def test_dual_value_bounds_optimum(self):
+        family = harness_family()
+        _, opt = family.minimax_optimum()
+        rng = np.random.default_rng(11)
+        for z in rng.dirichlet(np.full(family.num_tasks, 0.5), size=200):
+            assert family.dual_value(z) <= opt + 1e-15
+        assert family.dual_value(family.minimax_weights()) == pytest.approx(opt, abs=1e-12)
+
+    def test_dual_value_rejects_non_weights(self):
+        family = harness_family()
+        for z in ([0.5, 0.5], [0.5, 0.5, 0.5], [1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="not a probability vector over the 3 tasks"):
+                family.dual_value(z)
+
+    def test_uncertified_search_raises(self, monkeypatch):
+        # with no step toward the optimum, the uniform weights are all it can offer
+        monkeypatch.setattr(QuadraticTaskFamily, "_central_point", lambda self, z, mu: z)
+        monkeypatch.setattr(QuadraticTaskFamily, "_face_optimum", lambda self, z, support: z)
+        with pytest.raises(RuntimeError, match="no certified minimax optimum"):
+            harness_family().minimax_optimum()
+
+    def test_import_loads_no_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(grapemix.__file__).parents[1])}
+        code = "import grapemix, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestCharLM:

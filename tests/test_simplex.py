@@ -271,6 +271,14 @@ class TestOneSimplexRule:
         assert on_simplex([[0.5, 0.5], [1.0, 0.0]], axis=1)
         assert not on_simplex([[0.5, 0.5], [1.0, 0.0]], axis=0)
 
+    def test_overflowing_sum_fails_without_a_warning(self):
+        # tier-1 turns numpy RuntimeWarnings into errors, so a warning fails this test
+        assert not on_simplex([1e308, 1e308])
+        with pytest.raises(DegenerateWeights):
+            SimplexWeights([1e308, 1e308])
+        with pytest.raises(DegenerateWeights):
+            normalize([1e308, 1e308])
+
     @settings(max_examples=300, deadline=None)
     @given(values=near_simplex_vectors())
     def test_every_checker_agrees(self, values):
