@@ -52,7 +52,6 @@ from .models import (
     CharLMModel,
     DifferentiableModel,
     QuadraticExample,
-    QuadraticModel,
     QuadraticTaskFamily,
     SoftmaxModel,
     finite_diff_check,

@@ -11,8 +11,9 @@ Subcommands:
 * ``export --trajectory FILE --format csv [--out FILE]`` -- re-emit a
   trajectory export (validating it in the process).
 
-Exit codes: 0 success, 1 numerical divergence, 2 usage or config error,
-3 I/O error.  Set GRAPEMIX_LOG=debug|info|warning to control verbosity.
+Exit codes: 0 success, 1 numerical divergence or a failed verify check,
+2 usage or config error, 3 I/O error.  Set GRAPEMIX_LOG=debug|info|warning
+to control verbosity.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grapemix",
         description="Group-robust multi-target domain reweighting experiments.",
-        epilog="Exit codes: 0 ok, 1 numerical divergence, 2 usage/config error, 3 I/O error.",
+        epilog="Exit codes: 0 ok, 1 numerical divergence or a failed verify check, 2 usage/config error, 3 I/O error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algo", default=None, choices=ALGORITHMS, help="override the reweighting algorithm")
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
-    verify_p.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
+    verify_p.add_argument("suite", choices=SUITES, help="the suite to run")
 
     export_p = sub.add_parser("export", help="re-emit a trajectory export")
     export_p.add_argument("--trajectory", required=True, help="path to an exported trajectory")
@@ -116,9 +117,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITES)}", file=sys.stderr)
-        return EXIT_USAGE
     results = SUITES[args.suite]()
     for result in results:
         print(result.line())

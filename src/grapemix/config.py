@@ -17,6 +17,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .data import (
@@ -29,7 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, DimensionError, GrapemixError
 from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
-from .reweighting import CHOICES, FIELD_TYPES, ReweightConfig
+from .reweighting import FIELD_TYPES, MAX_BATCH_SIZE, ReweightConfig
 from .simplex import SimplexWeights
 
 # The two nested sections of the file; every other ReweightConfig field
@@ -74,15 +75,17 @@ def _number(value, where: str, integral: bool = False, minimum: float | None = N
     return number
 
 
-def _field_value(name: str, value, where: str):
-    """``value`` as the type of ReweightConfig field ``name``."""
-    kind, *optional = typing.get_args(FIELD_TYPES[name]) or (FIELD_TYPES[name],)
-    if value is None and optional:
-        return None
-    if kind is str:
-        _require(value in CHOICES[name], f"field {where} must be one of {CHOICES[name]}")
-        return value
-    return _number(value, where, integral=kind is int)
+def _field_value(name: str, value):
+    """``value`` for ReweightConfig field ``name``, which judges it: numeric text read as a
+    number (YAML reads ``1e6`` as a string), and an integral float as an int in an integer field."""
+    if isinstance(value, str) and FIELD_TYPES[name] is not str:
+        try:
+            value = float(value)
+        except ValueError:  # not numeric text, which ReweightConfig rejects
+            return value
+    if isinstance(value, float) and value.is_integer() and FIELD_TYPES[name] not in (str, float):
+        return int(value)
+    return value
 
 
 def _typed(value, type_, where: str, base_dir="."):
@@ -108,20 +111,20 @@ def _typed(value, type_, where: str, base_dir="."):
 # Each model kind: the types of its spec keys (see _typed), and the
 # constructor that takes their values in that order.
 _MODEL_KINDS = {
-    "quadratic": ({"curvatures": list, "centers": list},
-                  lambda curvatures, centers: QuadraticTaskFamily(curvatures, centers).model()),
+    "quadratic": ({"curvatures": list, "centers": list}, QuadraticTaskFamily),
     "softmax": ({"n_features": int, "n_classes": int}, SoftmaxModel),
     "char_lm": ({"vocab_size": int}, CharLMModel),
 }
-# The extra keys of a synthetic corpus: name -> (integral, least value, default).
-_CORPUS_KEYS = {"length": (True, 2, 10000), "seq_len": (True, 1, 64)}
+# The extra keys of a synthetic corpus: name -> (integral, least value, greatest value, default).
+# A synthetic dataset is drawn at once, like a batch, so its characters or examples have a batch's bound.
+_CORPUS_KEYS = {"length": (True, 2, MAX_BATCH_SIZE, 10000), "seq_len": (True, 1, math.inf, 64)}
 # Each dataset source: the type of its own value (see _typed), and the
 # extra keys an entry of that source may give.
 _SOURCES = {
     "path": (Path, {}),
     "markov": ({"vocab_size": int, "transition": list}, _CORPUS_KEYS),
     "markov_mix": ({"of": list, "coeffs": list}, _CORPUS_KEYS),
-    "mix": (list, {"noise": (False, 0.0, 0.0), "size": (True, 1, 1)}),
+    "mix": (list, {"noise": (False, 0.0, math.inf, 0.0), "size": (True, 1, MAX_BATCH_SIZE, 1)}),
     "task_index": (int, {}),
 }
 
@@ -160,20 +163,20 @@ def parse_config(raw: dict, base_dir: str | Path = ".") -> RunConfig:
     ReweightConfig and RunConfig defaults."""
     _check_keys(raw, _TOP_KEYS, "config")
 
-    values = {key: _field_value(key, value, key)
+    values = {key: _field_value(key, value)
               for key, value in raw.items() if key in FIELD_TYPES and key not in _FILE_KEYS}
     for section, names in _SECTIONS.items():
         nested = raw.get(section, {})
         _check_keys(nested, names.keys(), section)
         for key, value in nested.items():
-            values[names[key]] = _field_value(names[key], value, f"{section}.{key}")
-    if values.get("optimizer") == "adamw":
-        values.setdefault("weight_decay", 0.01)  # AdamW's decay default in files only
+            values[names[key]] = _field_value(names[key], value)
     try:
         reweight = ReweightConfig(**values)
     except ValueError as exc:  # the message starts with the field, which the file may nest
         field, _, rest = str(exc).partition(" ")
         raise ConfigError(f"field {_FILE_KEYS.get(field, field)} {rest}") from exc
+    if reweight.optimizer != "adamw":  # SGD reads none of AdamW's keys
+        _check_keys(raw.get("optimizer", {}), {"kind"}, f"optimizer, kind {reweight.optimizer}")
 
     model = raw.get("model", {})
     kind = model.get("kind") if isinstance(model, dict) else None
@@ -219,8 +222,9 @@ def _parse_entries(entries, where: str, base_dir) -> list[dict]:
         type_, extras = _SOURCES[source]
         _check_keys(entry, {"label", source} | extras.keys(), f"{spot}, a {source} entry")
         spec = {"label": entry["label"], source: _typed(entry[source], type_, f"{spot}.{source}", base_dir)}
-        for key, (integral, least, default) in extras.items():
+        for key, (integral, least, most, default) in extras.items():
             spec[key] = _number(entry.get(key, default), f"{spot}.{key}", integral=integral, minimum=least)
+            _require(spec[key] <= most, f"field {spot}.{key} must be <= {most}, got {entry.get(key)!r}")
         parsed.append(spec)
     return parsed
 
@@ -269,19 +273,20 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
             markov_specs[label] = spec
             rng = stream_rng(cfg.seed, f"corpus/{label}")
             return generate_markov_corpus(spec, entry["length"], rng, entry["seq_len"])
-        family = getattr(model, "family", None)
-        _require(family is not None, f"entry {label!r} needs a quadratic model")
+        _require(isinstance(model, QuadraticTaskFamily), f"entry {label!r} needs a quadratic model")
         if "task_index" in entry:
-            return family.task_dataset(entry["task_index"])
+            return model.task_dataset(entry["task_index"])
         rng = stream_rng(cfg.seed, f"corpus/{label}") if entry["noise"] > 0 else None
-        return family.domain_dataset(entry["mix"], noise=entry["noise"], size=entry["size"], rng=rng)
+        return model.domain_dataset(entry["mix"], noise=entry["noise"], size=entry["size"], rng=rng)
 
     datasets: dict[str, Dataset] = {}
     for entry in cfg.domain_specs + cfg.task_specs:
         label = entry["label"]
         try:
             datasets[label] = build_one(entry)
-            model.loss(model.initial_params(), datasets[label])
+            with np.errstate(all="ignore"):  # a huge record value overflows; the check below names the entry
+                loss = model.loss(model.initial_params(), datasets[label])
+            _require(math.isfinite(loss), f"entry {label!r}: the loss at the initial parameters is {loss}")
         except ConfigError:
             raise
         except (TypeError, ValueError, GrapemixError) as exc:  # a spec value, or a record the model cannot use

@@ -7,10 +7,10 @@ differences serving as the test oracle rather than the implementation.
 
 Built-ins:
 
-* ``QuadraticTaskFamily`` / ``QuadraticModel`` -- N diagonal quadratics
-  sharing one parameter vector.  Smooth, strongly convex, with a
-  certified minimax oracle: the workhorse for convergence and
-  variance-reduction harnesses.
+* ``QuadraticTaskFamily`` -- N diagonal quadratics sharing one parameter
+  vector, and the model over their mix records.  Smooth, strongly
+  convex, with a certified minimax oracle: the workhorse for convergence
+  and variance-reduction harnesses.
 * ``CharLMModel`` -- a bigram character language model (a V x V logit
   table).  The smallest model showing genuine cross-domain transfer on
   synthetic Markov languages; its loss is mean NLL per transition, i.e.
@@ -112,7 +112,8 @@ class QuadraticTaskFamily:
     smoothness and strong-convexity constants.  For task weights z, the
     minimizer of sum_n z_n l_n is theta(z) = sum_n z_n a_n c_n / sum_n z_n a_n
     per coordinate, so min_theta max_n l_n(theta) has an explicit dual and
-    a certified optimum -- a convergence oracle.
+    a certified optimum -- a convergence oracle.  The family is also the
+    DifferentiableModel over the records of ``task_dataset`` and ``domain_dataset``.
     """
 
     def __init__(self, curvatures: np.ndarray, centers: np.ndarray):
@@ -127,6 +128,7 @@ class QuadraticTaskFamily:
         self.curvatures = curvatures
         self.centers = centers
         self.num_tasks, self.dim = curvatures.shape
+        self.param_dim = self.dim
 
     @property
     def smoothness(self) -> float:
@@ -144,8 +146,33 @@ class QuadraticTaskFamily:
         diff = np.asarray(theta, dtype=np.float64)[None, :] - self.centers
         return 0.5 * np.einsum("nd,nd->n", self.curvatures * diff, diff)
 
-    def model(self) -> "QuadraticModel":
-        return QuadraticModel(self)
+    def model(self) -> "QuadraticTaskFamily":
+        return self
+
+    def initial_params(self) -> np.ndarray:
+        return np.zeros(self.param_dim)
+
+    @staticmethod
+    def _stack_examples(batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            mixes = np.stack([ex.mix for ex in batch])
+            deltas = np.stack([ex.delta for ex in batch])
+        except AttributeError as exc:
+            raise TypeError("quadratic model needs QuadraticExample records") from exc
+        return mixes, deltas
+
+    def loss(self, params: np.ndarray, batch: Dataset) -> float:
+        theta = _check_params(params, self.param_dim)
+        mixes, deltas = _prepared(batch, self._stack_examples)
+        diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
+        per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.curvatures, diff, diff)
+        return float((mixes * per_task).sum() / len(batch))
+
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
+        theta = _check_params(params, self.param_dim)
+        mixes, deltas = _prepared(batch, self._stack_examples)
+        diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
+        return np.einsum("bn,nd,bnd->d", mixes, self.curvatures, diff) / len(batch)
 
     def task_dataset(self, n: int) -> Dataset:
         """Single clean example whose loss/grad equal task n's exactly."""
@@ -266,42 +293,6 @@ class QuadraticTaskFamily:
         return weights
 
 
-class QuadraticModel:
-    """DifferentiableModel view of a QuadraticTaskFamily over mix examples."""
-
-    def __init__(self, family: QuadraticTaskFamily):
-        self.family = family
-        self.param_dim = family.dim
-
-    def initial_params(self) -> np.ndarray:
-        return np.zeros(self.param_dim)
-
-    def _stack(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        return _prepared(batch, self._stack_examples)
-
-    @staticmethod
-    def _stack_examples(batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            mixes = np.stack([ex.mix for ex in batch])
-            deltas = np.stack([ex.delta for ex in batch])
-        except AttributeError as exc:
-            raise TypeError("quadratic model needs QuadraticExample records") from exc
-        return mixes, deltas
-
-    def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        theta = _check_params(params, self.param_dim)
-        mixes, deltas = self._stack(batch)
-        diff = theta[None, None, :] - self.family.centers[None, :, :] - deltas[:, None, :]
-        per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.family.curvatures, diff, diff)
-        return float((mixes * per_task).sum() / len(batch))
-
-    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        theta = _check_params(params, self.param_dim)
-        mixes, deltas = self._stack(batch)
-        diff = theta[None, None, :] - self.family.centers[None, :, :] - deltas[:, None, :]
-        return np.einsum("bn,nd,bnd->d", mixes, self.family.curvatures, diff) / len(batch)
-
-
 # ---------------------------------------------------------------------------
 # Bigram character language model
 # ---------------------------------------------------------------------------
@@ -388,9 +379,6 @@ class SoftmaxModel:
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
 
-    def _stack(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        return _prepared(batch, self._stack_examples)
-
     def _stack_examples(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
         if not all(isinstance(ex, tuple) and len(ex) == 2 for ex in batch):
             raise TypeError("softmax model needs (features, label) records")
@@ -407,12 +395,12 @@ class SoftmaxModel:
         return _log_softmax(xs @ weights.T)
 
     def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        xs, ys = self._stack(batch)
+        xs, ys = _prepared(batch, self._stack_examples)
         logp = self._log_probs(params, xs)
         return float(-logp[np.arange(len(ys)), ys].mean())
 
     def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        xs, ys = self._stack(batch)
+        xs, ys = _prepared(batch, self._stack_examples)
         probs = np.exp(self._log_probs(params, xs))
         probs[np.arange(len(ys)), ys] -= 1.0
         return (probs.T @ xs).ravel() / len(ys)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import typing
 from dataclasses import dataclass
 from typing import Callable
@@ -77,6 +78,8 @@ OPTIMIZERS = ("sgd", "adamw")
 # The allowed values of each string field of ReweightConfig.
 CHOICES = {"algorithm": ALGORITHMS, "lr_schedule": SCHEDULES, "task_mix_mode": MIX_MODES,
            "domain_mix_mode": MIX_MODES, "optimizer": OPTIMIZERS}
+# The most examples in one batch: a draw allocates its arrays at once, and 1e9 would ask for gigabytes.
+MAX_BATCH_SIZE = 2**20
 
 
 @dataclass
@@ -111,7 +114,7 @@ class ReweightConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    weight_decay: float = 0.0
+    weight_decay: float = 0.01
     weight_floor: float = 0.0
     divergence_factor: float = 1e6
 
@@ -119,18 +122,26 @@ class ReweightConfig:
         for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
-        for name, kind in FIELD_TYPES.items():  # every integer field is a count or a period, so >= 1
+        for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
+            # compared exactly, so an int too large for a float is not finite either
+            if kind is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                  or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            # every integer field is a count or a period, so >= 1
             if int in (kind, *typing.get_args(kind)) and (kind is int or value is not None) and (
                     isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("train_batch_size", "eval_batch_size"):
+            if (getattr(self, name) or 0) > MAX_BATCH_SIZE:
+                raise ValueError(f"{name} must be <= {MAX_BATCH_SIZE}, got {getattr(self, name)!r}")
         for name in ("step_ratio_alpha", "step_ratio_z", "base_lr", "adam_eps"):
-            if not (0.0 < getattr(self, name) < math.inf):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         for name in ("adam_beta1", "adam_beta2", "weight_floor"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not (0.0 <= self.weight_decay < math.inf):
+        if self.weight_decay < 0.0:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if not (0.0 < self.ema_beta < 1.0):
             raise ValueError("ema_beta must lie in (0, 1)")

@@ -135,11 +135,11 @@ def multiplicative_update(
         with np.errstate(divide="ignore"):  # log(0) -> -inf keeps dead entries dead
             arg = np.log(w.values) + step * s
         shifted = np.exp(arg - np.max(arg))
-        updated = shifted / shifted.sum()  # a NaN total gives NaN entries, which normalize rejects
+        updated = shifted / shifted.sum()
 
     if floor > 0.0:
         updated = np.maximum(updated, floor)
-    return normalize(updated, w.labels)
+    return SimplexWeights(updated / updated.sum(), w.labels)  # entries >= 0, or NaN, which it rejects
 
 
 def bregman_entropy_divergence(p: SimplexWeights, q: SimplexWeights) -> float:

@@ -3,8 +3,8 @@
 Each suite checks one family of claims at desk scale and returns a list
 of named pass/fail results:
 
-* ``updates``   -- the multiplicative simplex update against an
-                   extended-precision evaluation of its closed form.
+* ``updates``   -- the multiplicative simplex update against a 50-digit
+                   decimal evaluation of its closed form.
 * ``gradients`` -- analytic gradients of every built-in model against
                    central finite differences.
 * ``theorem1``  -- worst-task suboptimality of a deterministic
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
-import mpmath
 import numpy as np
 
 from .analysis import convergence_report, variance_monotonicity_check, variance_series
@@ -54,14 +54,11 @@ class CheckResult:
 
 
 def closed_form_update(weights, scores, step, dps=50):
-    """Extended-precision evaluation of w_i * exp(step * s_i) / Z."""
-    with mpmath.workdps(dps):
-        step = mpmath.mpf(float(step))
-        unnorm = [
-            mpmath.mpf(float(w)) * mpmath.e ** (step * mpmath.mpf(float(s)))
-            for w, s in zip(weights, scores)
-        ]
-        total = mpmath.fsum(unnorm)
+    """w_i * exp(step * s_i) / Z in ``dps``-digit decimal arithmetic, whose exp is correctly rounded."""
+    with localcontext(Context(prec=dps)):
+        step = Decimal(float(step))
+        unnorm = [Decimal(float(w)) * (step * Decimal(float(s))).exp() for w, s in zip(weights, scores)]
+        total = sum(unnorm)
         return [u / total for u in unnorm]
 
 
@@ -85,7 +82,7 @@ def verify_updates(instances: int = 1000, seed: int = 2024) -> list[CheckResult]
                 if got != 0.0:
                     worst_rel = max(worst_rel, float("inf"))
                 continue
-            worst_rel = max(worst_rel, abs((mpmath.mpf(float(got)) - want) / want))
+            worst_rel = max(worst_rel, abs((Decimal(float(got)) - want) / want))
     elapsed = time.perf_counter() - start
     return [
         CheckResult(
@@ -125,7 +122,7 @@ def verify_gradients(trials: int = 100, seed: int = 7) -> list[CheckResult]:
         return batch, 0.5 * rng.normal(size=sm.param_dim)
 
     cases = (
-        ("quadratic gradients", family.model(), quadratic_draw),
+        ("quadratic gradients", family, quadratic_draw),
         ("char-LM gradients", lm, char_draw),
         ("softmax gradients", sm, softmax_draw),
     )
@@ -170,7 +167,7 @@ def harness_store(family: QuadraticTaskFamily, noise: float = 0.0, size: int = 1
 def _harness_run(family: QuadraticTaskFamily, store: MixtureStore, seed: int, params0: np.ndarray, **settings):
     """5000 steps on ``family`` at learning rate 1/L, recording every step."""
     cfg = ReweightConfig(total_steps=5000, base_lr=1.0 / family.smoothness, eval_every=1, **settings)
-    _, trajectory = train_run(cfg, family.model(), store, seed=seed, params0=params0)
+    _, trajectory = train_run(cfg, family, store, seed=seed, params0=params0)
     return family, trajectory
 
 
@@ -278,7 +275,7 @@ def _overhead_run(n_tasks: int, n_domains: int, dt_z: int, dt_alpha: int, total:
         eval_batch_size=2,
         eval_every=max(1, total // 4),
     )
-    _, trajectory = train_run(cfg, family.model(), store, seed=seed)
+    _, trajectory = train_run(cfg, family, store, seed=seed)
     return trajectory.final_counters
 
 

@@ -1,15 +1,28 @@
 """Config parsing and the command-line interface."""
 
+import contextlib
+import functools
+import io
 import json
+import math
+import operator
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from grapemix import ConfigError, import_trajectory, train_run
+import grapemix
+from grapemix import ConfigError, ReweightConfig, import_trajectory, train_run
 from grapemix.cli import main
-from grapemix.config import _MODEL_KINDS, build_model, build_store, load_config_file, parse_config
+from grapemix.config import _FILE_KEYS, _MODEL_KINDS, build_model, build_store, load_config_file, parse_config
+from grapemix.reweighting import FIELD_TYPES, MAX_BATCH_SIZE
 
 
 def minimal_quadratic_config(**overrides):
@@ -277,7 +290,9 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 
     def test_unknown_suite_exits_2(self):
-        assert main(["verify", "nonsense"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "nonsense"])
+        assert exit_info.value.code == 2
 
     def test_io_failure_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -290,6 +305,11 @@ class TestCli:
         assert main(["verify", "updates"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_import_loads_no_mpmath(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(grapemix.__file__).parents[1])}
+        code = "import grapemix.cli, sys; assert not any(m.split('.')[0] == 'mpmath' for m in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_export_round_trip(self, tmp_path):
         path = write_config(tmp_path, minimal_quadratic_config())
@@ -405,6 +425,23 @@ MALFORMED = [
      "field optimizer.eps must be finite and > 0"),
     ("sgd-weight-decay-negative", minimal_quadratic_config, {"optimizer": {"kind": "sgd", "weight_decay": -1.0}},
      "field optimizer.weight_decay must be finite and >= 0"),
+    # SGD reads none of AdamW's keys, with or without an explicit kind
+    ("sgd-adamw-keys", minimal_quadratic_config, {"optimizer": {"kind": "sgd", "weight_decay": 0.9, "beta1": 0.5}},
+     "unknown keys 'beta1', 'weight_decay' in optimizer, kind sgd"),
+    ("sgd-beta2", minimal_quadratic_config, {"optimizer": {"kind": "sgd", "beta2": 0.99}}, "unknown key 'beta2'"),
+    ("default-optimizer-eps", minimal_quadratic_config, {"optimizer": {"eps": 1e-6}}, "unknown key 'eps'"),
+    # a draw of that many examples asks numpy for more memory than any host has
+    ("train-batch-huge", minimal_quadratic_config, {"domain_mix_mode": "sampled", "train_batch_size": 1e20},
+     f"field train_batch_size must be <= {MAX_BATCH_SIZE}"),
+    ("eval-batch-huge", minimal_quadratic_config, {"task_mix_mode": "sampled", "eval_batch_size": 1e20},
+     f"field eval_batch_size must be <= {MAX_BATCH_SIZE}"),
+    ("corpus-length-huge", minimal_char_config, _set_domain("length", 1e300),
+     f"field domains[0].length must be <= {MAX_BATCH_SIZE}"),
+    ("mix-size-huge", minimal_quadratic_config, _set_domain("size", 1e300),
+     f"field domains[0].size must be <= {MAX_BATCH_SIZE}"),
+    # the noise overflows the judged loss
+    ("mix-noise-huge", minimal_quadratic_config, _set_domain("noise", 1e300),
+     "entry 'd0': the loss at the initial parameters is inf"),
     ("lr-base-negative", minimal_quadratic_config, {"lr": {"base": -1.0}}, "field lr.base must be finite and > 0"),
     ("step-ratio-z-zero", minimal_quadratic_config, {"step_ratio_z": 0}, "field step_ratio_z must be finite and > 0"),
     # the features file holds 2-feature records; the model expects 3
@@ -500,4 +537,119 @@ class TestMalformedConfigs:
         assert cfg.reweight.total_steps == 40 and isinstance(cfg.reweight.total_steps, int)
         assert cfg.reweight.divergence_factor == 1e6
         assert cfg.reweight.adam_eps == 1e-8
-        assert cfg.reweight.weight_decay == 0.01
+        assert cfg.reweight.weight_decay == ReweightConfig(optimizer="adamw").weight_decay == 0.01
+
+
+# Every numeric ReweightConfig field, with the key a config file gives it.
+NUMERIC_FIELDS = [name for name, kind in FIELD_TYPES.items() if kind is not str]
+
+
+def _file_setting(field, value):
+    """The minimal_quadratic_config overrides that put ``value`` in ``field``."""
+    section, _, key = _FILE_KEYS.get(field, field).rpartition(".")
+    if not section:
+        return {key: value}
+    return {section: {"kind": "adamw", key: value} if section == "optimizer" else {key: value}}
+
+
+class TestOneJudgePerField:
+    """ReweightConfig judges every numeric field, so the API and a config
+    file reject the same values, and a file's error names its key."""
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_api_and_file_reject_the_same_values(self, tmp_path, capsys, field):
+        integral = FIELD_TYPES[field] is not float
+        for value in [True, math.nan, math.inf, -math.inf, "x"] + [1.7] * integral:
+            with pytest.raises(ValueError, match=field):
+                ReweightConfig(**{field: value})
+            path = write_config(tmp_path, minimal_quadratic_config(**_file_setting(field, value)))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: field {_FILE_KEYS.get(field, field)} ")
+
+
+def _demo_config(name):
+    return yaml.safe_load((Path(__file__).parents[1] / "configs" / name).read_text())
+
+
+# The configs the mutation property edits: both demos and the minimal configs above.
+MUTATION_BASES = {
+    "quadratic-demo": functools.partial(_demo_config, "quadratic_demo.yaml"),
+    "char-demo": functools.partial(_demo_config, "char_mixture_demo.yaml"),
+    "minimal-quadratic": minimal_quadratic_config,
+    "minimal-char": minimal_char_config,
+    "minimal-softmax": minimal_softmax_config,
+}
+MUTATION_FILES = {
+    "data.jsonl": '{"text": "abab"}\n{"text": "abba"}\n',
+    "features.jsonl": '{"x": [1.0, 0.5, 0.0], "y": 0}\n{"x": [0.0, 2.0, 1.0], "y": 1}\n',
+}
+REPLACEMENTS = [math.nan, math.inf, -math.inf, -1, 0, 1e300, True, "x", [], {}, None]
+# A large valid value of these allocates memory or time, so they only take
+# small valid values, or values past the bound of the first four.
+BOUNDED_SIZES = {"train_batch_size", "eval_batch_size", "length", "size"}
+UNBOUNDED_SIZES = {"seq_len", "n_features", "n_classes", "total_steps"}
+
+
+def _key_paths(node, prefix=()):
+    """The path of every dict key and list item under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _names(node):
+    """Every key and every entry label of a config."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield str(key)
+            if key == "label" and isinstance(child, str):
+                yield child
+            yield from _names(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _names(child)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base config with total_steps capped at 20, and one key dropped, renamed or given a new value;
+    and the names an error may give: each key and entry label in the file, and the edited key."""
+    cfg = MUTATION_BASES[draw(st.sampled_from(sorted(MUTATION_BASES)))]()
+    cfg["total_steps"] = min(cfg["total_steps"], 20)
+    *parents, key = draw(st.sampled_from(list(_key_paths(cfg))))
+    holder = functools.reduce(operator.getitem, parents, cfg)
+    values = REPLACEMENTS
+    if key in BOUNDED_SIZES | UNBOUNDED_SIZES:
+        values = [v for v in REPLACEMENTS if v != 1e300 or key in BOUNDED_SIZES] + [1, 2]
+    edits = ["replace"] + ["drop"] * (key != "total_steps") + ["rename"] * isinstance(key, str)
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        del holder[key]
+    elif edit == "rename":
+        holder[key + "_renamed"] = holder.pop(key)
+    else:
+        holder[key] = draw(st.sampled_from(values))
+    return cfg, {*_names(cfg), str(key)}
+
+
+class TestConfigMutations:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_configs())
+    def test_every_mutation_ends_in_a_documented_exit(self, tmp_path, case):
+        cfg, names = case
+        for name, text in MUTATION_FILES.items():
+            (tmp_path / name).write_text(text)
+        path = write_config(tmp_path, cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = err.getvalue()
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 1:
+            assert err.startswith("numerical divergence: ")
+        elif code == 2:
+            named = [name for name in names if re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err)]
+            assert err.startswith("config error: ") and named, err
+        else:
+            assert code == 0 and not err, err

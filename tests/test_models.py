@@ -25,6 +25,7 @@ from grapemix import (
     finite_diff_check,
     train_run,
 )
+from grapemix.models import _prepared
 from grapemix.verify import harness_family
 
 
@@ -37,6 +38,7 @@ class TestQuadratic:
     def test_loss_at_optimum_is_zero(self):
         family = QuadraticTaskFamily(curvatures=[[1.5, 0.7]], centers=[[2.0, -1.0]])
         model = family.model()
+        assert model is family and model.param_dim == family.dim == 2
         batch = list(family.task_dataset(0))
         assert model.loss(np.array([2.0, -1.0]), batch) == 0.0
 
@@ -272,7 +274,7 @@ class TestSoftmax:
 def _quadratic_case(rng):
     family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, (2, 3)), rng.normal(size=(2, 3)))
     dataset = family.domain_dataset([0.3, 0.7], noise=0.2, size=5, rng=rng)
-    return family.model(), dataset, rng.normal(size=3), lambda m, b: m._stack(b)
+    return family.model(), dataset, rng.normal(size=3), lambda m, b: _prepared(b, m._stack_examples)
 
 
 def _char_case(rng):
@@ -283,7 +285,7 @@ def _char_case(rng):
 
 def _softmax_case(rng):
     dataset = Dataset([(rng.normal(size=2), int(rng.integers(3))) for _ in range(6)])
-    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: m._stack(b)
+    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: _prepared(b, m._stack_examples)
 
 
 @pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
