@@ -1,15 +1,20 @@
 """Domain/task dataset stores, categorical mixture sampling, synthetic corpora.
 
-The data layer is deliberately dumb: datasets are immutable in-memory
-lists of examples, sampling is i.i.d. with replacement (importance
-sampling semantics, no epoch bookkeeping), and every random draw comes
-from a named stream so that toggling one consumer (say, gradient-surgery
-ordering) never perturbs another's sequence.  Given (seed, config) the
-entire layer reproduces bit-identical batches.
+The data layer is deliberately dumb: datasets are immutable, sampling
+is i.i.d. with replacement (importance sampling semantics, no epoch
+bookkeeping), and every random draw comes from a named stream so that
+toggling one consumer (say, gradient-surgery ordering) never perturbs
+another's sequence.  Given (seed, config) the entire layer reproduces
+bit-identical batches.
 
-Every batch is a ``Dataset`` (a store dataset, or a sampled draw), which
-keeps what models derive from it (counts, stacked arrays) for its
-lifetime.  Never mutate an example, or an array inside one, in place.
+A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
+that side's examples in label order, built at the first sampled draw.
+A sampled batch is a view of the pool, an index vector of its rows, and
+no list of examples is built for it.  Every batch is a ``Dataset`` (a
+store dataset, a pool view, or a wrapped list), which keeps what models
+derive from it (counts, stacked arrays) for its lifetime; a view gathers
+what has one row per example from its pool's.  Never mutate an example,
+or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -49,17 +54,24 @@ class Dataset:
             raise EmptyDataset("dataset has no examples")
         self._examples = examples
         self._prepared = {}
+        self._rowwise = {}
 
     def prepared(self, prepare: Callable):
         """``prepare(self)``, computed on first use and kept, read-only, for the
         dataset's lifetime; a failed preparation is not kept and fails again."""
         out = self._prepared.get(prepare)
-        if out is None:
-            out = prepare(self)
-            for arr in out if isinstance(out, tuple) else (out,):
-                arr.flags.writeable = False
-            self._prepared[prepare] = out
-        return out
+        return out if out is not None else _keep(self._prepared, prepare, prepare(self))
+
+    def rowwise(self, prepare: Callable):
+        """Like ``prepared``, for a ``prepare`` whose arrays have one row per
+        example, in order, and kept apart from ``prepared``'s: a view gathers
+        its rows of its pool's arrays instead of preparing itself."""
+        out = self._rowwise.get(prepare)
+        return out if out is not None else _keep(self._rowwise, prepare, prepare(self))
+
+    def take(self, index: np.ndarray) -> "DatasetView":
+        """The batch of the rows at ``index`` (int64), as a view of this dataset."""
+        return DatasetView(self, index)
 
     def __len__(self) -> int:
         return len(self._examples)
@@ -72,14 +84,52 @@ class Dataset:
 
     @property
     def examples(self) -> list:
-        return list(self._examples)
+        return list(self)
+
+
+class DatasetView(Dataset):
+    """The rows of a pool ``Dataset`` at an index vector: a batch that reads
+    like the list of those examples, and is built without one."""
+
+    def __init__(self, pool: Dataset, index: np.ndarray):
+        self.pool = pool
+        self.index = index
+        self._prepared = {}
+        self._rowwise = {}
+
+    def rowwise(self, prepare: Callable):
+        out = self._rowwise.get(prepare)
+        if out is None:
+            whole = self.pool.rowwise(prepare)
+            out = _keep(self._rowwise, prepare,
+                        tuple(arr[self.index] for arr in whole) if isinstance(whole, tuple) else whole[self.index])
+        return out
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i: int):
+        return self.pool[self.index[i]]
+
+    def __iter__(self) -> Iterator:
+        return map(self.pool._examples.__getitem__, self.index.tolist())
+
+
+def _keep(memo: dict, key: Callable, out):
+    """Store ``out`` (an array or a tuple of arrays) in ``memo`` under ``key``, read-only."""
+    for arr in out if isinstance(out, tuple) else (out,):
+        arr.flags.writeable = False
+    memo[key] = out
+    return out
 
 
 class MixtureStore:
     """K named source-domain datasets plus N named target-task datasets.
 
     Domain and task label sets must be disjoint so that a weight vector's
-    labels identify unambiguously which side it addresses.
+    labels identify unambiguously which side it addresses.  The datasets
+    never change, so each side's pool, built at its first sampled draw,
+    stays valid for the store's lifetime.
     """
 
     def __init__(self, domains: Mapping[str, Dataset], tasks: Mapping[str, Dataset]):
@@ -92,6 +142,7 @@ class MixtureStore:
         self.tasks = dict(tasks)
         self.domain_labels = tuple(self.domains)
         self.task_labels = tuple(self.tasks)
+        self._pools = {}
 
     @property
     def num_domains(self) -> int:
@@ -100,6 +151,18 @@ class MixtureStore:
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
+
+    def pool(self, side: str) -> tuple[Dataset, np.ndarray, np.ndarray]:
+        """The pool of ``side`` ("domains" or "tasks"): one Dataset of every
+        example of the side in label order, with the first row and the row
+        count of each label."""
+        if side not in self._pools:
+            datasets = list((self.domains if side == "domains" else self.tasks).values())
+            sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
+            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            pool = Dataset([ex for ds in datasets for ex in ds._examples])
+            self._pools[side] = (pool, offsets, sizes)
+        return self._pools[side]
 
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -110,44 +173,46 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
 
 
 def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng: np.random.Generator) -> Dataset:
-    """A ``Dataset`` of ``size`` examples, each from a dataset chosen by categorical(w).
+    """A batch of ``size`` examples, each from a dataset chosen by categorical(w).
 
     ``w.labels`` must match either the store's domain labels or its task
     labels, which says the side.  Sampling is per example, not per batch,
-    so the batch composition itself is a draw from the mixture.
+    so the batch composition itself is a draw from the mixture.  The batch
+    is a view of the side's pool.
     """
     if w.labels == store.domain_labels:
-        group = store.domains
+        side = "domains"
     elif w.labels == store.task_labels:
-        group = store.tasks
+        side = "tasks"
     else:
         raise DimensionError("weight labels match neither domains nor tasks")
-    datasets = [group[label] for label in w.labels]
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
+    pool, offsets, sizes = store.pool(side)
     cum = np.cumsum(w.values)
     # The weights may sum to just under 1; a draw at or above cum[-1]
     # goes to the last component with positive weight, never to a dead one.
     last_live = np.searchsorted(cum, cum[-1], side="left")
     which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), last_live)
-    rows = _rows(rng.random(size), np.array([len(ds) for ds in datasets])[which])
-    return Dataset([datasets[k][i] for k, i in zip(which.tolist(), rows.tolist())])
+    return pool.take(offsets[which] + _rows(rng.random(size), sizes[which]))
 
 
 def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:
     """One uniformly drawn batch from every domain, in label order."""
-    return [_uniform_batch(store.domains[lbl], size, rng) for lbl in store.domain_labels]
+    return _uniform_batches(store, "domains", size, rng)
 
 
 def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:
     """One uniformly drawn batch from every task, in label order."""
-    return [_uniform_batch(store.tasks[lbl], size, rng) for lbl in store.task_labels]
+    return _uniform_batches(store, "tasks", size, rng)
 
 
-def _uniform_batch(dataset: Dataset, size: int, rng: np.random.Generator) -> Dataset:
+def _uniform_batches(store: MixtureStore, side: str, size: int, rng: np.random.Generator) -> list[Dataset]:
+    """One batch per component of ``side``, each a view of the side's pool."""
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
-    return Dataset([dataset[i] for i in _rows(rng.random(size), len(dataset)).tolist()])
+    pool, offsets, sizes = store.pool(side)
+    return [pool.take(offset + _rows(rng.random(size), n)) for offset, n in zip(offsets.tolist(), sizes.tolist())]
 
 
 def _rows(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:

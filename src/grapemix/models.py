@@ -21,11 +21,11 @@ Built-ins:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .data import _ALPHABET, Dataset
+from .data import _ALPHABET, Dataset, DatasetView
 from .errors import DimensionError, EmptyBatch
 from .simplex import on_simplex
 
@@ -55,7 +55,7 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     params = np.asarray(params, dtype=np.float64)
     if params.size == 0:
         return 0.0
-    batch = batch if isinstance(batch, Dataset) else Dataset(batch)  # prepared once for all 2D + 1 model calls
+    batch = _as_dataset(batch)  # prepared once for all 2D + 1 model calls
     analytic = model.grad(params, batch)
     worst = 0.0
     probe = params.copy()
@@ -69,10 +69,10 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     return worst
 
 
-def _prepared(batch: Dataset | list, prepare: Callable):
-    """``batch.prepared(prepare)``; a list of examples from outside the
-    loop (a final eval, a test) is wrapped in a ``Dataset`` first."""
-    return (batch if isinstance(batch, Dataset) else Dataset(batch)).prepared(prepare)
+def _as_dataset(batch: Dataset | list) -> Dataset:
+    """The batch; a list of examples from outside the loop (a final eval,
+    a test) is wrapped in a ``Dataset``, which keeps what is prepared from it."""
+    return batch if isinstance(batch, Dataset) else Dataset(batch)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -163,14 +163,14 @@ class QuadraticTaskFamily:
 
     def loss(self, params: np.ndarray, batch: Dataset) -> float:
         theta = _check_params(params, self.param_dim)
-        mixes, deltas = _prepared(batch, self._stack_examples)
+        mixes, deltas = _as_dataset(batch).rowwise(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.curvatures, diff, diff)
         return float((mixes * per_task).sum() / len(batch))
 
     def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
         theta = _check_params(params, self.param_dim)
-        mixes, deltas = _prepared(batch, self._stack_examples)
+        mixes, deltas = _as_dataset(batch).rowwise(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         return np.einsum("bn,nd,bnd->d", mixes, self.curvatures, diff) / len(batch)
 
@@ -299,6 +299,7 @@ class QuadraticTaskFamily:
 
 
 _SEPARATOR = "\0"
+_TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
 
 
 class CharLMModel:
@@ -307,8 +308,10 @@ class CharLMModel:
     The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
     batches are datasets of strings over it.  Loss and gradient are
     computed from pooled transition counts, which the batch keeps after
-    the first call: that call costs O(batch chars + V^2) regardless of how
-    the text is chunked, and later calls on the batch cost O(V^2).
+    the first call.  A whole dataset or a list is counted from its text,
+    in O(batch chars + V^2) regardless of how the text is chunked.  A view
+    of a store pool sums its rows of the pool's per-string counts, which
+    are counted once per pool.  Later calls on the batch cost O(V^2).
     """
 
     def __init__(self, vocab_size: int):
@@ -329,23 +332,48 @@ class CharLMModel:
     def transition_counts(self, batch: Dataset) -> np.ndarray:
         """Pooled V x V counts of (char, next char) pairs, per string;
         read-only, and computed once per batch."""
-        return _prepared(batch, self._count_transitions)
+        return _as_dataset(batch).prepared(self._count_transitions)
 
     def _count_transitions(self, batch: Dataset) -> np.ndarray:
-        # The separator gets code V, so every pair that spans two strings
-        # lands outside the V x V block of the (V+1) x (V+1) pair counts.
-        text = _SEPARATOR.join(batch)
-        # A non-ASCII character encodes to bytes >= 128, none of which is in the vocabulary.
-        codes = self._lut.take(np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
-        if np.any(codes < 0) or np.count_nonzero(codes == self.vocab_size) != len(batch) - 1:
-            unknown = "".join(sorted(set("".join(batch)) - set(self.vocab)))
-            raise ValueError(f"batch contains characters outside the vocabulary: {unknown!r}")
-        side = self.vocab_size + 1
-        pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
-        counts = pairs[:-1, :-1]
+        if isinstance(batch, DatasetView):
+            # Integer counts summed in float64 are exact: equal to counting the view's text.
+            counts = batch.rowwise(self._row_counts).sum(axis=0, dtype=np.float64)
+        else:
+            codes = self._codes(batch)
+            # The separator gets code V, so every pair that spans two strings
+            # lands outside the V x V block of the (V+1) x (V+1) pair counts.
+            side = self.vocab_size + 1
+            pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
+            counts = pairs[:-1, :-1].astype(np.float64)
         if not counts.any():
             raise EmptyBatch("batch has no character transitions")
-        return counts.astype(np.float64)
+        return counts
+
+    def _row_counts(self, pool: Dataset) -> np.ndarray:
+        """The (n, V, V) transition counts of each string of a pool, in the
+        least unsigned type that holds its longest string's length; counted
+        one block of strings at a time, which bounds the int64 scratch."""
+        texts = pool.examples
+        v = self.vocab_size
+        table = np.empty((len(texts), v, v), dtype=np.min_scalar_type(max(map(len, texts))))
+        for start in range(0, len(texts), _TABLE_BLOCK):
+            block = texts[start : start + _TABLE_BLOCK]
+            codes = self._codes(block)
+            string = np.cumsum(codes == v)  # the string each character code belongs to
+            inside = (codes[:-1] < v) & (codes[1:] < v)
+            keys = (string[:-1] * v + codes[:-1]) * v + codes[1:]
+            table[start : start + len(block)] = np.bincount(keys[inside], minlength=len(block) * v * v).reshape(-1, v, v)
+        return table
+
+    def _codes(self, texts: Sequence[str]) -> np.ndarray:
+        """The character codes of the strings, joined by the separator (code V)."""
+        text = _SEPARATOR.join(texts)
+        # A non-ASCII character encodes to bytes >= 128, none of which is in the vocabulary.
+        codes = self._lut.take(np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
+        if np.any(codes < 0) or np.count_nonzero(codes == self.vocab_size) != len(texts) - 1:
+            unknown = "".join(sorted(set("".join(texts)) - set(self.vocab)))
+            raise ValueError(f"batch contains characters outside the vocabulary: {unknown!r}")
+        return codes
 
     def _log_probs(self, params: np.ndarray) -> np.ndarray:
         return _log_softmax(_check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size))
@@ -366,12 +394,20 @@ class CharLMModel:
 # ---------------------------------------------------------------------------
 
 
+# The most parameters a softmax model may have (n_features * n_classes):
+# every parameter-sized vector of a run (iterate, gradient, AdamW moments)
+# then takes at most 8 MiB.
+MAX_SOFTMAX_PARAMS = 2**20
+
+
 class SoftmaxModel:
     """Linear softmax classifier over (features, label) records."""
 
     def __init__(self, n_features: int, n_classes: int):
         if n_features < 1 or n_classes < 2:
             raise ValueError("need n_features >= 1 and n_classes >= 2")
+        if n_features * n_classes > MAX_SOFTMAX_PARAMS:
+            raise ValueError(f"n_features * n_classes must be <= {MAX_SOFTMAX_PARAMS}, got {n_features} * {n_classes}")
         self.n_features = n_features
         self.n_classes = n_classes
         self.param_dim = n_features * n_classes
@@ -395,12 +431,12 @@ class SoftmaxModel:
         return _log_softmax(xs @ weights.T)
 
     def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        xs, ys = _prepared(batch, self._stack_examples)
+        xs, ys = _as_dataset(batch).rowwise(self._stack_examples)
         logp = self._log_probs(params, xs)
         return float(-logp[np.arange(len(ys)), ys].mean())
 
     def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        xs, ys = _prepared(batch, self._stack_examples)
+        xs, ys = _as_dataset(batch).rowwise(self._stack_examples)
         probs = np.exp(self._log_probs(params, xs))
         probs[np.arange(len(ys)), ys] -= 1.0
         return (probs.T @ xs).ravel() / len(ys)

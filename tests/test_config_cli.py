@@ -22,6 +22,7 @@ import grapemix
 from grapemix import ConfigError, ReweightConfig, import_trajectory, train_run
 from grapemix.cli import main
 from grapemix.config import _FILE_KEYS, _MODEL_KINDS, build_model, build_store, load_config_file, parse_config
+from grapemix.models import MAX_SOFTMAX_PARAMS
 from grapemix.reweighting import FIELD_TYPES, MAX_BATCH_SIZE
 
 
@@ -439,6 +440,11 @@ MALFORMED = [
      f"field domains[0].length must be <= {MAX_BATCH_SIZE}"),
     ("mix-size-huge", minimal_quadratic_config, _set_domain("size", 1e300),
      f"field domains[0].size must be <= {MAX_BATCH_SIZE}"),
+    # a softmax parameter vector that large ended in a numpy memory error, or a run far past desk scale
+    ("softmax-features-huge", minimal_softmax_config, _set_model("n_features", 1e12),
+     f"field model: n_features * n_classes must be <= {MAX_SOFTMAX_PARAMS}, got 1000000000000 * 2"),
+    ("softmax-classes-huge", minimal_softmax_config, _set_model("n_classes", 2**19),
+     f"field model: n_features * n_classes must be <= {MAX_SOFTMAX_PARAMS}, got 3 * 524288"),
     # the noise overflows the judged loss
     ("mix-noise-huge", minimal_quadratic_config, _set_domain("noise", 1e300),
      "entry 'd0': the loss at the initial parameters is inf"),
@@ -585,9 +591,9 @@ MUTATION_FILES = {
 }
 REPLACEMENTS = [math.nan, math.inf, -math.inf, -1, 0, 1e300, True, "x", [], {}, None]
 # A large valid value of these allocates memory or time, so they only take
-# small valid values, or values past the bound of the first four.
-BOUNDED_SIZES = {"train_batch_size", "eval_batch_size", "length", "size"}
-UNBOUNDED_SIZES = {"seq_len", "n_features", "n_classes", "total_steps"}
+# small valid values, or values past the bound of the bounded ones.
+BOUNDED_SIZES = {"train_batch_size", "eval_batch_size", "length", "size", "n_features", "n_classes"}
+UNBOUNDED_SIZES = {"seq_len", "total_steps"}
 
 
 def _key_paths(node, prefix=()):

@@ -171,6 +171,39 @@ class TestMixtureSamplerReference:
         assert all(a is b for a, b in zip(got, want))
 
 
+def _per_component_reference(datasets, size, rng):
+    """The per-component sampler written one example at a time: for each
+    dataset in order, ``rng.random(size)`` and the floor(u * n) row of that
+    dataset for each draw u."""
+    batches = []
+    for ds in datasets:
+        picks = rng.random(size)
+        batches.append([ds[min(int(p * len(ds)), len(ds) - 1)] for p in picks])
+    return batches
+
+
+class TestPerComponentSamplerReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        domain_lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        task_lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        size=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_examples_as_per_component_reference(self, domain_lengths, task_lengths, size, seed):
+        # distinct objects, so the comparison below is by identity
+        domains = [Dataset([object() for _ in range(n)]) for n in domain_lengths]
+        tasks = [Dataset([object() for _ in range(n)]) for n in task_lengths]
+        store = MixtureStore({f"d{k}": ds for k, ds in enumerate(domains)}, {f"t{k}": ds for k, ds in enumerate(tasks)})
+        for sample, datasets in ((sample_domain_batches, domains), (sample_task_batches, tasks)):
+            got = sample(store, size, np.random.default_rng(seed))
+            want = _per_component_reference(datasets, size, np.random.default_rng(seed))
+            assert len(got) == len(want)
+            for batch, ref in zip(got, want):
+                assert len(batch) == size
+                assert all(a is b for a, b in zip(batch, ref))
+
+
 class _StubRng:
     """Stands in for a Generator: ``random(size)`` returns the given draws, cycled."""
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grapemix
@@ -18,14 +18,20 @@ from grapemix import (
     Dataset,
     DimensionError,
     EmptyBatch,
+    MarkovLanguageSpec,
     MixtureStore,
     QuadraticTaskFamily,
     ReweightConfig,
+    SimplexWeights,
     SoftmaxModel,
     finite_diff_check,
+    generate_markov_corpus,
+    sample_domain_batches,
+    sample_mixture_batch,
+    sample_task_batches,
     train_run,
 )
-from grapemix.models import _prepared
+from grapemix.models import _as_dataset
 from grapemix.verify import harness_family
 
 
@@ -274,7 +280,7 @@ class TestSoftmax:
 def _quadratic_case(rng):
     family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, (2, 3)), rng.normal(size=(2, 3)))
     dataset = family.domain_dataset([0.3, 0.7], noise=0.2, size=5, rng=rng)
-    return family.model(), dataset, rng.normal(size=3), lambda m, b: _prepared(b, m._stack_examples)
+    return family.model(), dataset, rng.normal(size=3), lambda m, b: _as_dataset(b).rowwise(m._stack_examples)
 
 
 def _char_case(rng):
@@ -285,7 +291,7 @@ def _char_case(rng):
 
 def _softmax_case(rng):
     dataset = Dataset([(rng.normal(size=2), int(rng.integers(3))) for _ in range(6)])
-    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: _prepared(b, m._stack_examples)
+    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: _as_dataset(b).rowwise(m._stack_examples)
 
 
 @pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
@@ -315,7 +321,8 @@ class TestDatasetMemo:
                              task_mix_mode="expected", domain_mix_mode="expected")
         train_run(cfg, model, store, seed=0)
         refs = [weakref.ref(ds) for ds in (*store.domains.values(), *store.tasks.values())]
-        assert all(len(ref()._prepared) == 1 for ref in refs)
+        # one preparation per dataset, in the batch-level or the row-wise memo
+        assert all(len(ref()._prepared) + len(ref()._rowwise) == 1 for ref in refs)
         del store, dataset
         gc.collect()
         # neither the model nor anything the run left behind keeps a dataset alive
@@ -331,6 +338,124 @@ def test_char_dataset_error_is_never_cached():
         with pytest.raises(ValueError, match="outside the vocabulary"):
             model.loss(np.zeros(9), dataset)
     assert not dataset._prepared
+
+
+def _view_store(kind, lengths, rng):
+    """A model of ``kind`` and a store of 1-3 domains and 1-3 tasks of its
+    records; char strings have lengths drawn from ``lengths``."""
+    k, n = (int(c) for c in rng.integers(1, 4, size=2))
+    if kind == "quadratic":
+        model = QuadraticTaskFamily(rng.uniform(0.5, 2.0, (2, 3)), rng.normal(size=(2, 3)))
+
+        def dataset(side, i):
+            if side == "t":
+                return model.task_dataset(i % 2)
+            return model.domain_dataset(rng.dirichlet(np.ones(2)), noise=0.3, size=int(rng.integers(1, 6)), rng=rng)
+    elif kind == "char":
+        model = CharLMModel(int(rng.integers(2, 5)))
+
+        def dataset(side, i):
+            return Dataset(["".join(rng.choice(list(model.vocab), size=int(rng.choice(lengths))))
+                            for _ in range(int(rng.integers(1, 6)))])
+    else:
+        model = SoftmaxModel(2, 3)
+
+        def dataset(side, i):
+            return Dataset([(rng.normal(size=2), int(rng.integers(3))) for _ in range(int(rng.integers(1, 6)))])
+    store = MixtureStore({f"d{i}": dataset("d", i) for i in range(k)}, {f"t{i}": dataset("t", i) for i in range(n)})
+    return model, store
+
+
+def _sampled_views(store, rng):
+    """A mixture batch and the per-component batches of each side."""
+    views = []
+    for labels, sample in ((store.domain_labels, sample_domain_batches), (store.task_labels, sample_task_batches)):
+        raw = rng.uniform(size=len(labels)) * (rng.uniform(size=len(labels)) < 0.7)
+        raw[int(rng.integers(len(labels)))] += 0.1  # at least one live component
+        weights = SimplexWeights(raw / raw.sum(), labels)
+        views.append(sample_mixture_batch(store, weights, int(rng.integers(1, 9)), rng))
+        views += sample(store, int(rng.integers(1, 9)), rng)
+    return views
+
+
+class TestViewsAreTheSameBatch:
+    """A sampled batch is a view of its side's pool; a model sees in it
+    exactly the batch of its examples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["quadratic", "char", "softmax"]),
+           lengths=st.lists(st.sampled_from([1, 2, 5, 33, 255, 256, 300]), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="char", lengths=[1], seed=0)  # no transitions anywhere
+    @example(kind="char", lengths=[1, 300], seed=1)  # a table wider than uint8
+    def test_loss_and_grad_bitwise_equal_to_copy(self, kind, lengths, seed):
+        rng = np.random.default_rng(seed)
+        model, store = _view_store(kind, lengths, rng)
+        params = rng.normal(size=model.param_dim)
+        for view in _sampled_views(store, rng):
+            copy = Dataset(list(view))
+            try:
+                want = model.loss(params, copy), model.grad(params, copy).tobytes()
+            except EmptyBatch:
+                with pytest.raises(EmptyBatch):
+                    model.loss(params, view)
+                with pytest.raises(EmptyBatch):
+                    model.grad(params, view)
+                continue
+            for _ in range(2):  # the first call fills the memos, the second reads them
+                assert model.loss(params, view) == want[0]
+                assert model.grad(params, view).tobytes() == want[1]
+            prepared = (model.transition_counts(view),) if kind == "char" else view.rowwise(model._stack_examples)
+            assert not any(arr.flags.writeable for arr in prepared)
+        if kind == "char":
+            for side in ("domains", "tasks"):
+                pool = store.pool(side)[0]
+                if pool._rowwise:
+                    table = pool.rowwise(model._row_counts)
+                    assert table.dtype == np.min_scalar_type(max(map(len, pool)))
+                    assert table.dtype != np.uint8 or max(map(len, pool)) <= 255
+                    assert not table.flags.writeable
+
+
+def _char_store(vocab_size=3, bad=""):
+    """Two domains and two tasks of chain text; ``bad`` is appended to one
+    chunk of the second domain."""
+    spec = MarkovLanguageSpec(vocab_size, np.full((vocab_size, vocab_size), 1.0 / vocab_size))
+    rng = np.random.default_rng(0)
+    domains = {f"d{i}": generate_markov_corpus(spec, 2000, rng, seq_len=20) for i in range(2)}
+    tasks = {f"t{i}": generate_markov_corpus(spec, 400, rng, seq_len=20) for i in range(2)}
+    if bad:
+        domains["d1"] = Dataset(domains["d1"].examples[:-1] + [domains["d1"][-1] + bad])
+    return MixtureStore(domains, tasks)
+
+
+class TestPools:
+    def test_one_table_per_side_and_model(self, monkeypatch):
+        calls = []
+        row_counts = CharLMModel._row_counts
+        monkeypatch.setattr(CharLMModel, "_row_counts", lambda self, pool: calls.append(pool) or row_counts(self, pool))
+        store = _char_store()
+        cfg = ReweightConfig(algorithm="grape", total_steps=200, update_every_alpha=10, update_every_z=10,
+                             train_batch_size=8, eval_batch_size=8)
+        train_run(cfg, CharLMModel(3), store, seed=0)
+        pools = [store.pool(side)[0] for side in ("domains", "tasks")]
+        assert len(calls) == 2 and all(any(p is pool for p in calls) for pool in pools)
+        train_run(cfg, CharLMModel(3), store, seed=1)  # a second model on the same store
+        assert len(calls) == 4
+        assert all(len(pool._rowwise) == 2 for pool in pools)
+
+    def test_unknown_characters_anywhere_in_a_side_fail_the_first_sampled_batch(self):
+        store = _char_store(bad="z")
+        model = CharLMModel(3)
+        only_d0 = SimplexWeights([1.0, 0.0], store.domain_labels)
+        view = sample_mixture_batch(store, only_d0, 4, np.random.default_rng(0))
+        assert all(set(text) <= set(model.vocab) for text in view)  # the bad chunk was not drawn
+        for _ in range(2):  # the failure is not kept
+            with pytest.raises(ValueError, match="outside the vocabulary: 'z'"):
+                model.loss(np.zeros(9), view)
+        # the task side is clean, and the whole domain datasets are counted from their own text
+        model.loss(np.zeros(9), sample_task_batches(store, 4, np.random.default_rng(0))[0])
+        model.loss(np.zeros(9), store.domains["d0"])
 
 
 class _NoParamsModel:
