@@ -13,8 +13,9 @@ A sampled batch is a view of the pool, an index vector of its rows, and
 no list of examples is built for it.  Every batch is a ``Dataset`` (a
 store dataset, a pool view, or a wrapped list), which keeps what models
 derive from it (counts, stacked arrays) for its lifetime; a view gathers
-what has one row per example from its pool's.  Never mutate an example,
-or an array inside one, in place.
+what has one row per example from its pool's.  A batch also keeps each
+model evaluation's last result with the parameters it was computed at.
+Never mutate an example, or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -55,6 +57,7 @@ class Dataset:
         self._examples = examples
         self._prepared = {}
         self._rowwise = {}
+        self._at = {}
 
     def prepared(self, prepare: Callable):
         """``prepare(self)``, computed on first use and kept, read-only, for the
@@ -68,6 +71,22 @@ class Dataset:
         its rows of its pool's arrays instead of preparing itself."""
         out = self._rowwise.get(prepare)
         return out if out is not None else _keep(self._rowwise, prepare, prepare(self))
+
+    def at(self, params: np.ndarray, evaluate: Callable):
+        """``evaluate(params, self)`` for a float64 parameter vector.  The last
+        result of each ``evaluate`` is kept, read-only, with the bytes of the
+        parameters it was computed at, and a call at equal bytes returns it;
+        the bytes, not the array, are the key, so an array changed in place
+        is evaluated anew.  A failed evaluation is not kept."""
+        key = params.tobytes()
+        kept = self._at.get(evaluate)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        out = evaluate(params, self)
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        self._at[evaluate] = (key, out)
+        return out
 
     def take(self, index: np.ndarray) -> "DatasetView":
         """The batch of the rows at ``index`` (int64), as a view of this dataset."""
@@ -96,6 +115,7 @@ class DatasetView(Dataset):
         self.index = index
         self._prepared = {}
         self._rowwise = {}
+        self._at = {}
 
     def rowwise(self, prepare: Callable):
         out = self._rowwise.get(prepare)
@@ -118,7 +138,7 @@ class DatasetView(Dataset):
 def _keep(memo: dict, key: Callable, out):
     """Store ``out`` (an array or a tuple of arrays) in ``memo`` under ``key``, read-only."""
     for arr in out if isinstance(out, tuple) else (out,):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     memo[key] = out
     return out
 
@@ -128,8 +148,9 @@ class MixtureStore:
 
     Domain and task label sets must be disjoint so that a weight vector's
     labels identify unambiguously which side it addresses.  The datasets
-    never change, so each side's pool, built at its first sampled draw,
-    stays valid for the store's lifetime.
+    never change and the ``domains`` and ``tasks`` mappings are read-only,
+    so each side's pool, built at its first sampled draw, stays valid for
+    the store's lifetime.
     """
 
     def __init__(self, domains: Mapping[str, Dataset], tasks: Mapping[str, Dataset]):
@@ -138,8 +159,8 @@ class MixtureStore:
         overlap = set(domains) & set(tasks)
         if overlap:
             raise DimensionError(f"domain and task labels overlap: {sorted(overlap)}")
-        self.domains = dict(domains)
-        self.tasks = dict(tasks)
+        self.domains = MappingProxyType(dict(domains))
+        self.tasks = MappingProxyType(dict(tasks))
         self.domain_labels = tuple(self.domains)
         self.task_labels = tuple(self.tasks)
         self._pools = {}

@@ -36,7 +36,10 @@ class DifferentiableModel(Protocol):
     A batch is a ``Dataset``: a sampled draw or a whole store dataset.
     The dataset keeps what a model derives from it (``Dataset.prepared``),
     so ``loss`` and ``grad`` on one batch prepare it once, in either
-    order.  A record the model cannot use raises a typed error.
+    order.  It also keeps its last ``loss`` and its last ``grad`` with the
+    parameter vector each was computed at (``Dataset.at``), so a repeated
+    call at unchanged parameters returns the kept value; a kept gradient
+    is read-only.  A record the model cannot use raises a typed error.
     """
 
     param_dim: int
@@ -88,6 +91,20 @@ def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
     return params
 
 
+class _BatchModel:
+    """The public ``loss`` and ``grad`` of the built-in models: a subclass's
+    ``_loss`` and ``_grad`` of checked parameters on a ``Dataset``, kept by
+    the batch per parameter vector (``Dataset.at``)."""
+
+    param_dim: int
+
+    def loss(self, params: np.ndarray, batch: Dataset) -> float:
+        return _as_dataset(batch).at(_check_params(params, self.param_dim), self._loss)
+
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
+        return _as_dataset(batch).at(_check_params(params, self.param_dim), self._grad)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic task family
 # ---------------------------------------------------------------------------
@@ -105,7 +122,7 @@ class QuadraticExample(NamedTuple):
     delta: np.ndarray
 
 
-class QuadraticTaskFamily:
+class QuadraticTaskFamily(_BatchModel):
     """N diagonal quadratics l_n(theta) = 0.5 (theta-c_n)' A_n (theta-c_n).
 
     Curvature entries all lie in [mu_cvx, L_smooth], giving known
@@ -161,16 +178,14 @@ class QuadraticTaskFamily:
             raise TypeError("quadratic model needs QuadraticExample records") from exc
         return mixes, deltas
 
-    def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        theta = _check_params(params, self.param_dim)
-        mixes, deltas = _as_dataset(batch).rowwise(self._stack_examples)
+    def _loss(self, theta: np.ndarray, batch: Dataset) -> float:
+        mixes, deltas = batch.rowwise(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.curvatures, diff, diff)
         return float((mixes * per_task).sum() / len(batch))
 
-    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        theta = _check_params(params, self.param_dim)
-        mixes, deltas = _as_dataset(batch).rowwise(self._stack_examples)
+    def _grad(self, theta: np.ndarray, batch: Dataset) -> np.ndarray:
+        mixes, deltas = batch.rowwise(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         return np.einsum("bn,nd,bnd->d", mixes, self.curvatures, diff) / len(batch)
 
@@ -302,7 +317,7 @@ _SEPARATOR = "\0"
 _TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
 
 
-class CharLMModel:
+class CharLMModel(_BatchModel):
     """Bigram character LM: a flat V x V logit table, loss = mean NLL/char.
 
     The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
@@ -376,13 +391,13 @@ class CharLMModel:
         return codes
 
     def _log_probs(self, params: np.ndarray) -> np.ndarray:
-        return _log_softmax(_check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size))
+        return _log_softmax(params.reshape(self.vocab_size, self.vocab_size))
 
-    def loss(self, params: np.ndarray, batch: Dataset) -> float:
+    def _loss(self, params: np.ndarray, batch: Dataset) -> float:
         counts = self.transition_counts(batch)
         return float(-(counts * self._log_probs(params)).sum() / counts.sum())
 
-    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
+    def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
         counts = self.transition_counts(batch)
         probs = np.exp(self._log_probs(params))
         row_totals = counts.sum(axis=1, keepdims=True)
@@ -400,7 +415,7 @@ class CharLMModel:
 MAX_SOFTMAX_PARAMS = 2**20
 
 
-class SoftmaxModel:
+class SoftmaxModel(_BatchModel):
     """Linear softmax classifier over (features, label) records."""
 
     def __init__(self, n_features: int, n_classes: int):
@@ -427,16 +442,15 @@ class SoftmaxModel:
         return xs, ys.astype(np.int64)
 
     def _log_probs(self, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        weights = _check_params(params, self.param_dim).reshape(self.n_classes, self.n_features)
-        return _log_softmax(xs @ weights.T)
+        return _log_softmax(xs @ params.reshape(self.n_classes, self.n_features).T)
 
-    def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        xs, ys = _as_dataset(batch).rowwise(self._stack_examples)
+    def _loss(self, params: np.ndarray, batch: Dataset) -> float:
+        xs, ys = batch.rowwise(self._stack_examples)
         logp = self._log_probs(params, xs)
         return float(-logp[np.arange(len(ys)), ys].mean())
 
-    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        xs, ys = _as_dataset(batch).rowwise(self._stack_examples)
+    def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
+        xs, ys = batch.rowwise(self._stack_examples)
         probs = np.exp(self._log_probs(params, xs))
         probs[np.arange(len(ys)), ys] -= 1.0
         return (probs.T @ xs).ravel() / len(ys)

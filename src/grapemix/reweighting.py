@@ -188,9 +188,12 @@ class OverheadCounter:
     plus its fresh training-mixture gradient); the domain counter absorbs
     a domain-reweight step's cost (per-domain gradients plus the target
     gradient, or per-task gradients under gradient surgery).  Counts are
-    actual evaluations: under the default sampled pipeline a task step
-    costs N+1 and a domain step K+1, while expected (full-batch) mixtures
-    replace each mixed-batch gradient with one per component.
+    the evaluations the algorithm requests: under the default sampled
+    pipeline a task step costs N+1 and a domain step K+1, while expected
+    (full-batch) mixtures replace each mixed-batch gradient with one per
+    component.  A request that repeats one on the same batch at unchanged
+    parameters is counted, though the batch serves it from what it kept
+    (``Dataset.at``) without evaluating the model again.
     """
 
     train_grad_evals: int = 0

@@ -50,6 +50,59 @@ class TestStore:
         with pytest.raises(EmptyDataset):
             Dataset([])
 
+    def test_sides_are_read_only(self):
+        # each side's pool is built at the first sampled draw, so a side
+        # replaced after it would be seen by expected mode and not by the samplers
+        domains = {"d0": Dataset(["ab"])}
+        store = MixtureStore(domains, {"t0": Dataset(["ba"])})
+        only = SimplexWeights([1.0], store.domain_labels)
+        assert list(sample_mixture_batch(store, only, 2, np.random.default_rng(0))) == ["ab", "ab"]
+        for side in (store.domains, store.tasks):
+            with pytest.raises(TypeError):
+                side["d0"] = Dataset(["aa"])
+            with pytest.raises(TypeError):
+                del side[next(iter(side))]
+        domains["d0"] = Dataset(["aa"])  # the store holds its own copy of the mapping
+        assert list(store.domains["d0"]) == ["ab"]
+        assert list(sample_mixture_batch(store, only, 2, np.random.default_rng(0))) == ["ab", "ab"]
+
+
+class TestEvaluationSlot:
+    """``Dataset.at``: one kept result per evaluate function, keyed by the
+    bytes of the parameter vector."""
+
+    def test_kept_per_parameter_bytes(self):
+        calls = []
+
+        def evaluate(params, batch):
+            calls.append(params.copy())
+            return np.signbit(params) * len(batch)
+
+        dataset = Dataset(["a", "b"])
+        params = np.zeros(2)
+        first = dataset.at(params, evaluate)
+        assert dataset.at(params.copy(), evaluate) is first and len(calls) == 1
+        assert not first.flags.writeable
+        assert dataset.at(-params, evaluate).tolist() == [2, 2]  # -0.0 has other bytes than 0.0
+        params[1] = 1.0  # changed in place: evaluated anew
+        assert dataset.at(params, evaluate).tolist() == [0, 0] and len(calls) == 3
+        view = dataset.take(np.array([0]))  # a view keeps its own slot
+        assert view.at(params, evaluate).tolist() == [0, 0] and len(calls) == 4
+        assert dataset.at(params, evaluate).tolist() == [0, 0] and len(calls) == 4
+
+    def test_error_not_kept(self):
+        calls = []
+
+        def fail(params, batch):
+            calls.append(1)
+            raise ValueError("no")
+
+        dataset = Dataset([1])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                dataset.at(np.zeros(1), fail)
+        assert len(calls) == 2 and not dataset._at
+
 
 class TestMixtureSampling:
     def test_one_hot_hits_single_domain(self):

@@ -31,6 +31,7 @@ from grapemix import (
     sample_task_batches,
     train_run,
 )
+from grapemix import verify
 from grapemix.models import _as_dataset
 from grapemix.verify import harness_family
 
@@ -415,6 +416,75 @@ class TestViewsAreTheSameBatch:
                     assert table.dtype == np.min_scalar_type(max(map(len, pool)))
                     assert table.dtype != np.uint8 or max(map(len, pool)) <= 255
                     assert not table.flags.writeable
+
+
+# A one-example batch each model rejects, and the error it raises.
+_BAD_BATCH = {
+    "quadratic": (["not a record"], TypeError),
+    "char": (["a", "b"], EmptyBatch),  # no transitions
+    "softmax": ([(np.zeros(2), 7)], ValueError),  # label out of range
+}
+
+
+def _counting(counts, name, evaluate):
+    def counted(self, params, batch):
+        counts[name] += 1
+        return evaluate(self, params, batch)
+    return counted
+
+
+class TestEvaluationMemo:
+    """A batch keeps each model's last ``loss`` and ``grad`` per parameter
+    vector; whatever came before, a call returns bitwise what a fresh batch
+    of the same examples gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["quadratic", "char", "softmax"]), seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(["loss", "grad"]), st.integers(0, 4)),
+                          min_size=1, max_size=30))
+    def test_bitwise_equal_to_a_fresh_batch(self, kind, seed, calls):
+        rng = np.random.default_rng(seed)
+        model, store = _view_store(kind, [1, 5, 12], rng)
+        records, error = _BAD_BATCH[kind]
+        bad = Dataset(records)
+        batches = [*store.domains.values(), *store.tasks.values(), *_sampled_views(store, rng), bad]
+        base = rng.normal(size=model.param_dim)
+        probe = base.copy()  # changed in place before each call at it, as finite_diff_check does
+        zero = np.zeros(model.param_dim)
+        params = [base, rng.normal(size=model.param_dim), zero, -zero, probe]
+        for b, what, p in calls:
+            batch = batches[b % len(batches)]
+            if params[p] is probe:
+                i = b % model.param_dim
+                probe[i] = base[i] + 1e-5 if probe[i] == base[i] else base[i]
+            evaluate = getattr(model, what)
+            try:
+                want = np.asarray(evaluate(params[p], Dataset(list(batch)))).tobytes()
+            except (EmptyBatch, TypeError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    evaluate(params[p], batch)
+                assert not batch._at  # the failure is not kept
+                continue
+            got = evaluate(params[p], batch)
+            assert np.asarray(got).tobytes() == want
+            assert type(got) is float if what == "loss" else not got.flags.writeable
+        for _ in range(2):
+            for evaluate in (model.loss, model.grad):
+                with pytest.raises(error):
+                    evaluate(base, bad)
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    def test_theorem1_evaluates_each_gradient_and_loss_once(self, monkeypatch, steps):
+        # Per step: the 3 domain and 3 task gradients and the 3 task losses at the new
+        # parameters; the step before the first adds the initial losses and the domain
+        # gradients at the start.  The counters count what the algorithm asks for.
+        counts = {"_grad": 0, "_loss": 0}
+        for name in counts:
+            monkeypatch.setattr(QuadraticTaskFamily, name, _counting(counts, name, getattr(QuadraticTaskFamily, name)))
+        monkeypatch.setattr(verify, "ReweightConfig", lambda **kw: ReweightConfig(**{**kw, "total_steps": steps}))
+        _, trajectory = verify.theorem1_run()
+        assert trajectory.final_counters == (steps, 6 * steps, 6 * steps)
+        assert counts == {"_grad": 6 * steps + 3, "_loss": 3 * steps + 3}
 
 
 def _char_store(vocab_size=3, bad=""):
