@@ -187,12 +187,11 @@ def convergence_report(trajectory: Trajectory, true_opt: float, epsilon: float =
     """
     if not trajectory.records:
         raise ReportError("trajectory has no records")
-    for r in trajectory.records:
-        if r.losses.shape != (len(trajectory.task_labels),) or not np.all(np.isfinite(r.losses)):
-            raise ReportError(f"record at step {r.step} lacks usable task losses")
-
-    steps = trajectory.steps
-    running_min = np.minimum.accumulate(trajectory.losses.max(axis=1) - true_opt)
+    steps, losses = trajectory.steps, trajectory.losses
+    finite = np.isfinite(losses).all(axis=1)
+    if not finite.all():
+        raise ReportError(f"record at step {steps[~finite][0]} lacks usable task losses")
+    running_min = np.minimum.accumulate(losses.max(axis=1) - true_opt)
     hit = np.flatnonzero(running_min <= epsilon)
     tail = (steps >= steps[-1] / 2) & (steps > 0)
     return TheoremHarnessReport(

@@ -11,11 +11,12 @@ A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
 that side's examples in label order, built at the first sampled draw.
 A sampled batch is a view of the pool, an index vector of its rows, and
 no list of examples is built for it.  Every batch is a ``Dataset`` (a
-store dataset, a pool view, or a wrapped list), which keeps what models
-derive from it (counts, stacked arrays) for its lifetime; a view gathers
-what has one row per example from its pool's.  A batch also keeps each
-model evaluation's last result with the parameters it was computed at.
-Never mutate an example, or an array inside one, in place.
+store dataset, a pool view, or a wrapped list) with one memo,
+``Dataset.prepared``: it keeps what models derive from the batch
+(counts, stacked arrays) for its lifetime, and each model evaluation's
+last result with the parameters it was computed at.  What has one row
+per example (``Dataset.rows``) a view gathers from its pool's, and does
+not keep.  Never mutate an example, or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -55,38 +56,27 @@ class Dataset:
         if not examples:
             raise EmptyDataset("dataset has no examples")
         self._examples = examples
-        self._prepared = {}
-        self._rowwise = {}
-        self._at = {}
+        self._kept = {}
 
-    def prepared(self, prepare: Callable):
-        """``prepare(self)``, computed on first use and kept, read-only, for the
-        dataset's lifetime; a failed preparation is not kept and fails again."""
-        out = self._prepared.get(prepare)
-        return out if out is not None else _keep(self._prepared, prepare, prepare(self))
-
-    def rowwise(self, prepare: Callable):
-        """Like ``prepared``, for a ``prepare`` whose arrays have one row per
-        example, in order, and kept apart from ``prepared``'s: a view gathers
-        its rows of its pool's arrays instead of preparing itself."""
-        out = self._rowwise.get(prepare)
-        return out if out is not None else _keep(self._rowwise, prepare, prepare(self))
-
-    def at(self, params: np.ndarray, evaluate: Callable):
-        """``evaluate(params, self)`` for a float64 parameter vector.  The last
-        result of each ``evaluate`` is kept, read-only, with the bytes of the
-        parameters it was computed at, and a call at equal bytes returns it;
-        the bytes, not the array, are the key, so an array changed in place
-        is evaluated anew.  A failed evaluation is not kept."""
-        key = params.tobytes()
-        kept = self._at.get(evaluate)
+    def prepared(self, compute: Callable, params: np.ndarray | None = None):
+        """``compute(self)``, or ``compute(params, self)`` for a float64
+        parameter vector, kept read-only.  Each ``compute`` keeps its last
+        result with the bytes of the parameters it was computed at, and a
+        call at equal bytes returns it: without parameters, for the
+        dataset's lifetime.  The bytes, not the array, are the key, so an
+        array changed in place is computed anew.  A failure is not kept."""
+        key = None if params is None else params.tobytes()
+        kept = self._kept.get(compute)
         if kept is not None and kept[0] == key:
             return kept[1]
-        out = evaluate(params, self)
-        if isinstance(out, np.ndarray):
-            out.setflags(write=False)
-        self._at[evaluate] = (key, out)
+        out = _read_only(compute(self) if params is None else compute(params, self))
+        self._kept[compute] = (key, out)
         return out
+
+    def rows(self, prepare: Callable):
+        """``prepared(prepare)``, for a ``prepare`` whose arrays have one row
+        per example, in order: a view gathers its rows of its pool's."""
+        return self.prepared(prepare)
 
     def take(self, index: np.ndarray) -> "DatasetView":
         """The batch of the rows at ``index`` (int64), as a view of this dataset."""
@@ -113,17 +103,12 @@ class DatasetView(Dataset):
     def __init__(self, pool: Dataset, index: np.ndarray):
         self.pool = pool
         self.index = index
-        self._prepared = {}
-        self._rowwise = {}
-        self._at = {}
+        self._kept = {}
 
-    def rowwise(self, prepare: Callable):
-        out = self._rowwise.get(prepare)
-        if out is None:
-            whole = self.pool.rowwise(prepare)
-            out = _keep(self._rowwise, prepare,
-                        tuple(arr[self.index] for arr in whole) if isinstance(whole, tuple) else whole[self.index])
-        return out
+    def rows(self, prepare: Callable):
+        """The view's rows of ``pool.rows(prepare)``, read-only and not kept."""
+        whole = self.pool.prepared(prepare)
+        return _read_only(tuple(arr[self.index] for arr in whole) if isinstance(whole, tuple) else whole[self.index])
 
     def __len__(self) -> int:
         return len(self.index)
@@ -135,11 +120,13 @@ class DatasetView(Dataset):
         return map(self.pool._examples.__getitem__, self.index.tolist())
 
 
-def _keep(memo: dict, key: Callable, out):
-    """Store ``out`` (an array or a tuple of arrays) in ``memo`` under ``key``, read-only."""
-    for arr in out if isinstance(out, tuple) else (out,):
-        arr.setflags(write=False)
-    memo[key] = out
+def _read_only(out):
+    """``out`` (a number, an array or a tuple of arrays), every array in it made read-only."""
+    if isinstance(out, np.ndarray):
+        out.setflags(write=False)
+    elif isinstance(out, tuple):
+        for arr in out:
+            arr.setflags(write=False)
     return out
 
 
@@ -335,6 +322,8 @@ def generate_markov_corpus(
     """
     if length < 2:
         raise ValueError(f"corpus length must be >= 2, got {length}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     seq_len = min(seq_len, length)
     n_chunks = max(1, math.ceil(length / seq_len))
     v = spec.vocab_size

@@ -34,12 +34,12 @@ class DifferentiableModel(Protocol):
     """What the training loop needs: a loss and its gradient on a batch.
 
     A batch is a ``Dataset``: a sampled draw or a whole store dataset.
-    The dataset keeps what a model derives from it (``Dataset.prepared``),
-    so ``loss`` and ``grad`` on one batch prepare it once, in either
-    order.  It also keeps its last ``loss`` and its last ``grad`` with the
-    parameter vector each was computed at (``Dataset.at``), so a repeated
-    call at unchanged parameters returns the kept value; a kept gradient
-    is read-only.  A record the model cannot use raises a typed error.
+    It keeps, in ``Dataset.prepared``, what a model derives from it, so
+    ``loss`` and ``grad`` on one batch prepare it once, in either order,
+    and its last ``loss`` and its last ``grad`` with the parameter vector
+    each was computed at, so a repeated call at unchanged parameters
+    returns the kept value; a kept gradient is read-only.  A record the
+    model cannot use raises a typed error.
     """
 
     param_dim: int
@@ -94,15 +94,15 @@ def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
 class _BatchModel:
     """The public ``loss`` and ``grad`` of the built-in models: a subclass's
     ``_loss`` and ``_grad`` of checked parameters on a ``Dataset``, kept by
-    the batch per parameter vector (``Dataset.at``)."""
+    the batch per parameter vector (``Dataset.prepared``)."""
 
     param_dim: int
 
     def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        return _as_dataset(batch).at(_check_params(params, self.param_dim), self._loss)
+        return _as_dataset(batch).prepared(self._loss, _check_params(params, self.param_dim))
 
     def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        return _as_dataset(batch).at(_check_params(params, self.param_dim), self._grad)
+        return _as_dataset(batch).prepared(self._grad, _check_params(params, self.param_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +179,13 @@ class QuadraticTaskFamily(_BatchModel):
         return mixes, deltas
 
     def _loss(self, theta: np.ndarray, batch: Dataset) -> float:
-        mixes, deltas = batch.rowwise(self._stack_examples)
+        mixes, deltas = batch.rows(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.curvatures, diff, diff)
         return float((mixes * per_task).sum() / len(batch))
 
     def _grad(self, theta: np.ndarray, batch: Dataset) -> np.ndarray:
-        mixes, deltas = batch.rowwise(self._stack_examples)
+        mixes, deltas = batch.rows(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         return np.einsum("bn,nd,bnd->d", mixes, self.curvatures, diff) / len(batch)
 
@@ -352,7 +352,7 @@ class CharLMModel(_BatchModel):
     def _count_transitions(self, batch: Dataset) -> np.ndarray:
         if isinstance(batch, DatasetView):
             # Integer counts summed in float64 are exact: equal to counting the view's text.
-            counts = batch.rowwise(self._row_counts).sum(axis=0, dtype=np.float64)
+            counts = batch.rows(self._row_counts).sum(axis=0, dtype=np.float64)
         else:
             codes = self._codes(batch)
             # The separator gets code V, so every pair that spans two strings
@@ -445,12 +445,12 @@ class SoftmaxModel(_BatchModel):
         return _log_softmax(xs @ params.reshape(self.n_classes, self.n_features).T)
 
     def _loss(self, params: np.ndarray, batch: Dataset) -> float:
-        xs, ys = batch.rowwise(self._stack_examples)
+        xs, ys = batch.rows(self._stack_examples)
         logp = self._log_probs(params, xs)
         return float(-logp[np.arange(len(ys)), ys].mean())
 
     def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        xs, ys = batch.rowwise(self._stack_examples)
+        xs, ys = batch.rows(self._stack_examples)
         probs = np.exp(self._log_probs(params, xs))
         probs[np.arange(len(ys)), ys] -= 1.0
         return (probs.T @ xs).ravel() / len(ys)

@@ -144,9 +144,9 @@ class ReweightConfig:
         if self.weight_decay < 0.0:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if not (0.0 < self.ema_beta < 1.0):
-            raise ValueError("ema_beta must lie in (0, 1)")
+            raise ValueError(f"ema_beta must lie in (0, 1), got {self.ema_beta!r}")
         if self.divergence_factor <= 1.0:
-            raise ValueError("divergence_factor must be > 1")
+            raise ValueError(f"divergence_factor must be > 1, got {self.divergence_factor!r}")
 
     @property
     def resolved_eval_batch_size(self) -> int:
@@ -193,7 +193,7 @@ class OverheadCounter:
     (full-batch) mixtures replace each mixed-batch gradient with one per
     component.  A request that repeats one on the same batch at unchanged
     parameters is counted, though the batch serves it from what it kept
-    (``Dataset.at``) without evaluating the model again.
+    (``Dataset.prepared``) without evaluating the model again.
     """
 
     train_grad_evals: int = 0

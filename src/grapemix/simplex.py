@@ -75,6 +75,8 @@ class SimplexWeights:
         if isinstance(labels, int):
             labels = [f"w{i}" for i in range(labels)]
         m = len(labels)
+        if m < 1:
+            raise DimensionError("weights must be a nonempty 1-D vector")
         return cls(np.full(m, 1.0 / m), tuple(labels))
 
     def save(self, path: str | Path) -> None:

@@ -146,7 +146,11 @@ class TestConvergenceReport:
 
     def test_bad_losses_rejected(self):
         traj = make_trajectory([(0, [1.0, np.nan])])
-        with pytest.raises(ReportError):
+        with pytest.raises(ReportError, match="record at step 0 lacks usable task losses"):
+            convergence_report(traj, 0.0)
+        # the first non-finite record is named
+        traj = make_trajectory([(0, [1.0, 2.0]), (5, [1.0, 1.5]), (10, [np.inf, 1.0]), (15, [np.nan, 1.0])])
+        with pytest.raises(ReportError, match="record at step 10 lacks usable task losses"):
             convergence_report(traj, 0.0)
 
 

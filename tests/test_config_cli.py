@@ -409,6 +409,9 @@ MALFORMED = [
     ("step-ratio-alpha-inf", minimal_quadratic_config, {"step_ratio_alpha": float("inf")}, "step_ratio_alpha"),
     ("lr-base-inf", minimal_quadratic_config, {"lr": {"base": float("inf")}}, "lr.base"),
     ("divergence-factor-inf", minimal_quadratic_config, {"divergence_factor": float("inf")}, "divergence_factor"),
+    ("divergence-factor-one", minimal_quadratic_config, {"divergence_factor": 1.0},
+     "field divergence_factor must be > 1, got 1.0"),
+    ("ema-beta-one", minimal_quadratic_config, {"ema_beta": 1.0}, "field ema_beta must lie in (0, 1), got 1.0"),
     ("mix-length", minimal_quadratic_config, _set_domain("mix", [0.5, 0.5]), "'d0'"),
     # a mix is a probability vector over the one task
     ("mix-nan", minimal_quadratic_config, _set_domain("mix", [float("nan")]), "entry 'd0': mix"),

@@ -68,8 +68,8 @@ class TestStore:
 
 
 class TestEvaluationSlot:
-    """``Dataset.at``: one kept result per evaluate function, keyed by the
-    bytes of the parameter vector."""
+    """``Dataset.prepared``: one kept result per compute function, keyed by
+    the bytes of the parameter vector, if any."""
 
     def test_kept_per_parameter_bytes(self):
         calls = []
@@ -80,28 +80,60 @@ class TestEvaluationSlot:
 
         dataset = Dataset(["a", "b"])
         params = np.zeros(2)
-        first = dataset.at(params, evaluate)
-        assert dataset.at(params.copy(), evaluate) is first and len(calls) == 1
+        first = dataset.prepared(evaluate, params)
+        assert dataset.prepared(evaluate, params.copy()) is first and len(calls) == 1
         assert not first.flags.writeable
-        assert dataset.at(-params, evaluate).tolist() == [2, 2]  # -0.0 has other bytes than 0.0
+        assert dataset.prepared(evaluate, -params).tolist() == [2, 2]  # -0.0 has other bytes than 0.0
         params[1] = 1.0  # changed in place: evaluated anew
-        assert dataset.at(params, evaluate).tolist() == [0, 0] and len(calls) == 3
+        assert dataset.prepared(evaluate, params).tolist() == [0, 0] and len(calls) == 3
         view = dataset.take(np.array([0]))  # a view keeps its own slot
-        assert view.at(params, evaluate).tolist() == [0, 0] and len(calls) == 4
-        assert dataset.at(params, evaluate).tolist() == [0, 0] and len(calls) == 4
+        assert view.prepared(evaluate, params).tolist() == [0, 0] and len(calls) == 4
+        assert dataset.prepared(evaluate, params).tolist() == [0, 0] and len(calls) == 4
+
+    def test_preparation_and_evaluation_both_kept(self):
+        calls = []
+
+        def prepare(batch):
+            calls.append("prepare")
+            return np.arange(len(batch), dtype=np.float64)
+
+        def evaluate(params, batch):
+            calls.append("evaluate")
+            return float(params @ batch.prepared(prepare))
+
+        dataset = Dataset(["a", "b", "c"])
+        prepared = dataset.prepared(prepare)
+        params = np.ones(3)
+        assert dataset.prepared(evaluate, params) == 3.0
+        for _ in range(2):
+            assert dataset.prepared(prepare) is prepared and dataset.prepared(evaluate, params) == 3.0
+        assert calls == ["prepare", "evaluate"]
+        assert not prepared.flags.writeable and set(dataset._kept) == {prepare, evaluate}
+
+    def test_view_rows_gathered_and_not_kept(self):
+        def prepare(batch):
+            return np.arange(len(batch)) * 10, np.arange(len(batch))
+
+        dataset = Dataset(["a", "b", "c"])
+        view = dataset.take(np.array([2, 0, 2]))
+        tens, ones = view.rows(prepare)
+        assert tens.tolist() == [20, 0, 20] and ones.tolist() == [2, 0, 2]
+        assert not tens.flags.writeable and not ones.flags.writeable
+        assert view.rows(prepare)[0] is not tens and not view._kept
+        assert dataset.rows(prepare) is dataset.prepared(prepare)
 
     def test_error_not_kept(self):
         calls = []
 
-        def fail(params, batch):
+        def fail(*args):
             calls.append(1)
             raise ValueError("no")
 
         dataset = Dataset([1])
-        for _ in range(2):
+        for params in (np.zeros(1), None) * 2:
             with pytest.raises(ValueError):
-                dataset.at(np.zeros(1), fail)
-        assert len(calls) == 2 and not dataset._at
+                dataset.prepared(fail, params)
+        assert len(calls) == 4 and not dataset._kept
 
 
 class TestMixtureSampling:
@@ -379,6 +411,12 @@ class TestMarkov:
         a = MarkovLanguageSpec(2, np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             generate_markov_corpus(a, 1, stream_rng(0, "c"))
+
+    @pytest.mark.parametrize("seq_len", [0, -3])
+    def test_min_seq_len(self, seq_len):
+        a = MarkovLanguageSpec(2, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match=f"seq_len must be >= 1, got {seq_len}"):
+            generate_markov_corpus(a, 10, stream_rng(0, "c"), seq_len=seq_len)
 
 
 class TestIngest:

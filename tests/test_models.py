@@ -281,7 +281,7 @@ class TestSoftmax:
 def _quadratic_case(rng):
     family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, (2, 3)), rng.normal(size=(2, 3)))
     dataset = family.domain_dataset([0.3, 0.7], noise=0.2, size=5, rng=rng)
-    return family.model(), dataset, rng.normal(size=3), lambda m, b: _as_dataset(b).rowwise(m._stack_examples)
+    return family.model(), dataset, rng.normal(size=3), lambda m, b: _as_dataset(b).rows(m._stack_examples)
 
 
 def _char_case(rng):
@@ -292,7 +292,7 @@ def _char_case(rng):
 
 def _softmax_case(rng):
     dataset = Dataset([(rng.normal(size=2), int(rng.integers(3))) for _ in range(6)])
-    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: _as_dataset(b).rowwise(m._stack_examples)
+    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: _as_dataset(b).rows(m._stack_examples)
 
 
 @pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
@@ -322,8 +322,8 @@ class TestDatasetMemo:
                              task_mix_mode="expected", domain_mix_mode="expected")
         train_run(cfg, model, store, seed=0)
         refs = [weakref.ref(ds) for ds in (*store.domains.values(), *store.tasks.values())]
-        # one preparation per dataset, in the batch-level or the row-wise memo
-        assert all(len(ref()._prepared) + len(ref()._rowwise) == 1 for ref in refs)
+        # one preparation per dataset, kept beside its last loss and grad
+        assert all(len(set(ref()._kept) - {model._loss, model._grad}) == 1 for ref in refs)
         del store, dataset
         gc.collect()
         # neither the model nor anything the run left behind keeps a dataset alive
@@ -338,7 +338,7 @@ def test_char_dataset_error_is_never_cached():
             model.grad(np.zeros(9), dataset)
         with pytest.raises(ValueError, match="outside the vocabulary"):
             model.loss(np.zeros(9), dataset)
-    assert not dataset._prepared
+    assert not dataset._kept
 
 
 def _view_store(kind, lengths, rng):
@@ -406,13 +406,13 @@ class TestViewsAreTheSameBatch:
             for _ in range(2):  # the first call fills the memos, the second reads them
                 assert model.loss(params, view) == want[0]
                 assert model.grad(params, view).tobytes() == want[1]
-            prepared = (model.transition_counts(view),) if kind == "char" else view.rowwise(model._stack_examples)
+            prepared = (model.transition_counts(view),) if kind == "char" else view.rows(model._stack_examples)
             assert not any(arr.flags.writeable for arr in prepared)
         if kind == "char":
             for side in ("domains", "tasks"):
                 pool = store.pool(side)[0]
-                if pool._rowwise:
-                    table = pool.rowwise(model._row_counts)
+                if model._row_counts in pool._kept:
+                    table = pool.prepared(model._row_counts)
                     assert table.dtype == np.min_scalar_type(max(map(len, pool)))
                     assert table.dtype != np.uint8 or max(map(len, pool)) <= 255
                     assert not table.flags.writeable
@@ -463,7 +463,7 @@ class TestEvaluationMemo:
             except (EmptyBatch, TypeError, ValueError) as exc:
                 with pytest.raises(type(exc)):
                     evaluate(params[p], batch)
-                assert not batch._at  # the failure is not kept
+                assert not batch._kept  # the failure is not kept
                 continue
             got = evaluate(params[p], batch)
             assert np.asarray(got).tobytes() == want
@@ -512,7 +512,7 @@ class TestPools:
         assert len(calls) == 2 and all(any(p is pool for p in calls) for pool in pools)
         train_run(cfg, CharLMModel(3), store, seed=1)  # a second model on the same store
         assert len(calls) == 4
-        assert all(len(pool._rowwise) == 2 for pool in pools)
+        assert all(len(pool._kept) == 2 for pool in pools)
 
     def test_unknown_characters_anywhere_in_a_side_fail_the_first_sampled_batch(self):
         store = _char_store(bad="z")

@@ -231,6 +231,11 @@ class TestWeightPlumbing:
         np.testing.assert_array_equal(back.values, w.values)
         assert back.values[back.labels.index("web")] == 0.75
 
+    @pytest.mark.parametrize("labels", [0, -2, [], ()])
+    def test_uniform_needs_a_label(self, labels):
+        with pytest.raises(DimensionError, match="nonempty"):
+            SimplexWeights.uniform(labels)
+
     def test_values_immutable(self):
         w = SimplexWeights.uniform(3)
         with pytest.raises(ValueError):
