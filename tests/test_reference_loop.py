@@ -1,0 +1,126 @@
+"""The training loop against its frozen copy in ``reference_loop``.
+
+Small drawn configs run through ``train_run`` and through the frozen
+loop; the trajectory CSV text and the final parameters must be bitwise
+equal, and a run that fails must fail alike.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grapemix import (
+    ALGORITHMS,
+    CharLMModel,
+    Dataset,
+    GrapemixError,
+    MixtureStore,
+    QuadraticTaskFamily,
+    ReweightConfig,
+    SimplexWeights,
+    SoftmaxModel,
+    render_trajectory,
+    train_run,
+)
+from reference_loop import reference_run
+
+
+def _quadratic():
+    rng = np.random.default_rng(5)
+    family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, size=(3, 2)), rng.normal(size=(3, 2)))
+    domains = {f"d{k}": family.domain_dataset(mix, noise=0.3, size=3, rng=rng)
+               for k, mix in enumerate(([0.7, 0.2, 0.1], [0.1, 0.3, 0.6]))}
+    tasks = {f"t{n}": family.task_dataset(n) for n in range(3)}
+    return family, MixtureStore(domains, tasks)
+
+
+def _char():
+    model = CharLMModel(4)
+    rng = np.random.default_rng(6)
+
+    def texts(count):
+        return Dataset(["".join(model.vocab[i] for i in rng.integers(0, 4, size=rng.integers(2, 9)))
+                        for _ in range(count)])
+
+    domains = {f"d{k}": texts(3) for k in range(3)}
+    tasks = {f"t{n}": texts(2) for n in range(2)}
+    return model, MixtureStore(domains, tasks)
+
+
+def _softmax():
+    rng = np.random.default_rng(7)
+
+    def records(mean, count):
+        return Dataset([(rng.normal(mean, 1.0, size=3), int(rng.integers(2))) for _ in range(count)])
+
+    domains = {f"d{k}": records(mean, 4) for k, mean in enumerate((-1.0, 1.0))}
+    tasks = {f"t{n}": records(mean, 3) for n, mean in enumerate((-0.5, 0.0, 0.5))}
+    return SoftmaxModel(3, 2), MixtureStore(domains, tasks)
+
+
+SETUPS = {"quadratic": _quadratic(), "char": _char(), "softmax": _softmax()}
+
+
+@st.composite
+def warm_start(draw, labels):
+    """None, or weights over ``labels`` with entries that may be zero."""
+    if not draw(st.booleans()):
+        return None
+    raw = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=len(labels),
+                                 max_size=len(labels))))
+    if raw.sum() == 0.0:
+        raw[-1] = 1.0
+    return SimplexWeights(raw / raw.sum(), labels)
+
+
+@st.composite
+def runs(draw):
+    kind = draw(st.sampled_from(sorted(SETUPS)))
+    model, store = SETUPS[kind]
+    mode = st.sampled_from(("sampled", "expected"))
+    cfg = ReweightConfig(
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        total_steps=draw(st.integers(1, 30)),
+        step_ratio_alpha=draw(st.sampled_from((0.5, 1.5, 4.0))),
+        step_ratio_z=draw(st.sampled_from((1.0, 10.0, 50.0))),
+        update_every_alpha=draw(st.integers(1, 7)),
+        update_every_z=draw(st.integers(1, 7)),
+        lr_schedule=draw(st.sampled_from(("constant", "cosine", "wsd"))),
+        base_lr=draw(st.sampled_from((0.05, 0.2))),
+        task_mix_mode=draw(mode),
+        domain_mix_mode=draw(mode),
+        eval_replicates=draw(st.integers(1, 3)),
+        train_batch_size=draw(st.integers(1, 4)),
+        eval_batch_size=draw(st.one_of(st.none(), st.integers(1, 4))),
+        eval_every=draw(st.integers(1, 10)),
+        optimizer=draw(st.sampled_from(("sgd", "adamw"))),
+        weight_floor=draw(st.sampled_from((0.0, 0.01))),
+    )
+    params0 = None
+    if draw(st.booleans()):
+        params0 = np.random.default_rng(draw(st.integers(0, 3))).normal(scale=0.5, size=model.param_dim)
+    kwargs = dict(init_alpha=draw(warm_start(store.domain_labels)), init_z=draw(warm_start(store.task_labels)),
+                  seed=draw(st.integers(0, 2**32)), params0=params0)
+    return cfg, model, store, kwargs
+
+
+def _outcome(run, cfg, model, store, kwargs):
+    try:
+        return run(cfg, model, store, **kwargs)
+    except GrapemixError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstFrozenLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=runs())
+    def test_csv_text_and_params_bitwise_equal(self, drawn):
+        cfg, model, store, kwargs = drawn
+        want = _outcome(reference_run, cfg, model, store, kwargs)
+        got = _outcome(train_run, cfg, model, store, kwargs)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        params, trajectory = got
+        assert render_trajectory(trajectory) == want[1]
+        assert params.tobytes() == want[0].tobytes()
