@@ -14,7 +14,6 @@ from .analysis import (
     export_trajectory,
     import_trajectory,
     render_trajectory,
-    task_variance,
     variance_monotonicity_check,
     variance_series,
 )
@@ -23,7 +22,6 @@ from .data import (
     MarkovLanguageSpec,
     MixtureStore,
     chain_cross_entropy,
-    chain_entropy_rate,
     generate_markov_corpus,
     ingest_dataset,
     sample_domain_batches,

@@ -2,7 +2,8 @@
 
 A trajectory is the per-step log of one run: task losses, both weight
 vectors, the latest alignment scores, the learning rate and the
-gradient-evaluation counters.  On top of it live two empirical checks:
+gradient-evaluation counters, kept as one column per field.  On top of
+it live two empirical checks:
 
 * ``convergence_report`` tracks the running minimum of the worst-task
   suboptimality against a known minimax optimum and fits its decay rate;
@@ -16,13 +17,14 @@ every value exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IngestError, ReportError
-from .simplex import on_simplex
+from .simplex import SimplexWeights, on_simplex
 
 VARIANCE_TOL = 1e-12
 
@@ -35,11 +37,13 @@ VECTOR_COLUMNS = (
     ("task_scores", "a_task", "task_labels"),
     ("domain_scores", "a_domain", "domain_labels"),
 )
+COUNTERS = ("train_grad_evals", "task_grad_evals", "domain_grad_evals")
+FIRST_ROWS = 16  # rows of a new trajectory's columns, which double whenever they are full
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """State snapshot after one training step."""
+    """The state after one training step, read from a trajectory's columns (the vectors as read-only views)."""
 
     step: int
     losses: np.ndarray
@@ -52,76 +56,82 @@ class TrajectoryRecord:
     task_grad_evals: int
     domain_grad_evals: int
 
-    def __post_init__(self):
-        for name, _, _ in VECTOR_COLUMNS:
-            value = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
     @property
     def grad_evals(self) -> int:
         return self.train_grad_evals + self.task_grad_evals + self.domain_grad_evals
 
 
-class Trajectory:
-    """An append-only, single-writer sequence of records for one run."""
+FIELDS = tuple(f.name for f in fields(TrajectoryRecord))
+
+
+class Trajectory(Sequence):
+    """An append-only, single-writer log of one run: a sequence of records kept as
+    columns, one preallocated column per ``TrajectoryRecord`` field, moved into
+    columns of twice the rows when full.  ``steps``, ``losses``, ``alphas`` and ``zs``
+    are read-only slices, which later appends never write into, and ``trajectory[i]``
+    (also ``records[i]``) reads one row."""
 
     def __init__(self, domain_labels, task_labels):
         self.domain_labels = tuple(domain_labels)
         self.task_labels = tuple(task_labels)
-        self.records: list[TrajectoryRecord] = []
+        self._widths = {name: len(getattr(self, side)) for name, _, side in VECTOR_COLUMNS}
+        self._size = 0
+        self._columns = {name: np.empty((FIRST_ROWS, self._widths[name]) if name in self._widths else FIRST_ROWS,
+                                        dtype=np.int64 if name == "step" or name in COUNTERS else np.float64)
+                         for name in FIELDS}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._size
 
-    def append(self, record: TrajectoryRecord) -> None:
-        if self.records and record.step <= self.records[-1].step:
-            raise ValueError(f"steps must strictly increase, got {record.step} after {self.records[-1].step}")
-        for name, _, labels in VECTOR_COLUMNS:
-            if getattr(record, name).shape != (len(getattr(self, labels)),):
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self._size)[i]]
+        i = range(self._size)[i]  # counts a negative index from the end; IndexError outside
+        return TrajectoryRecord(**{name: self._column(name)[i] if name in self._widths else
+                                   self._columns[name][i].item() for name in FIELDS})
+
+    def append(self, step, losses, alpha, z, task_scores, domain_scores, lr,
+               train_grad_evals, task_grad_evals, domain_grad_evals) -> None:
+        """Add the record of ``step``, which must exceed the last one.  ``alpha`` and ``z`` are
+        ``SimplexWeights``, whose type carries their judgement, or raw vectors, judged here."""
+        i = self._size
+        if i and step <= self._columns["step"][i - 1]:
+            raise ValueError(f"steps must strictly increase, got {step} after {self._columns['step'][i - 1]}")
+        row = dict(zip(FIELDS, (step, losses, alpha, z, task_scores, domain_scores, lr,
+                                train_grad_evals, task_grad_evals, domain_grad_evals)))
+        raw = [name for name in ("alpha", "z") if not isinstance(row[name], SimplexWeights)]
+        for name, width in self._widths.items():
+            row[name] = value = row[name].values if isinstance(row[name], SimplexWeights) else np.asarray(row[name])
+            if value.shape != (width,):
                 raise ValueError(f"record field {name} has wrong length")
-        for name in ("alpha", "z"):
-            if not on_simplex(getattr(record, name)):
+        for name in raw:
+            if not on_simplex(row[name]):
                 raise ValueError(f"record field {name} is not a valid simplex vector")
-        self.records.append(record)
+        if i == len(self._columns["step"]):  # full: move each column into a new one of twice the rows
+            self._columns = {name: np.resize(col, (2 * i, *col.shape[1:])) for name, col in self._columns.items()}
+        for name, value in row.items():
+            self._columns[name][i] = value
+        self._size = i + 1
 
-    @property
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records], dtype=np.int64)
+    def _column(self, name: str) -> np.ndarray:
+        view = self._columns[name][: self._size]
+        view.flags.writeable = False
+        return view
 
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([r.losses for r in self.records])
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([r.alpha for r in self.records])
-
-    @property
-    def zs(self) -> np.ndarray:
-        return np.array([r.z for r in self.records])
+    records = property(lambda self: self)
+    steps = property(lambda self: self._column("step"))
+    losses = property(lambda self: self._column("losses"))
+    alphas = property(lambda self: self._column("alpha"))
+    zs = property(lambda self: self._column("z"))
 
     @property
     def final_counters(self) -> tuple[int, int, int]:
-        if not self.records:
-            return (0, 0, 0)
-        last = self.records[-1]
-        return (last.train_grad_evals, last.task_grad_evals, last.domain_grad_evals)
-
-
-def task_variance(losses) -> float:
-    """Population variance (divide by N) of the per-task losses."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size < 1:
-        raise ValueError("need at least one task loss")
-    return float(np.var(losses))
+        return tuple(self._columns[name][self._size - 1].item() if self._size else 0 for name in COUNTERS)
 
 
 def variance_series(trajectory: Trajectory) -> np.ndarray:
-    """``task_variance`` of every record's losses, in record order."""
-    # shaped (records, tasks) also when there are no records
-    losses = trajectory.losses.reshape(len(trajectory), len(trajectory.task_labels))
-    return np.var(losses, axis=1)
+    """The population variance (divide by N) of every record's task losses, in record order."""
+    return np.var(trajectory.losses, axis=1)
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ def variance_monotonicity_check(
     the largest post-t0 increase when found, or the smallest achievable
     violation over candidate starting points when not.
     """
-    if not trajectory.records:
+    if not len(trajectory):
         raise ReportError("trajectory has no records")
     steps = trajectory.steps
     variances = variance_series(trajectory)
@@ -185,7 +195,7 @@ def convergence_report(trajectory: Trajectory, true_opt: float, epsilon: float =
     half of the run (slope near -1 is the signature of a 1/t decay;
     steeper is faster).
     """
-    if not trajectory.records:
+    if not len(trajectory):
         raise ReportError("trajectory has no records")
     steps, losses = trajectory.steps, trajectory.losses
     finite = np.isfinite(losses).all(axis=1)
@@ -224,10 +234,12 @@ def _header(trajectory: Trajectory) -> list[str]:
 
 def render_trajectory(trajectory: Trajectory) -> str:
     """The CSV text of a trajectory; floats as shortest round-trip decimals."""
+    floats = np.hstack([trajectory._column(name) for name, _, _ in VECTOR_COLUMNS]
+                       + [trajectory._column("lr")[:, None]]).tolist()
+    evals = sum(trajectory._column(name) for name in COUNTERS).tolist()
     lines = [",".join(_header(trajectory))]
-    for r in trajectory.records:
-        floats = np.concatenate([getattr(r, name) for name, _, _ in VECTOR_COLUMNS]).tolist() + [float(r.lr)]
-        lines.append(",".join([str(r.step), *map(repr, floats), str(r.grad_evals)]))
+    lines += [",".join([str(step), *map(repr, row), str(total)])
+              for step, row, total in zip(trajectory.steps.tolist(), floats, evals)]
     return "\n".join(lines) + "\n"
 
 
@@ -254,28 +266,23 @@ def import_trajectory(path: str | Path) -> Trajectory:
     header_line, columns = next(rows, (1, None))
     if columns is None:
         raise IngestError("trajectory file is empty", 1)
-    # Each side's labels come from the first vector that side labels.
-    labels = {}
-    for _, prefix, side in VECTOR_COLUMNS:
-        if side not in labels:
-            labels[side] = [c[len(prefix) + 1 :] for c in columns if c.startswith(prefix + ".")]
+    # Each side's labels come from the first vector that side labels, which the reversed order writes last.
+    labels = {side: [c[len(prefix) + 1 :] for c in columns if c.startswith(prefix + ".")]
+              for _, prefix, side in reversed(VECTOR_COLUMNS)}
     if not all(labels.values()):
         raise IngestError("header lacks per-task or per-domain columns", header_line)
     trajectory = Trajectory(**labels)
     if columns != _header(trajectory):
         raise IngestError("header does not match the trajectory schema", header_line)
 
-    sizes = [len(getattr(trajectory, side)) for _, _, side in VECTOR_COLUMNS]
-    bounds = np.cumsum([0, *sizes]).tolist()
+    bounds = np.cumsum([0, *trajectory._widths.values()]).tolist()
     for lineno, parts in rows:
         if len(parts) != len(columns):
             raise IngestError(f"expected {len(columns)} fields, got {len(parts)}", lineno)
         try:  # a field that is not a number, or a record the trajectory rejects
-            values = [float(p) for p in parts[1:-1]]
-            row = np.array(values[:-1])
-            vectors = {name: row[lo:hi] for (name, _, _), lo, hi in zip(VECTOR_COLUMNS, bounds, bounds[1:])}
-            trajectory.append(TrajectoryRecord(step=int(parts[0]), lr=values[-1], train_grad_evals=int(parts[-1]),
-                                               task_grad_evals=0, domain_grad_evals=0, **vectors))
-        except ValueError as exc:
+            row = np.array([float(p) for p in parts[1:-1]])  # the vectors in column order, then lr
+            vectors = [row[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            trajectory.append(int(parts[0]), *vectors, float(row[-1]), int(parts[-1]), 0, 0)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the int64 columns
             raise IngestError(str(exc), lineno) from exc
     return trajectory

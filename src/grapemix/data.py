@@ -197,10 +197,7 @@ def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng:
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     pool, offsets, sizes = store.pool(side)
-    cum = np.cumsum(w.values)
-    # The weights may sum to just under 1; a draw at or above cum[-1]
-    # goes to the last component with positive weight, never to a dead one.
-    last_live = np.searchsorted(cum, cum[-1], side="left")
+    cum, last_live = w.cumulative
     which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), last_live)
     return pool.take(offsets[which] + _rows(rng.random(size), sizes[which]))
 
@@ -301,11 +298,6 @@ def chain_cross_entropy(spec: MarkovLanguageSpec, model_probs: np.ndarray) -> fl
     terms = np.zeros_like(p)
     terms[mask] = p[mask] * np.log(q[mask])
     return float(-(pi[:, None] * terms).sum())
-
-
-def chain_entropy_rate(spec: MarkovLanguageSpec) -> float:
-    """Per-transition entropy of the chain: the optimal bigram NLL on it."""
-    return chain_cross_entropy(spec, spec.transition)
 
 
 def generate_markov_corpus(

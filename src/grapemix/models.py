@@ -151,14 +151,6 @@ class QuadraticTaskFamily(_BatchModel):
     def smoothness(self) -> float:
         return float(self.curvatures.max())
 
-    def task_loss(self, n: int, theta: np.ndarray) -> float:
-        diff = np.asarray(theta, dtype=np.float64) - self.centers[n]
-        return float(0.5 * np.dot(self.curvatures[n] * diff, diff))
-
-    def task_grad(self, n: int, theta: np.ndarray) -> np.ndarray:
-        diff = np.asarray(theta, dtype=np.float64) - self.centers[n]
-        return self.curvatures[n] * diff
-
     def all_task_losses(self, theta: np.ndarray) -> np.ndarray:
         diff = np.asarray(theta, dtype=np.float64)[None, :] - self.centers
         return 0.5 * np.einsum("nd,nd->n", self.curvatures * diff, diff)

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import Trajectory, TrajectoryRecord
+from .analysis import Trajectory
 from .data import (
     Dataset,
     MixtureStore,
@@ -422,9 +422,6 @@ def domain_reweight_step(
 
 
 class _Sgd:
-    def __init__(self, cfg: ReweightConfig, dim: int):
-        pass
-
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         return theta - lr * grad
 
@@ -495,7 +492,7 @@ def train_run(
 
     ema = np.full(store.num_tasks, np.nan)
     counters = OverheadCounter()
-    optimizer = (_AdamW if cfg.optimizer == "adamw" else _Sgd)(cfg, model.param_dim)
+    optimizer = _AdamW(cfg, model.param_dim) if cfg.optimizer == "adamw" else _Sgd()
     trajectory = Trajectory(store.domain_labels, store.task_labels)
 
     def eval_task_losses() -> np.ndarray:
@@ -503,38 +500,25 @@ def train_run(
         return np.array([model.loss(theta, batch) for batch in batches])
 
     def guard(losses: np.ndarray, step: int) -> None:
-        if not np.all(np.isfinite(losses)):
+        if not np.isfinite(losses).all():
             raise NumericalDivergence("task loss is not finite", step)
-        blown = (initial_losses > LOSS_FLOOR) & (losses > cfg.divergence_factor * initial_losses)
-        if np.any(blown):
+        blown = losses > limits
+        if blown.any():
             ratios = np.where(blown, losses / np.maximum(initial_losses, LOSS_FLOOR), 0.0)
             worst = int(np.argmax(ratios))
-            raise NumericalDivergence(
-                f"loss of task {store.task_labels[worst]!r} exceeded "
-                f"{cfg.divergence_factor:g} x its initial value",
-                step,
-            )
+            raise NumericalDivergence(f"loss of task {store.task_labels[worst]!r} exceeded "
+                                      f"{cfg.divergence_factor:g} x its initial value", step)
 
     last_task_scores = np.zeros(store.num_tasks)
     last_domain_scores = np.zeros(store.num_domains)
 
     def record(step, losses, lr):
-        trajectory.append(
-            TrajectoryRecord(
-                step=step,
-                losses=losses,
-                alpha=alpha.values,
-                z=z.values,
-                task_scores=last_task_scores,
-                domain_scores=last_domain_scores,
-                lr=lr,
-                train_grad_evals=counters.train_grad_evals,
-                task_grad_evals=counters.task_grad_evals,
-                domain_grad_evals=counters.domain_grad_evals,
-            )
-        )
+        trajectory.append(step, losses, alpha, z, last_task_scores, last_domain_scores, lr,
+                          counters.train_grad_evals, counters.task_grad_evals, counters.domain_grad_evals)
 
     initial_losses = eval_task_losses()
+    # A task whose initial loss is at most LOSS_FLOOR is never judged blown up.
+    limits = np.where(initial_losses > LOSS_FLOOR, cfg.divergence_factor * initial_losses, np.inf)
     guard(initial_losses, 0)
     record(0, initial_losses, learning_rate_at(cfg, 0))
 
@@ -543,7 +527,7 @@ def train_run(
         direction, _ = _mixture_direction(model, theta, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
         counters.train_grad_evals += 1
         theta = optimizer.step(theta, direction, gamma)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise NumericalDivergence("parameters are not finite", t + 1)
 
         update_z = cfg.adapts_z and (t + 1) % cfg.update_every_z == 0

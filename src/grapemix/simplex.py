@@ -19,7 +19,9 @@ constant to every score leaves the result unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -49,6 +51,14 @@ def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
     return labels
 
 
+def _judged(values: np.ndarray) -> np.ndarray:
+    """``values``, made read-only, or DegenerateWeights unless ``on_simplex``."""
+    if not on_simplex(values):
+        raise DegenerateWeights(f"weights {values.tolist()} are not a probability vector")
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class SimplexWeights:
     """An immutable probability vector with one label per entry.
@@ -64,20 +74,35 @@ class SimplexWeights:
         values = np.array(self.values, dtype=np.float64, copy=True)
         if values.ndim != 1 or values.size < 1:
             raise DimensionError("weights must be a nonempty 1-D vector")
-        if not on_simplex(values):
-            raise DegenerateWeights(f"weights {values.tolist()} are not a probability vector")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _judged(values))
         object.__setattr__(self, "labels", _as_labels(self.labels, values.size))
 
     @classmethod
+    def _over(cls, values: np.ndarray, labels: tuple[str, ...]) -> "SimplexWeights":
+        """Weights over ``values``, a fresh 1-D float64 array that nothing else holds, with
+        the checked ``labels`` of other weights: judged once, neither copied nor relabelled."""
+        weights = object.__new__(cls)
+        object.__setattr__(weights, "values", _judged(values))
+        object.__setattr__(weights, "labels", labels)
+        return weights
+
+    @classmethod
     def uniform(cls, labels: Sequence[str] | int) -> "SimplexWeights":
-        if isinstance(labels, int):
-            labels = [f"w{i}" for i in range(labels)]
-        m = len(labels)
+        """Equal weights over ``labels``, or over ``w0 .. w{labels-1}`` for a count."""
+        if isinstance(labels, (bool, str)):  # a bool is an int, and a string is a sequence of characters
+            raise DimensionError(f"uniform weights need labels or a count, got {labels!r}")
+        m = labels if isinstance(labels, int) else len(labels)
         if m < 1:
             raise DimensionError("weights must be a nonempty 1-D vector")
-        return cls(np.full(m, 1.0 / m), tuple(labels))
+        return cls(np.full(m, 1.0 / m), None if isinstance(labels, int) else tuple(labels))
+
+    @cached_property
+    def cumulative(self) -> tuple[np.ndarray, int]:
+        """``(cumsum(values), last)`` for categorical draws, once per weight vector: a draw at or
+        above the total (maybe just under 1) goes to ``last``, the last entry with positive weight."""
+        cum = np.cumsum(self.values)
+        cum.flags.writeable = False
+        return cum, int(np.searchsorted(cum, cum[-1], side="left"))
 
     def save(self, path: str | Path) -> None:
         """Write ``{"labels": [...], "values": [...]}``, the warm-start format."""
@@ -123,12 +148,12 @@ def multiplicative_update(
     every entry up to that value after the update and renormalizes; the
     default of 0 applies no floor.
     """
-    if not np.isfinite(step):
+    if not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step!r}")
     s = np.asarray(scores, dtype=np.float64)
     if s.shape != w.values.shape:
         raise DimensionError(f"scores shape {s.shape} != weights shape {w.values.shape}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ScoreError("scores contain NaN or Inf")
 
     if step == 0.0:
@@ -136,12 +161,12 @@ def multiplicative_update(
     else:
         with np.errstate(divide="ignore"):  # log(0) -> -inf keeps dead entries dead
             arg = np.log(w.values) + step * s
-        shifted = np.exp(arg - np.max(arg))
+        shifted = np.exp(arg - arg.max())
         updated = shifted / shifted.sum()
 
     if floor > 0.0:
         updated = np.maximum(updated, floor)
-    return SimplexWeights(updated / updated.sum(), w.labels)  # entries >= 0, or NaN, which it rejects
+    return SimplexWeights._over(updated / updated.sum(), w.labels)  # entries >= 0, or NaN, which it rejects
 
 
 def bregman_entropy_divergence(p: SimplexWeights, q: SimplexWeights) -> float:

@@ -9,23 +9,23 @@ from grapemix import (
     IngestError,
     ReportError,
     Trajectory,
-    TrajectoryRecord,
     convergence_report,
     export_trajectory,
     import_trajectory,
     render_trajectory,
-    task_variance,
     variance_monotonicity_check,
     variance_series,
 )
-from grapemix.analysis import VECTOR_COLUMNS
+from grapemix import SimplexWeights
+from grapemix.analysis import FIRST_ROWS, VECTOR_COLUMNS
 
 
 def make_record(step, losses, alpha=None, z=None, lr=0.1, evals=(0, 0, 0)):
+    """The fields of one record, as ``Trajectory.append`` takes them."""
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.size
     k = 2
-    return TrajectoryRecord(
+    return dict(
         step=step,
         losses=losses,
         alpha=np.full(k, 1.0 / k) if alpha is None else np.asarray(alpha, float),
@@ -43,33 +43,37 @@ def make_trajectory(losses_by_step, **kw):
     first = np.asarray(losses_by_step[0][1])
     traj = Trajectory(("d0", "d1"), tuple(f"t{i}" for i in range(first.size)))
     for step, losses in losses_by_step:
-        traj.append(make_record(step, losses, **kw))
+        traj.append(**make_record(step, losses, **kw))
     return traj
 
 
-class TestTaskVariance:
+def one_record_variance(losses) -> float:
+    """``variance_series`` of a trajectory holding one record with these task losses."""
+    (variance,) = variance_series(make_trajectory([(0, losses)]))
+    return float(variance)
+
+
+class TestVarianceSeries:
     def test_constant_vector(self):
-        assert task_variance([3.3, 3.3, 3.3]) == pytest.approx(0.0, abs=1e-30)
+        assert one_record_variance([3.3, 3.3, 3.3]) == pytest.approx(0.0, abs=1e-30)
 
     def test_two_point(self):
-        assert task_variance([1.0, 3.0]) == pytest.approx(1.0)
+        assert one_record_variance([1.0, 3.0]) == pytest.approx(1.0)
 
     def test_population_normalization(self):
         # divide by N, not N-1
-        assert task_variance([0.0, 2.0, 4.0]) == pytest.approx(8.0 / 3.0)
+        assert one_record_variance([0.0, 2.0, 4.0]) == pytest.approx(8.0 / 3.0)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             losses = rng.uniform(0, 5, size=4)
             c = rng.uniform(0.1, 10)
-            assert task_variance(c * losses) == pytest.approx(c * c * task_variance(losses), rel=1e-10)
+            assert one_record_variance(c * losses) == pytest.approx(c * c * one_record_variance(losses), rel=1e-10)
 
     def test_single_task(self):
-        assert task_variance([2.0]) == 0.0
+        assert one_record_variance([2.0]) == 0.0
 
-
-class TestVarianceSeries:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), count=st.integers(1, 60))
     def test_bitwise_equal_to_per_record_variance(self, data, n, count):
@@ -77,7 +81,7 @@ class TestVarianceSeries:
         row = st.lists(st.floats(-1e150, 1e150), min_size=n, max_size=n)
         rows = data.draw(st.lists(row, min_size=count, max_size=count))
         traj = make_trajectory(list(enumerate(rows)))
-        want = np.array([task_variance(r.losses) for r in traj.records])
+        want = np.array([np.var(r.losses) for r in traj.records])
         assert variance_series(traj).tobytes() == want.tobytes()
 
     def test_empty_trajectory_gives_empty_series(self):
@@ -158,19 +162,90 @@ class TestTrajectoryInvariants:
     def test_steps_strictly_increase(self):
         traj = make_trajectory([(0, [1.0]), (5, [1.0])])
         with pytest.raises(ValueError):
-            traj.append(make_record(5, [1.0]))
+            traj.append(**make_record(5, [1.0]))
 
     def test_simplex_fields_validated(self):
         traj = Trajectory(("d0", "d1"), ("t0",))
         with pytest.raises(ValueError):
-            traj.append(make_record(0, [1.0], alpha=[0.7, 0.7]))
+            traj.append(**make_record(0, [1.0], alpha=[0.7, 0.7]))
         with pytest.raises(ValueError):
-            traj.append(make_record(0, [1.0], alpha=[-0.2, 1.2]))
+            traj.append(**make_record(0, [1.0], alpha=[-0.2, 1.2]))
 
     def test_lengths_validated(self):
         traj = Trajectory(("d0", "d1"), ("t0", "t1"))
         with pytest.raises(ValueError):
-            traj.append(make_record(0, [1.0]))
+            traj.append(**make_record(0, [1.0]))
+
+
+def _writable(array) -> bool:
+    try:
+        array[...] = array
+    except ValueError:
+        return False
+    return True
+
+
+class TestColumns:
+    """The columns across several doublings (a trajectory starts with FIRST_ROWS rows)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), k=st.integers(1, 4), count=st.integers(0, 8 * FIRST_ROWS + 3),
+           seed=st.integers(0, 2**32 - 1), wrapped=st.booleans())
+    def test_columns_hold_what_was_appended(self, n, k, count, seed, wrapped):
+        rng = np.random.default_rng(seed)
+        traj = Trajectory(tuple(f"d{i}" for i in range(k)), tuple(f"t{i}" for i in range(n)))
+        rows, handed_out = [], []
+        step = 0
+        for i in range(count):
+            step += int(rng.integers(1, 1000))
+            alpha, z = (rng.dirichlet(np.ones(m)) for m in (k, n))
+            row = dict(step=step, losses=rng.normal(size=n), alpha=alpha, z=z, task_scores=rng.normal(size=n),
+                       domain_scores=rng.normal(size=k), lr=float(rng.random()),
+                       train_grad_evals=i, task_grad_evals=2 * i, domain_grad_evals=3 * i)
+            rows.append(row)
+            if wrapped:  # weights, which the trajectory takes without judging them again
+                row = dict(row, alpha=SimplexWeights(alpha, traj.domain_labels), z=SimplexWeights(z, traj.task_labels))
+            traj.append(**row)
+            if i % 7 == 0:  # kept across the growths that follow
+                handed_out.append([(a, a.copy()) for a in (traj.steps, traj.losses, traj.alphas, traj.zs)])
+
+        assert len(traj) == len(traj.records) == count
+        for name, column in (("step", traj.steps), ("losses", traj.losses), ("alpha", traj.alphas), ("z", traj.zs)):
+            want = np.array([r[name] for r in rows]).reshape(column.shape)
+            assert column.shape[0] == count and column.tobytes() == want.tobytes()
+            assert not _writable(column)
+        for row, record in zip(rows, traj.records):
+            for name, value in row.items():
+                assert np.asarray(getattr(record, name)).tobytes() == np.asarray(value).tobytes(), name
+            for name in ("losses", "alpha", "z", "task_scores", "domain_scores"):
+                assert not _writable(getattr(record, name))
+            assert type(record.step) is int and type(record.lr) is float
+        if count:
+            last = rows[-1]
+            assert traj.records[-1].step == last["step"]
+            assert traj.final_counters == (last["train_grad_evals"], last["task_grad_evals"], last["domain_grad_evals"])
+            assert [r.step for r in traj.records[-3:]] == [r["step"] for r in rows[-3:]]
+        for arrays in handed_out:
+            for array, values in arrays:
+                assert array.tobytes() == values.tobytes()
+
+    def test_append_rejects_and_leaves_the_trajectory_unchanged(self):
+        traj = make_trajectory([(t, [1.0, 2.0]) for t in range(0, 3 * FIRST_ROWS, 3)])
+        before = render_trajectory(traj)
+        bad = {
+            "alpha off the simplex": make_record(1000, [1.0, 2.0], alpha=[0.7, 0.7]),
+            "z off the simplex": make_record(1000, [1.0, 2.0], z=[0.5, np.nan]),
+            "wrong length": make_record(1000, [1.0, 2.0, 3.0]),
+            "wrong alpha length": make_record(1000, [1.0, 2.0], alpha=[1.0]),
+            "repeated step": make_record(traj.records[-1].step, [1.0, 2.0]),
+            "earlier step": make_record(1, [1.0, 2.0]),
+        }
+        for case, record in bad.items():
+            with pytest.raises(ValueError):
+                traj.append(**record)
+            assert render_trajectory(traj) == before, case
+        with pytest.raises(IndexError):
+            traj.records[len(traj)]
 
 
 class TestExportImport:
@@ -205,13 +280,9 @@ class TestExportImport:
     def test_column_count_formula(self, tmp_path):
         n, k = 3, 4
         traj = Trajectory(tuple(f"d{i}" for i in range(k)), tuple(f"t{i}" for i in range(n)))
-        traj.append(
-            TrajectoryRecord(
-                step=0, losses=np.ones(n), alpha=np.full(k, 1 / k), z=np.full(n, 1 / n),
-                task_scores=np.zeros(n), domain_scores=np.zeros(k), lr=0.1,
-                train_grad_evals=0, task_grad_evals=0, domain_grad_evals=0,
-            )
-        )
+        traj.append(step=0, losses=np.ones(n), alpha=np.full(k, 1 / k), z=np.full(n, 1 / n),
+                    task_scores=np.zeros(n), domain_scores=np.zeros(k), lr=0.1,
+                    train_grad_evals=0, task_grad_evals=0, domain_grad_evals=0)
         path = tmp_path / "cols.csv"
         export_trajectory(traj, path)
         header = path.read_text().splitlines()[0].split(",")
@@ -264,6 +335,18 @@ class TestExportImport:
             import_trajectory(path)
         assert excinfo.value.line == 5
 
+    @pytest.mark.parametrize("column", ["step", "grad_evals"])
+    def test_import_rejects_an_integer_past_int64(self, tmp_path, column):
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(0, [1.0, 2.0])]), path)
+        header, row = path.read_text().splitlines()
+        parts = row.split(",")
+        parts[header.split(",").index(column)] = str(2**63)
+        path.write_text("\n".join([header, ",".join(parts)]) + "\n")
+        with pytest.raises(IngestError) as excinfo:
+            import_trajectory(path)
+        assert excinfo.value.line == 2
+
     def test_import_rejects_text_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "traj.csv"
         export_trajectory(make_trajectory([(0, [1.0, 2.0])]), path)
@@ -308,12 +391,10 @@ def trajectories(draw):
     for _ in range(draw(st.integers(0, 4))):
         step += draw(st.integers(1, 10**6))
         traj.append(
-            TrajectoryRecord(
-                step=step, losses=vector(n, ANY_FLOAT), alpha=simplex(k), z=simplex(n),
-                task_scores=vector(n, ANY_FLOAT), domain_scores=vector(k, ANY_FLOAT), lr=draw(ANY_FLOAT),
-                train_grad_evals=draw(st.integers(0, 10**9)), task_grad_evals=draw(st.integers(0, 10**9)),
-                domain_grad_evals=draw(st.integers(0, 10**9)),
-            )
+            step=step, losses=vector(n, ANY_FLOAT), alpha=simplex(k), z=simplex(n),
+            task_scores=vector(n, ANY_FLOAT), domain_scores=vector(k, ANY_FLOAT), lr=draw(ANY_FLOAT),
+            train_grad_evals=draw(st.integers(0, 10**9)), task_grad_evals=draw(st.integers(0, 10**9)),
+            domain_grad_evals=draw(st.integers(0, 10**9)),
         )
     return traj
 

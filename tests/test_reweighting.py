@@ -104,6 +104,11 @@ class TestPcgrad:
             assert np.dot(out, surgered[1]) >= -1e-12
 
 
+def task_grad(family, n, theta):
+    """The gradient of task n of a quadratic family, in closed form: A_n (theta - c_n)."""
+    return family.curvatures[n] * (theta - family.centers[n])
+
+
 def two_task_setup(theta=(1.0, 0.0)):
     """Two quadratic tasks plus two domains with known mixtures."""
     family = QuadraticTaskFamily(
@@ -139,8 +144,8 @@ class TestTaskReweightStep:
     def _hand_scores(self, family, store, theta, alpha, scorer):
         # independent recomputation from the definitions
         domain_mixes = {"d0": np.array([1.0, 0.0]), "d1": np.array([0.3, 0.7])}
-        grads = np.array([family.task_grad(n, theta) for n in range(2)])
-        losses = np.array([family.task_loss(n, theta) for n in range(2)])
+        grads = np.array([task_grad(family, n, theta) for n in range(2)])
+        losses = np.array([family.all_task_losses(theta)[n] for n in range(2)])
         direction = sum(
             a * (domain_mixes[lbl] @ grads) for a, lbl in zip(alpha.values, store.domain_labels)
         )
@@ -196,7 +201,7 @@ class TestTaskReweightStep:
         # first observation: ema equals the current loss, so scores match grape's
         hand = self._hand_scores(family, store, theta, alpha, lambda g, l: g / max(l, LOSS_FLOOR))
         np.testing.assert_allclose(scores, hand, rtol=1e-12)
-        losses = [family.task_loss(n, theta) for n in range(2)]
+        losses = [family.all_task_losses(theta)[n] for n in range(2)]
         assert list(ema) == pytest.approx(losses)
 
     def test_relative_scores_contrast_gap_vs_roi(self):
@@ -208,9 +213,9 @@ class TestTaskReweightStep:
             centers=[[-9.0, 0.0], [0.9, 0.0]],
         )
         theta = np.array([1.0, 0.0])
-        assert family.task_loss(0, theta) == pytest.approx(10.0)
-        assert family.task_loss(1, theta) == pytest.approx(0.1)
-        np.testing.assert_allclose(family.task_grad(0, theta), family.task_grad(1, theta))
+        assert family.all_task_losses(theta)[0] == pytest.approx(10.0)
+        assert family.all_task_losses(theta)[1] == pytest.approx(0.1)
+        np.testing.assert_allclose(task_grad(family, 0, theta), task_grad(family, 1, theta))
         store = MixtureStore(
             {"d0": family.domain_dataset(np.array([1.0, 0.0]))},
             {"t0": family.task_dataset(0), "t1": family.task_dataset(1)},
@@ -263,8 +268,8 @@ class TestDomainReweightStep:
         new_alpha, scores = domain_reweight_step(
             alpha, model, theta, store, z, expected_cfg(), stream_rng(0, "d")
         )
-        grads = np.array([family.task_grad(n, theta) for n in range(2)])
-        losses = np.array([family.task_loss(n, theta) for n in range(2)])
+        grads = np.array([task_grad(family, n, theta) for n in range(2)])
+        losses = np.array([family.all_task_losses(theta)[n] for n in range(2)])
         target = sum(z.values[n] * grads[n] / max(losses[n], LOSS_FLOOR) for n in range(2))
         mixes = [np.array([1.0, 0.0]), np.array([0.3, 0.7])]
         hand = np.array([(m @ grads) @ target for m in mixes])
@@ -279,8 +284,8 @@ class TestDomainReweightStep:
         _, scores = domain_reweight_step(
             alpha, model, theta, store, z, expected_cfg(), stream_rng(0, "d")
         )
-        grads = np.array([family.task_grad(n, theta) for n in range(2)])
-        target = grads[1] / max(family.task_loss(1, theta), LOSS_FLOOR)
+        grads = np.array([task_grad(family, n, theta) for n in range(2)])
+        target = grads[1] / max(family.all_task_losses(theta)[1], LOSS_FLOOR)
         mixes = [np.array([1.0, 0.0]), np.array([0.3, 0.7])]
         hand = np.array([(m @ grads) @ target for m in mixes])
         np.testing.assert_allclose(scores, hand, rtol=1e-12)
@@ -430,7 +435,7 @@ class TestTrainRun:
         params, traj = train_run(cfg, family.model(), store, seed=0)
         theta = np.zeros(2)
         for _ in range(20):
-            theta = theta - 0.3 * family.task_grad(0, theta)
+            theta = theta - 0.3 * task_grad(family, 0, theta)
         np.testing.assert_allclose(params, theta, rtol=1e-12)
         for record in traj.records:
             np.testing.assert_array_equal(record.alpha, [1.0])
@@ -486,7 +491,7 @@ class TestTrainRun:
         expected = []
         for _ in range(3):
             expected.append(theta)                      # training gradient at theta_t
-            theta = theta - 0.25 * family.task_grad(0, theta)
+            theta = theta - 0.25 * task_grad(family, 0, theta)
             expected.extend([theta] * 4)                # z step (2 grads) + alpha step (2 grads)
         assert len(probe.grad_params) == len(expected)
         for got, want in zip(probe.grad_params, expected):
@@ -526,7 +531,7 @@ class TestTrainRun:
             algorithm="uniform", total_steps=1, base_lr=0.1, optimizer="adamw", weight_decay=0.04
         )
         params, _ = train_run(cfg, family.model(), store, seed=0, params0=np.array([3.0, 5.0]))
-        g = family.task_grad(0, np.array([3.0, 5.0]))
+        g = task_grad(family, 0, np.array([3.0, 5.0]))
         m_hat, v_hat = g, g * g  # bias correction is exact at t=1
         expected = np.array([3.0, 5.0]) - 0.1 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.04 * np.array([3.0, 5.0]))
         np.testing.assert_allclose(params, expected, rtol=1e-12)

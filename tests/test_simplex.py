@@ -16,7 +16,7 @@ from grapemix import (
     multiplicative_update,
     normalize,
 )
-from grapemix.analysis import Trajectory, TrajectoryRecord
+from grapemix.analysis import Trajectory
 from grapemix.data import MarkovLanguageSpec
 from grapemix.errors import SpecError
 from grapemix.simplex import SIMPLEX_TOL, on_simplex
@@ -236,6 +236,12 @@ class TestWeightPlumbing:
         with pytest.raises(DimensionError, match="nonempty"):
             SimplexWeights.uniform(labels)
 
+    @pytest.mark.parametrize("labels", ["ab", "a", True, False], ids=["string", "one-char", "true", "false"])
+    def test_uniform_rejects_a_string_or_a_bool(self, labels):
+        # a string would label one weight per character, and a bool would count as an int
+        with pytest.raises(DimensionError, match="labels or a count"):
+            SimplexWeights.uniform(labels)
+
     def test_values_immutable(self):
         w = SimplexWeights.uniform(3)
         with pytest.raises(ValueError):
@@ -290,11 +296,10 @@ class TestOneSimplexRule:
         expected = on_simplex(values)
         n = values.size
         assert _accepts(lambda: SimplexWeights(values), DegenerateWeights) == expected
-        record = TrajectoryRecord(step=0, losses=[1.0], alpha=values, z=[1.0], task_scores=[0.0],
-                                  domain_scores=np.zeros(n), lr=0.1, train_grad_evals=0, task_grad_evals=0,
-                                  domain_grad_evals=0)
+        record = dict(step=0, losses=[1.0], alpha=values, z=[1.0], task_scores=[0.0], domain_scores=np.zeros(n),
+                      lr=0.1, train_grad_evals=0, task_grad_evals=0, domain_grad_evals=0)
         trajectory = Trajectory([f"d{i}" for i in range(n)], ["t0"])
-        assert _accepts(lambda: trajectory.append(record), ValueError) == expected
+        assert _accepts(lambda: trajectory.append(**record), ValueError) == expected
         transition = np.full((n, n), 1.0 / n)
         transition[0] = values
         assert _accepts(lambda: MarkovLanguageSpec(n, transition), SpecError) == expected
