@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from grapemix import (
     IngestError,
     ReportError,
+    SimplexWeights,
     Trajectory,
     convergence_report,
     export_trajectory,
@@ -16,7 +17,6 @@ from grapemix import (
     variance_monotonicity_check,
     variance_series,
 )
-from grapemix import SimplexWeights
 from grapemix.analysis import FIRST_ROWS, VECTOR_COLUMNS
 
 
