@@ -41,9 +41,10 @@ COUNTERS = ("train_grad_evals", "task_grad_evals", "domain_grad_evals")
 FIRST_ROWS = 16  # rows of a new trajectory's columns, which double whenever they are full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """The state after one training step, read from a trajectory's columns (the vectors as read-only views)."""
+    """The state after one training step, read from a trajectory's columns (the vectors as read-only views).
+    Records compare by identity: compare their fields, or the trajectory's columns."""
 
     step: int
     losses: np.ndarray

@@ -58,20 +58,15 @@ class Dataset:
         self._examples = examples
         self._kept = {}
 
-    def prepared(self, compute: Callable, params: np.ndarray | None = None):
-        """``compute(self)``, or ``compute(params, self)`` for a float64
-        parameter vector, kept read-only.  Each ``compute`` keeps its last
-        result with the bytes of the parameters it was computed at, and a
-        call at equal bytes returns it: without parameters, for the
-        dataset's lifetime.  The bytes, not the array, are the key, so an
-        array changed in place is computed anew.  A failure is not kept."""
-        key = None if params is None else params.tobytes()
-        kept = self._kept.get(compute)
-        if kept is not None and kept[0] == key:
-            return kept[1]
-        out = _read_only(compute(self) if params is None else compute(params, self))
-        self._kept[compute] = (key, out)
-        return out
+    def prepared(self, compute: Callable, params=None, key: bytes | None = None):
+        """``compute(self)``, or ``compute(params, self)`` for parameters,
+        kept by ``keep``: without parameters for the dataset's lifetime,
+        with them per ``key``, the bytes of a float64 ``params`` unless the
+        caller passes them.  The bytes, not the array, are the key, so an
+        array changed in place is computed anew."""
+        if params is None:
+            return keep(self._kept, compute, None, self)
+        return keep(self._kept, compute, params.tobytes() if key is None else key, params, self)
 
     def rows(self, prepare: Callable):
         """``prepared(prepare)``, for a ``prepare`` whose arrays have one row
@@ -120,13 +115,26 @@ class DatasetView(Dataset):
         return map(self.pool._examples.__getitem__, self.index.tolist())
 
 
+def keep(slots: dict, compute: Callable, key, *args):
+    """``compute(*args)``, read-only, kept in ``slots`` with ``key``: each
+    ``compute`` keeps its last result, and a call with an equal key returns
+    it.  A failure is not kept."""
+    kept = slots.get(compute)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    out = _read_only(compute(*args))
+    slots[compute] = (key, out)
+    return out
+
+
 def _read_only(out):
-    """``out`` (a number, an array or a tuple of arrays), every array in it made read-only."""
+    """``out`` (a number, an array or a tuple of both), every array in it made read-only."""
     if isinstance(out, np.ndarray):
         out.setflags(write=False)
     elif isinstance(out, tuple):
         for arr in out:
-            arr.setflags(write=False)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
     return out
 
 

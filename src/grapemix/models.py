@@ -25,7 +25,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .data import _ALPHABET, Dataset, DatasetView
+from .data import _ALPHABET, Dataset, DatasetView, keep
 from .errors import DimensionError, EmptyBatch
 from .simplex import on_simplex
 
@@ -38,8 +38,11 @@ class DifferentiableModel(Protocol):
     ``loss`` and ``grad`` on one batch prepare it once, in either order,
     and its last ``loss`` and its last ``grad`` with the parameter vector
     each was computed at, so a repeated call at unchanged parameters
-    returns the kept value; a kept gradient is read-only.  A record the
-    model cannot use raises a typed error.
+    returns the kept value; a kept gradient is read-only.  What depends on
+    the parameters alone (the char LM's log-softmax) a built-in model
+    keeps by the same rule for its last parameter vector, so every batch
+    evaluated at one point shares it.  A record the model cannot use
+    raises a typed error.
     """
 
     param_dim: int
@@ -92,9 +95,10 @@ def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _BatchModel:
-    """The public ``loss`` and ``grad`` of the built-in models: a subclass's
-    ``_loss`` and ``_grad`` of checked parameters on a ``Dataset``, kept by
-    the batch per parameter vector (``Dataset.prepared``)."""
+    """The public ``loss`` and ``grad`` of the quadratic and softmax
+    models: a subclass's ``_loss`` and ``_grad`` of checked parameters on
+    a ``Dataset``, kept by the batch per parameter vector
+    (``Dataset.prepared``)."""
 
     param_dim: int
 
@@ -309,16 +313,20 @@ _SEPARATOR = "\0"
 _TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
 
 
-class CharLMModel(_BatchModel):
+class CharLMModel:
     """Bigram character LM: a flat V x V logit table, loss = mean NLL/char.
 
     The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
     batches are datasets of strings over it.  Loss and gradient are
-    computed from pooled transition counts, which the batch keeps after
-    the first call.  A whole dataset or a list is counted from its text,
-    in O(batch chars + V^2) regardless of how the text is chunked.  A view
-    of a store pool sums its rows of the pool's per-string counts, which
-    are counted once per pool.  Later calls on the batch cost O(V^2).
+    computed from pooled transition counts and their row and grand
+    totals, which the batch keeps after the first call.  A whole dataset
+    or a list is counted from its text, in O(batch chars + V^2) regardless
+    of how the text is chunked.  A view of a store pool sums its rows of
+    the pool's per-string counts, which are counted once per pool.  The
+    log-probabilities and probabilities of the table are computed once
+    per parameter vector and shared by every batch evaluated at it, so a
+    later call on a counted batch at kept parameters is a few elementwise
+    O(V^2) operations.
     """
 
     def __init__(self, vocab_size: int):
@@ -332,16 +340,40 @@ class CharLMModel(_BatchModel):
         for i, ch in enumerate(self.vocab):
             self._lut[ord(ch)] = i
         self._lut[ord(_SEPARATOR)] = self.vocab_size
+        self._kept = {}  # the log-probabilities of the last parameter vector
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)  # uniform next-char distribution
 
+    def loss(self, params: np.ndarray, batch: Dataset) -> float:
+        return self._evaluate(self._loss, params, batch)
+
+    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
+        return self._evaluate(self._grad, params, batch)
+
+    def _evaluate(self, evaluate, params: np.ndarray, batch: Dataset):
+        """``evaluate(key, batch)`` for the bytes ``key`` of the checked
+        parameters, kept by the batch per key; the same bytes key the
+        model's log-probabilities (``_point``)."""
+        key = _check_params(params, self.param_dim).tobytes()
+        return _as_dataset(batch).prepared(evaluate, key, key)
+
+    def _point(self, key: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (log_probs, probs) V x V tables of the parameters
+        with bytes ``key``, kept for the last parameter vector."""
+        return keep(self._kept, self._log_probs, key, key)
+
+    def _log_probs(self, key: bytes) -> tuple[np.ndarray, np.ndarray]:
+        log_probs = _log_softmax(np.frombuffer(key).reshape(self.vocab_size, self.vocab_size))
+        return log_probs, np.exp(log_probs)
+
     def transition_counts(self, batch: Dataset) -> np.ndarray:
         """Pooled V x V counts of (char, next char) pairs, per string;
         read-only, and computed once per batch."""
-        return _as_dataset(batch).prepared(self._count_transitions)
+        return _as_dataset(batch).prepared(self._count_transitions)[0]
 
-    def _count_transitions(self, batch: Dataset) -> np.ndarray:
+    def _count_transitions(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray, np.float64]:
+        """The batch's transition counts, their (V, 1) row totals and their total."""
         if isinstance(batch, DatasetView):
             # Integer counts summed in float64 are exact: equal to counting the view's text.
             counts = batch.rows(self._row_counts).sum(axis=0, dtype=np.float64)
@@ -354,7 +386,7 @@ class CharLMModel(_BatchModel):
             counts = pairs[:-1, :-1].astype(np.float64)
         if not counts.any():
             raise EmptyBatch("batch has no character transitions")
-        return counts
+        return counts, counts.sum(axis=1, keepdims=True), counts.sum()
 
     def _row_counts(self, pool: Dataset) -> np.ndarray:
         """The (n, V, V) transition counts of each string of a pool, in the
@@ -382,18 +414,15 @@ class CharLMModel(_BatchModel):
             raise ValueError(f"batch contains characters outside the vocabulary: {unknown!r}")
         return codes
 
-    def _log_probs(self, params: np.ndarray) -> np.ndarray:
-        return _log_softmax(params.reshape(self.vocab_size, self.vocab_size))
+    def _loss(self, key: bytes, batch: Dataset) -> float:
+        counts, _, total = batch.prepared(self._count_transitions)
+        log_probs, _ = self._point(key)
+        return float(-(counts * log_probs).sum() / total)
 
-    def _loss(self, params: np.ndarray, batch: Dataset) -> float:
-        counts = self.transition_counts(batch)
-        return float(-(counts * self._log_probs(params)).sum() / counts.sum())
-
-    def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        counts = self.transition_counts(batch)
-        probs = np.exp(self._log_probs(params))
-        row_totals = counts.sum(axis=1, keepdims=True)
-        return ((probs * row_totals - counts) / counts.sum()).ravel()
+    def _grad(self, key: bytes, batch: Dataset) -> np.ndarray:
+        counts, row_totals, total = batch.prepared(self._count_transitions)
+        _, probs = self._point(key)
+        return ((probs * row_totals - counts) / total).ravel()
 
 
 # ---------------------------------------------------------------------------

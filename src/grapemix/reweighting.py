@@ -80,6 +80,13 @@ CHOICES = {"algorithm": ALGORITHMS, "lr_schedule": SCHEDULES, "task_mix_mode": M
            "domain_mix_mode": MIX_MODES, "optimizer": OPTIMIZERS}
 # The most examples in one batch: a draw allocates its arrays at once, and 1e9 would ask for gigabytes.
 MAX_BATCH_SIZE = 2**20
+# The most training steps of one run, and the most score estimates averaged per update: a run
+# within both ends in minutes on the built-in models, not hours (criterion 9 runs 20000 steps).
+MAX_TOTAL_STEPS = 10**6
+MAX_EVAL_REPLICATES = 1000
+# The upper bound of each bounded integer field.
+UPPER_BOUNDS = {"total_steps": MAX_TOTAL_STEPS, "eval_replicates": MAX_EVAL_REPLICATES,
+                "train_batch_size": MAX_BATCH_SIZE, "eval_batch_size": MAX_BATCH_SIZE}
 
 
 @dataclass
@@ -93,6 +100,9 @@ class ReweightConfig:
     that update entirely.  ``task_mix_mode`` / ``domain_mix_mode`` choose
     between sampling mixed batches (the stochastic default) and exact
     weighted full-batch combinations (variance-free, for analysis runs).
+    ``UPPER_BOUNDS`` caps ``total_steps`` at ``MAX_TOTAL_STEPS`` (10^6),
+    ``eval_replicates`` at ``MAX_EVAL_REPLICATES`` (1000) and both batch
+    sizes at ``MAX_BATCH_SIZE`` (2^20).
     """
 
     algorithm: str = "grape"
@@ -132,9 +142,9 @@ class ReweightConfig:
             if int in (kind, *typing.get_args(kind)) and (kind is int or value is not None) and (
                     isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("train_batch_size", "eval_batch_size"):
-            if (getattr(self, name) or 0) > MAX_BATCH_SIZE:
-                raise ValueError(f"{name} must be <= {MAX_BATCH_SIZE}, got {getattr(self, name)!r}")
+        for name, bound in UPPER_BOUNDS.items():
+            if (getattr(self, name) or 0) > bound:
+                raise ValueError(f"{name} must be <= {bound}, got {getattr(self, name)!r}")
         for name in ("step_ratio_alpha", "step_ratio_z", "base_lr", "adam_eps"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")

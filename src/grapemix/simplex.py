@@ -59,12 +59,14 @@ def _judged(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexWeights:
     """An immutable probability vector with one label per entry.
 
     Entries are nonnegative and sum to 1 within ``SIMPLEX_TOL``.  Updates
     return new instances; instances are safe to share across threads.
+    Two instances are equal when their labels are and their values are
+    bitwise, and equal instances hash alike.
     """
 
     values: np.ndarray
@@ -76,6 +78,14 @@ class SimplexWeights:
             raise DimensionError("weights must be a nonempty 1-D vector")
         object.__setattr__(self, "values", _judged(values))
         object.__setattr__(self, "labels", _as_labels(self.labels, values.size))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplexWeights):
+            return NotImplemented
+        return self.labels == other.labels and self.values.tobytes() == other.values.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.values.tobytes()))
 
     @classmethod
     def _over(cls, values: np.ndarray, labels: tuple[str, ...]) -> "SimplexWeights":
