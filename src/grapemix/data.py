@@ -14,9 +14,11 @@ no list of examples is built for it.  Every batch is a ``Dataset`` (a
 store dataset, a pool view, or a wrapped list) with one memo,
 ``Dataset.prepared``: it keeps what models derive from the batch
 (counts, stacked arrays) for its lifetime, and each model evaluation's
-last result with the parameters it was computed at.  What has one row
-per example (``Dataset.rows``) a view gathers from its pool's, and does
-not keep.  Never mutate an example, or an array inside one, in place.
+last result with the parameters it was computed at.  Its keep rule,
+``keep``, is also the one a model keeps what depends on the parameters
+alone by.  What has one row per example (``Dataset.rows``) a view
+gathers from its pool's, and does not keep.  Never mutate an example, or
+an array inside one, in place.
 """
 
 from __future__ import annotations

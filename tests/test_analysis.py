@@ -229,6 +229,12 @@ class TestColumns:
             for array, values in arrays:
                 assert array.tobytes() == values.tobytes()
 
+    def test_records_compare_by_identity(self):
+        traj = make_trajectory([(0, [1.0, 2.0]), (1, [1.0, 2.0])])
+        first, second = traj[0], traj[1]
+        assert first == first and first != second and first != traj[0]
+        assert len({first, second}) == 2
+
     def test_append_rejects_and_leaves_the_trajectory_unchanged(self):
         traj = make_trajectory([(t, [1.0, 2.0]) for t in range(0, 3 * FIRST_ROWS, 3)])
         before = render_trajectory(traj)

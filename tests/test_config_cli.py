@@ -23,7 +23,7 @@ from grapemix import ConfigError, ReweightConfig, import_trajectory, train_run
 from grapemix.cli import main
 from grapemix.config import _FILE_KEYS, _MODEL_KINDS, build_model, build_store, load_config_file, parse_config
 from grapemix.models import MAX_SOFTMAX_PARAMS
-from grapemix.reweighting import FIELD_TYPES, MAX_BATCH_SIZE
+from grapemix.reweighting import FIELD_TYPES, MAX_BATCH_SIZE, MAX_EVAL_REPLICATES, MAX_TOTAL_STEPS, UPPER_BOUNDS
 
 
 def minimal_quadratic_config(**overrides):
@@ -439,6 +439,14 @@ MALFORMED = [
      f"field train_batch_size must be <= {MAX_BATCH_SIZE}"),
     ("eval-batch-huge", minimal_quadratic_config, {"task_mix_mode": "sampled", "eval_batch_size": 1e20},
      f"field eval_batch_size must be <= {MAX_BATCH_SIZE}"),
+    # a valid run that long would take hours
+    ("steps-huge", minimal_quadratic_config, {"total_steps": MAX_TOTAL_STEPS + 1},
+     f"field total_steps must be <= {MAX_TOTAL_STEPS}, got {MAX_TOTAL_STEPS + 1}"),
+    ("steps-1e300", minimal_char_config, {"total_steps": 1e300}, f"field total_steps must be <= {MAX_TOTAL_STEPS}"),
+    ("replicates-huge", minimal_quadratic_config, {"eval_replicates": MAX_EVAL_REPLICATES + 1},
+     f"field eval_replicates must be <= {MAX_EVAL_REPLICATES}, got {MAX_EVAL_REPLICATES + 1}"),
+    ("replicates-1e300", minimal_softmax_config, {"eval_replicates": 1e300},
+     f"field eval_replicates must be <= {MAX_EVAL_REPLICATES}"),
     ("corpus-length-huge", minimal_char_config, _set_domain("length", 1e300),
      f"field domains[0].length must be <= {MAX_BATCH_SIZE}"),
     ("mix-size-huge", minimal_quadratic_config, _set_domain("size", 1e300),
@@ -595,8 +603,8 @@ MUTATION_FILES = {
 REPLACEMENTS = [math.nan, math.inf, -math.inf, -1, 0, 1e300, True, "x", [], {}, None]
 # A large valid value of these allocates memory or time, so they only take
 # small valid values, or values past the bound of the bounded ones.
-BOUNDED_SIZES = {"train_batch_size", "eval_batch_size", "length", "size", "n_features", "n_classes"}
-UNBOUNDED_SIZES = {"seq_len", "total_steps"}
+BOUNDED_SIZES = {"length", "size", "n_features", "n_classes", *UPPER_BOUNDS}
+UNBOUNDED_SIZES = {"seq_len"}
 
 
 def _key_paths(node, prefix=()):
@@ -622,15 +630,19 @@ def _names(node):
 
 @st.composite
 def mutated_configs(draw):
-    """A base config with total_steps capped at 20, and one key dropped, renamed or given a new value;
-    and the names an error may give: each key and entry label in the file, and the edited key."""
+    """A base config with total_steps capped at 20 and an explicit eval_replicates of 1, and one key
+    dropped, renamed or given a new value; and the names an error may give: each key and entry
+    label in the file, and the edited key."""
     cfg = MUTATION_BASES[draw(st.sampled_from(sorted(MUTATION_BASES)))]()
     cfg["total_steps"] = min(cfg["total_steps"], 20)
+    cfg["eval_replicates"] = 1
     *parents, key = draw(st.sampled_from(list(_key_paths(cfg))))
     holder = functools.reduce(operator.getitem, parents, cfg)
     values = REPLACEMENTS
     if key in BOUNDED_SIZES | UNBOUNDED_SIZES:
         values = [v for v in REPLACEMENTS if v != 1e300 or key in BOUNDED_SIZES] + [1, 2]
+        if key in UPPER_BOUNDS:
+            values += [UPPER_BOUNDS[key] + 1]
     edits = ["replace"] + ["drop"] * (key != "total_steps") + ["rename"] * isinstance(key, str)
     edit = draw(st.sampled_from(edits))
     if edit == "drop":

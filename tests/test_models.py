@@ -31,7 +31,7 @@ from grapemix import (
     sample_task_batches,
     train_run,
 )
-from grapemix import verify
+from grapemix import models, verify
 from grapemix.models import _as_dataset
 from grapemix.verify import harness_family
 
@@ -526,6 +526,73 @@ class TestPools:
         # the task side is clean, and the whole domain datasets are counted from their own text
         model.loss(np.zeros(9), sample_task_batches(store, 4, np.random.default_rng(0))[0])
         model.loss(np.zeros(9), store.domains["d0"])
+
+
+class TestParameterPoint:
+    """The char LM keeps the log-probabilities of its last parameter vector,
+    shared by every batch evaluated there; whatever came before, a call
+    returns bitwise what a fresh model gives on a fresh batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(["loss", "grad"]), st.integers(0, 4),
+                                    st.booleans()), min_size=1, max_size=30))
+    def test_bitwise_equal_to_a_fresh_model(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        model, store = _view_store("char", [1, 5, 12], rng)
+        batches = [*store.domains.values(), *store.tasks.values(), *_sampled_views(store, rng)]
+        base = rng.normal(size=model.param_dim)
+        # the same vector twice, another, zeros; index 4 draws a fresh vector for each call
+        params = [base, base.copy(), rng.normal(size=model.param_dim), np.zeros(model.param_dim)]
+        for b, what, p, as_list in calls:
+            batch = batches[b % len(batches)]
+            theta = params[p] if p < len(params) else rng.normal(size=model.param_dim)
+            try:
+                want = np.asarray(getattr(CharLMModel(model.vocab_size), what)(theta, list(batch))).tobytes()
+            except EmptyBatch:
+                with pytest.raises(EmptyBatch):
+                    getattr(model, what)(theta, batch)
+                continue
+            got = getattr(model, what)(theta, list(batch) if as_list else batch)
+            assert np.asarray(got).tobytes() == want
+
+    def test_kept_tables_are_read_only_and_shared(self):
+        model = CharLMModel(3)
+        params = np.random.default_rng(0).normal(size=9)
+        model.grad(params, ["abca"])
+        point = model._point(params.tobytes())
+        model.loss(params, Dataset(["cab", "bb"]))  # another batch at the same parameters
+        assert model._point(params.tobytes()) is point
+        for table in point:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+        np.testing.assert_allclose(point[1].sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("texts,error", [(["a", "b"], EmptyBatch), (["abz"], ValueError)],
+                             ids=["no-transitions", "outside-vocabulary"])
+    def test_failure_keeps_nothing(self, texts, error):
+        model = CharLMModel(3)
+        params = np.random.default_rng(1).normal(size=9)
+        bad = Dataset(texts)
+        for evaluate in (model.loss, model.grad) * 2:
+            with pytest.raises(error):
+                evaluate(params, bad)
+        assert not bad._kept and not model._kept
+        fresh = CharLMModel(3)
+        assert model.loss(params, ["abcab"]) == fresh.loss(params, ["abcab"])
+        assert model.grad(params, ["abcab"]).tobytes() == fresh.grad(params, ["abcab"]).tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
+    def test_one_log_softmax_per_parameter_vector(self, monkeypatch, algorithm):
+        seen = []
+        log_softmax = models._log_softmax
+        monkeypatch.setattr(models, "_log_softmax", lambda logits: seen.append(logits.tobytes()) or log_softmax(logits))
+        cfg = ReweightConfig(algorithm=algorithm, total_steps=30, update_every_alpha=3, update_every_z=3,
+                             task_mix_mode="expected", domain_mix_mode="expected")
+        train_run(cfg, CharLMModel(3), _char_store(), seed=0)
+        # the start and each step's parameters, and no vector twice
+        assert 0 < len(seen) <= cfg.total_steps + 1 and len(set(seen)) == len(seen)
 
 
 class _NoParamsModel:

@@ -247,6 +247,16 @@ class TestWeightPlumbing:
         with pytest.raises(ValueError):
             w.values[0] = 0.9
 
+    def test_equal_by_labels_and_bitwise_values(self):
+        w = SimplexWeights.uniform(["x", "y"])
+        same = SimplexWeights(np.array([0.5, 0.5]), ("x", "y"))
+        assert w == same and not w != same and hash(w) == hash(same)
+        assert {w: 1}[same] == 1 and len({w, same}) == 1
+        assert w != SimplexWeights.uniform(["y", "x"]) and w != SimplexWeights.uniform(2)
+        assert w != SimplexWeights(np.array([0.25, 0.75]), ("x", "y")) and w != [0.5, 0.5]
+        # 0.0 and -0.0 are equal numbers but other bytes
+        assert SimplexWeights([1.0, 0.0]) != SimplexWeights([1.0, -0.0])
+
 
 # Entries that sit on or just past the edge of the simplex test.
 EDGE_ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300, -1e-12, 1.0]
