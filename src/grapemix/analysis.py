@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError, ReportError
+from .errors import DimensionError, IngestError, ReportError
 from .simplex import SimplexWeights, on_simplex
 
 VARIANCE_TOL = 1e-12
@@ -73,8 +73,8 @@ class Trajectory(Sequence):
     (also ``records[i]``) reads one row."""
 
     def __init__(self, domain_labels, task_labels):
-        self.domain_labels = tuple(domain_labels)
-        self.task_labels = tuple(task_labels)
+        self.domain_labels = csv_labels(domain_labels)
+        self.task_labels = csv_labels(task_labels)
         self._widths = {name: len(getattr(self, side)) for name, _, side in VECTOR_COLUMNS}
         self._size = 0
         self._columns = {name: np.empty((FIRST_ROWS, self._widths[name]) if name in self._widths else FIRST_ROWS,
@@ -224,6 +224,17 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # CSV export / import
 # ---------------------------------------------------------------------------
+
+
+def csv_labels(labels) -> tuple:
+    """``labels`` as a tuple, or DimensionError naming the first that cannot be part of
+    a CSV column name: a comma splits the header's fields, and a line break (any that
+    ``str.splitlines`` breaks at, as ``import_trajectory`` does) its line."""
+    labels = tuple(labels)
+    for label in map(str, labels):
+        if "," in label or len(f"{label}.".splitlines()) > 1:
+            raise DimensionError(f"label {label!r} cannot name a trajectory CSV column: it holds a comma or a line break")
+    return labels
 
 
 def _header(trajectory: Trajectory) -> list[str]:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .analysis import csv_labels
 from .data import (
     Dataset,
     MarkovLanguageSpec,
@@ -216,6 +217,10 @@ def _parse_entries(entries, where: str, base_dir) -> list[dict]:
         spot = f"{where}[{i}]"
         _require(isinstance(entry, dict), f"{spot} must be a mapping")
         _require(isinstance(entry.get("label"), str), f"field {spot}.label is required and must be a string")
+        try:
+            csv_labels([entry["label"]])
+        except DimensionError as exc:
+            raise ConfigError(f"field {spot}.label: {exc}") from exc
         sources = [key for key in _SOURCES if key in entry]
         _require(len(sources) == 1, f"field {spot}: need exactly one of {'/'.join(_SOURCES)}")
         source = sources[0]

@@ -11,14 +11,9 @@ A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
 that side's examples in label order, built at the first sampled draw.
 A sampled batch is a view of the pool, an index vector of its rows, and
 no list of examples is built for it.  Every batch is a ``Dataset`` (a
-store dataset, a pool view, or a wrapped list) with one memo,
-``Dataset.prepared``: it keeps what models derive from the batch
-(counts, stacked arrays) for its lifetime, and each model evaluation's
-last result with the parameters it was computed at.  Its keep rule,
-``keep``, is also the one a model keeps what depends on the parameters
-alone by.  What has one row per example (``Dataset.rows``) a view
-gathers from its pool's, and does not keep.  Never mutate an example, or
-an array inside one, in place.
+store dataset, a pool view, or a wrapped list), which keeps what models
+derive from it in ``Dataset.prepared``.  Never mutate an example, or an
+array inside one, in place.
 """
 
 from __future__ import annotations
@@ -60,15 +55,15 @@ class Dataset:
         self._examples = examples
         self._kept = {}
 
-    def prepared(self, compute: Callable, params=None, key: bytes | None = None):
+    def prepared(self, compute: Callable, params=None):
         """``compute(self)``, or ``compute(params, self)`` for parameters,
         kept by ``keep``: without parameters for the dataset's lifetime,
-        with them per ``key``, the bytes of a float64 ``params`` unless the
-        caller passes them.  The bytes, not the array, are the key, so an
-        array changed in place is computed anew."""
+        with them per the bytes of a float64 ``params``.  The bytes, not
+        the array, are the key, so an array changed in place is computed
+        anew."""
         if params is None:
             return keep(self._kept, compute, None, self)
-        return keep(self._kept, compute, params.tobytes() if key is None else key, params, self)
+        return keep(self._kept, compute, params.tobytes(), params, self)
 
     def rows(self, prepare: Callable):
         """``prepared(prepare)``, for a ``prepare`` whose arrays have one row
@@ -101,6 +96,10 @@ class DatasetView(Dataset):
         self.pool = pool
         self.index = index
         self._kept = {}
+
+    def take(self, index: np.ndarray) -> "DatasetView":
+        """The rows at ``index`` of this view, as a view of its pool."""
+        return DatasetView(self.pool, self.index[index])
 
     def rows(self, prepare: Callable):
         """The view's rows of ``pool.rows(prepare)``, read-only and not kept."""
@@ -156,6 +155,9 @@ class MixtureStore:
         overlap = set(domains) & set(tasks)
         if overlap:
             raise DimensionError(f"domain and task labels overlap: {sorted(overlap)}")
+        for label, ds in {**domains, **tasks}.items():
+            if not isinstance(ds, Dataset):
+                raise TypeError(f"dataset {label!r} is a {type(ds).__name__}, not a Dataset")
         self.domains = MappingProxyType(dict(domains))
         self.tasks = MappingProxyType(dict(tasks))
         self.domain_labels = tuple(self.domains)
@@ -178,7 +180,7 @@ class MixtureStore:
             datasets = list((self.domains if side == "domains" else self.tasks).values())
             sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
             offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            pool = Dataset([ex for ds in datasets for ex in ds._examples])
+            pool = Dataset([ex for ds in datasets for ex in ds])
             self._pools[side] = (pool, offsets, sizes)
         return self._pools[side]
 

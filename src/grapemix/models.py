@@ -34,15 +34,13 @@ class DifferentiableModel(Protocol):
     """What the training loop needs: a loss and its gradient on a batch.
 
     A batch is a ``Dataset``: a sampled draw or a whole store dataset.
-    It keeps, in ``Dataset.prepared``, what a model derives from it, so
-    ``loss`` and ``grad`` on one batch prepare it once, in either order,
-    and its last ``loss`` and its last ``grad`` with the parameter vector
-    each was computed at, so a repeated call at unchanged parameters
-    returns the kept value; a kept gradient is read-only.  What depends on
-    the parameters alone (the char LM's log-softmax) a built-in model
-    keeps by the same rule for its last parameter vector, so every batch
-    evaluated at one point shares it.  A record the model cannot use
-    raises a typed error.
+    The built-in models evaluate through ``Dataset.prepared``, so ``loss``
+    and ``grad`` on one batch prepare it once, in either order, and a
+    repeated call at unchanged parameters returns the kept value; a kept
+    gradient is read-only.  What depends on the parameters alone (the char
+    LM's log-softmax) is kept by the same rule, ``data.keep``, for the
+    model's last parameter vector, so every batch evaluated at one point
+    shares it.  A record the model cannot use raises a typed error.
     """
 
     param_dim: int
@@ -95,10 +93,8 @@ def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _BatchModel:
-    """The public ``loss`` and ``grad`` of the quadratic and softmax
-    models: a subclass's ``_loss`` and ``_grad`` of checked parameters on
-    a ``Dataset``, kept by the batch per parameter vector
-    (``Dataset.prepared``)."""
+    """The ``loss`` and ``grad`` of every built-in model: the subclass's
+    ``_loss`` or ``_grad`` of the checked parameters, through ``Dataset.prepared``."""
 
     param_dim: int
 
@@ -313,20 +309,15 @@ _SEPARATOR = "\0"
 _TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
 
 
-class CharLMModel:
+class CharLMModel(_BatchModel):
     """Bigram character LM: a flat V x V logit table, loss = mean NLL/char.
 
     The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
     batches are datasets of strings over it.  Loss and gradient are
-    computed from pooled transition counts and their row and grand
-    totals, which the batch keeps after the first call.  A whole dataset
-    or a list is counted from its text, in O(batch chars + V^2) regardless
-    of how the text is chunked.  A view of a store pool sums its rows of
-    the pool's per-string counts, which are counted once per pool.  The
-    log-probabilities and probabilities of the table are computed once
-    per parameter vector and shared by every batch evaluated at it, so a
-    later call on a counted batch at kept parameters is a few elementwise
-    O(V^2) operations.
+    computed from a batch's pooled transition counts.  A whole dataset or
+    a list is counted from its text, in O(batch chars + V^2) regardless of
+    how the text is chunked; a view of a store pool sums its rows of the
+    pool's per-string counts, which are counted once per pool.
     """
 
     def __init__(self, vocab_size: int):
@@ -345,26 +336,13 @@ class CharLMModel:
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)  # uniform next-char distribution
 
-    def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        return self._evaluate(self._loss, params, batch)
+    def _point(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (log_probs, probs) V x V tables of ``params``, kept
+        for the last parameter vector."""
+        return keep(self._kept, self._log_probs, params.tobytes(), params)
 
-    def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        return self._evaluate(self._grad, params, batch)
-
-    def _evaluate(self, evaluate, params: np.ndarray, batch: Dataset):
-        """``evaluate(key, batch)`` for the bytes ``key`` of the checked
-        parameters, kept by the batch per key; the same bytes key the
-        model's log-probabilities (``_point``)."""
-        key = _check_params(params, self.param_dim).tobytes()
-        return _as_dataset(batch).prepared(evaluate, key, key)
-
-    def _point(self, key: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only (log_probs, probs) V x V tables of the parameters
-        with bytes ``key``, kept for the last parameter vector."""
-        return keep(self._kept, self._log_probs, key, key)
-
-    def _log_probs(self, key: bytes) -> tuple[np.ndarray, np.ndarray]:
-        log_probs = _log_softmax(np.frombuffer(key).reshape(self.vocab_size, self.vocab_size))
+    def _log_probs(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_probs = _log_softmax(params.reshape(self.vocab_size, self.vocab_size))
         return log_probs, np.exp(log_probs)
 
     def transition_counts(self, batch: Dataset) -> np.ndarray:
@@ -414,14 +392,14 @@ class CharLMModel:
             raise ValueError(f"batch contains characters outside the vocabulary: {unknown!r}")
         return codes
 
-    def _loss(self, key: bytes, batch: Dataset) -> float:
+    def _loss(self, params: np.ndarray, batch: Dataset) -> float:
         counts, _, total = batch.prepared(self._count_transitions)
-        log_probs, _ = self._point(key)
+        log_probs, _ = self._point(params)
         return float(-(counts * log_probs).sum() / total)
 
-    def _grad(self, key: bytes, batch: Dataset) -> np.ndarray:
+    def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
         counts, row_totals, total = batch.prepared(self._count_transitions)
-        _, probs = self._point(key)
+        _, probs = self._point(params)
         return ((probs * row_totals - counts) / total).ravel()
 
 

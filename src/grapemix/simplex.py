@@ -43,6 +43,8 @@ def on_simplex(values, axis: int = -1) -> bool:
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
     if labels is None:
         return tuple(f"w{i}" for i in range(m))
+    if isinstance(labels, str):  # a string is a sequence of characters, not of labels
+        raise DimensionError(f"weights need labels or a count, not the string {labels!r}")
     labels = tuple(str(x) for x in labels)
     if len(labels) != m:
         raise DimensionError(f"{len(labels)} labels for {m} weights")
@@ -99,12 +101,12 @@ class SimplexWeights:
     @classmethod
     def uniform(cls, labels: Sequence[str] | int) -> "SimplexWeights":
         """Equal weights over ``labels``, or over ``w0 .. w{labels-1}`` for a count."""
-        if isinstance(labels, (bool, str)):  # a bool is an int, and a string is a sequence of characters
+        if isinstance(labels, bool):  # a bool is an int
             raise DimensionError(f"uniform weights need labels or a count, got {labels!r}")
         m = labels if isinstance(labels, int) else len(labels)
         if m < 1:
             raise DimensionError("weights must be a nonempty 1-D vector")
-        return cls(np.full(m, 1.0 / m), None if isinstance(labels, int) else tuple(labels))
+        return cls(np.full(m, 1.0 / m), None if isinstance(labels, int) else labels)
 
     @cached_property
     def cumulative(self) -> tuple[np.ndarray, int]:
@@ -122,7 +124,7 @@ class SimplexWeights:
     @classmethod
     def load(cls, path: str | Path) -> "SimplexWeights":
         record = json.loads(Path(path).read_text())
-        return cls(np.asarray(record["values"], dtype=np.float64), tuple(record["labels"]))
+        return cls(np.asarray(record["values"], dtype=np.float64), record["labels"])
 
 
 def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = None) -> SimplexWeights:
@@ -136,7 +138,7 @@ def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = 
         total = float(values.sum()) if np.all(values >= 0.0) else np.nan  # NaN entries fail both tests
     if not 0.0 < total < np.inf:
         raise DegenerateWeights(f"cannot normalize {values.tolist()}: need entries >= 0 with a finite positive sum")
-    return SimplexWeights(values / total, None if labels is None else tuple(labels))
+    return SimplexWeights(values / total, labels)
 
 
 def multiplicative_update(

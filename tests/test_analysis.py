@@ -1,12 +1,18 @@
 """Trajectory analysis, theorem harness reports, and CSV export."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grapemix import (
+    DimensionError,
     IngestError,
+    MixtureStore,
+    QuadraticTaskFamily,
+    ReweightConfig,
     ReportError,
     SimplexWeights,
     Trajectory,
@@ -14,6 +20,7 @@ from grapemix import (
     export_trajectory,
     import_trajectory,
     render_trajectory,
+    train_run,
     variance_monotonicity_check,
     variance_series,
 )
@@ -273,6 +280,27 @@ class TestExportImport:
         path2 = tmp_path / "traj2.csv"
         export_trajectory(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b"], ids=["comma", "lf", "cr", "u2028"])
+    def test_labels_the_csv_cannot_carry_are_rejected(self, label):
+        # the header's fields are split at commas and its lines at every line break
+        for sides in [((label,), ("t0",)), (("d0",), ("t0", label))]:
+            with pytest.raises(DimensionError, match=re.escape(repr(label))):
+                Trajectory(*sides)
+        family = QuadraticTaskFamily(np.ones((1, 2)), np.zeros((1, 2)))
+        store = MixtureStore({label: family.domain_dataset([1.0])}, {"t0": family.task_dataset(0)})
+        calls = []
+        family._loss = family._grad = lambda *args: calls.append(args)
+        with pytest.raises(DimensionError, match=re.escape(repr(label))):
+            train_run(ReweightConfig(total_steps=3), family, store, seed=0)
+        assert not calls  # rejected before the first step
+
+    def test_labels_the_csv_can_carry_round_trip(self, tmp_path):
+        traj = Trajectory(("d.0", ""), ('t "0"', " t1 ", "tä"))
+        traj.append(**make_record(0, [1.0, 2.0, 3.0]))
+        export_trajectory(traj, tmp_path / "traj.csv")
+        back = import_trajectory(tmp_path / "traj.csv")
+        assert (back.domain_labels, back.task_labels) == (traj.domain_labels, traj.task_labels)
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
         traj = Trajectory(("d0",), ("t0", "t1"))

@@ -66,6 +66,21 @@ class TestStore:
         assert list(sample_mixture_batch(store, only, 2, np.random.default_rng(0))) == ["ab", "ab"]
 
 
+    def test_a_sampled_batch_can_be_a_store_dataset(self):
+        # a sampled batch is a view of its side's pool; a store over one pools the view's examples
+        batch = sample_mixture_batch(toy_store(), SimplexWeights.uniform(["d0", "d1", "d2"]), 6,
+                                     np.random.default_rng(0))
+        store = MixtureStore({"d": batch}, {"t": Dataset(["t0"])})
+        drawn = sample_mixture_batch(store, SimplexWeights([1.0], ("d",)), 4, np.random.default_rng(1))
+        assert list(store.pool("domains")[0]) == list(batch) and set(drawn) <= set(batch)
+
+    @pytest.mark.parametrize("on_tasks", [False, True], ids=["domain", "task"])
+    def test_a_list_is_not_a_dataset(self, on_tasks):
+        named, other = {"bad": ["ab", "ba"]}, {"ok": Dataset(["ab"])}
+        with pytest.raises(TypeError, match="'bad' is a list, not a Dataset"):
+            MixtureStore(other, named) if on_tasks else MixtureStore(named, other)
+
+
 class TestEvaluationSlot:
     """``Dataset.prepared``: one kept result per compute function, keyed by
     the bytes of the parameter vector, if any."""
@@ -120,6 +135,13 @@ class TestEvaluationSlot:
         assert not tens.flags.writeable and not ones.flags.writeable
         assert view.rows(prepare)[0] is not tens and not view._kept
         assert dataset.rows(prepare) is dataset.prepared(prepare)
+
+    def test_view_of_a_view_is_a_view_of_the_pool(self):
+        dataset = Dataset(["a", "b", "c", "d"])
+        view = dataset.take(np.array([3, 1, 2]))
+        inner = view.take(np.array([2, 0, 0]))
+        assert inner.pool is dataset and inner.index.tolist() == [2, 3, 3]
+        assert list(inner) == ["c", "d", "d"] == [inner[i] for i in range(len(inner))]
 
     def test_error_not_kept(self):
         calls = []

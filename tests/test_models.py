@@ -528,6 +528,12 @@ class TestPools:
         model.loss(np.zeros(9), store.domains["d0"])
 
 
+@pytest.mark.parametrize("model", [QuadraticTaskFamily, CharLMModel, SoftmaxModel], ids=lambda cls: cls.__name__)
+def test_one_evaluation_entry_for_every_built_in_model(model):
+    # each model gives only its _loss and _grad of checked parameters; the batch keeps their results
+    assert (model.loss, model.grad) == (models._BatchModel.loss, models._BatchModel.grad)
+
+
 class TestParameterPoint:
     """The char LM keeps the log-probabilities of its last parameter vector,
     shared by every batch evaluated there; whatever came before, a call
@@ -560,9 +566,9 @@ class TestParameterPoint:
         model = CharLMModel(3)
         params = np.random.default_rng(0).normal(size=9)
         model.grad(params, ["abca"])
-        point = model._point(params.tobytes())
+        point = model._point(params)
         model.loss(params, Dataset(["cab", "bb"]))  # another batch at the same parameters
-        assert model._point(params.tobytes()) is point
+        assert model._point(params) is point
         for table in point:
             assert not table.flags.writeable
             with pytest.raises(ValueError):

@@ -242,6 +242,17 @@ class TestWeightPlumbing:
         with pytest.raises(DimensionError, match="labels or a count"):
             SimplexWeights.uniform(labels)
 
+    def test_a_string_is_not_a_sequence_of_labels(self, tmp_path):
+        # it would label one weight per character
+        with pytest.raises(DimensionError, match="not the string 'ab'"):
+            SimplexWeights([0.5, 0.5], "ab")
+        with pytest.raises(DimensionError, match="not the string 'ab'"):
+            normalize([1.0, 1.0], "ab")
+        path = tmp_path / "w.json"
+        path.write_text('{"labels": "ab", "values": [0.5, 0.5]}')
+        with pytest.raises(DimensionError, match="not the string 'ab'"):
+            SimplexWeights.load(path)
+
     def test_values_immutable(self):
         w = SimplexWeights.uniform(3)
         with pytest.raises(ValueError):
