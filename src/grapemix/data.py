@@ -58,9 +58,8 @@ class Dataset:
     def prepared(self, compute: Callable, params=None):
         """``compute(self)``, or ``compute(params, self)`` for parameters,
         kept by ``keep``: without parameters for the dataset's lifetime,
-        with them per the bytes of a float64 ``params``.  The bytes, not
-        the array, are the key, so an array changed in place is computed
-        anew."""
+        with them keyed on the bytes of a float64 ``params``, not on the
+        array, so an array changed in place is computed anew."""
         if params is None:
             return keep(self._kept, compute, None, self)
         return keep(self._kept, compute, params.tobytes(), params, self)
