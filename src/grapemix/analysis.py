@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, IngestError, ReportError
-from .simplex import SimplexWeights, on_simplex
+from .simplex import SimplexWeights, simplex_rows
 
 VARIANCE_TOL = 1e-12
 
@@ -39,6 +39,7 @@ VECTOR_COLUMNS = (
 )
 COUNTERS = ("train_grad_evals", "task_grad_evals", "domain_grad_evals")
 FIRST_ROWS = 16  # rows of a new trajectory's columns, which double whenever they are full
+STEP_ORDER = "steps must strictly increase, got {} after {}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,24 +96,41 @@ class Trajectory(Sequence):
                train_grad_evals, task_grad_evals, domain_grad_evals) -> None:
         """Add the record of ``step``, which must exceed the last one.  ``alpha`` and ``z`` are
         ``SimplexWeights``, whose type carries their judgement, or raw vectors, judged here."""
-        i = self._size
-        if i and step <= self._columns["step"][i - 1]:
-            raise ValueError(f"steps must strictly increase, got {step} after {self._columns['step'][i - 1]}")
-        row = dict(zip(FIELDS, (step, losses, alpha, z, task_scores, domain_scores, lr,
+        row = dict(zip(FIELDS, ((step,), losses, alpha, z, task_scores, domain_scores, lr,
                                 train_grad_evals, task_grad_evals, domain_grad_evals)))
         raw = [name for name in ("alpha", "z") if not isinstance(row[name], SimplexWeights)]
+        for name in self._widths:
+            value = row[name]
+            row[name] = (value.values if isinstance(value, SimplexWeights) else np.asarray(value))[None]
+        rejected = self._extend(row, raw)
+        if rejected:
+            raise ValueError(rejected[1])
+
+    def _extend(self, block: dict, raw=("alpha", "z")) -> tuple[int, str] | None:
+        """Add a block of rows, or, when ``append`` would reject one of them, add none and return
+        ``(row, message)`` for the first it rejects.  ``block`` holds each field's rows: a sequence
+        of steps, a (rows, width) array per vector, and what fills the rows of each other field;
+        ``raw`` names the weight fields to judge."""
+        steps, i = block["step"], self._size
+        n = len(steps)
+        if i and n and steps[0] <= self._columns["step"][i - 1]:
+            return 0, STEP_ORDER.format(steps[0], self._columns["step"][i - 1])
         for name, width in self._widths.items():
-            row[name] = value = row[name].values if isinstance(row[name], SimplexWeights) else np.asarray(row[name])
-            if value.shape != (width,):
-                raise ValueError(f"record field {name} has wrong length")
-        for name in raw:
-            if not on_simplex(row[name]):
-                raise ValueError(f"record field {name} is not a valid simplex vector")
-        if i == len(self._columns["step"]):  # full: move each column into a new one of twice the rows
-            self._columns = {name: np.resize(col, (2 * i, *col.shape[1:])) for name, col in self._columns.items()}
-        for name, value in row.items():
-            self._columns[name][i] = value
-        self._size = i + 1
+            if block[name].shape[1:] != (width,):
+                return 0, f"record field {name} has wrong length"
+        later = (steps[1:] <= steps[:-1]).nonzero()[0][:1] + 1 if n > 1 else ()  # compared, not subtracted: no overflow
+        faults = [(row, STEP_ORDER.format(steps[row], steps[row - 1])) for row in later]
+        faults += [(row, f"record field {name} is not a valid simplex vector")
+                   for name in raw for row in (~simplex_rows(block[name])).nonzero()[0][:1]]
+        if faults:
+            return min(faults, key=lambda fault: fault[0])  # a tie goes to the rule append applies first
+        if i + n > len(self._columns["step"]):  # full: move each column into a new one of twice the rows, or more
+            rows = max(2 * len(self._columns["step"]), i + n)
+            self._columns = {name: np.resize(col, (rows, *col.shape[1:])) for name, col in self._columns.items()}
+        for name, col in self._columns.items():
+            col[i : i + n] = block[name]
+        self._size = i + n
+        return None
 
     def _column(self, name: str) -> np.ndarray:
         view = self._columns[name][: self._size]
@@ -227,13 +245,22 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def csv_labels(labels) -> tuple:
-    """``labels`` as a tuple, or DimensionError naming the first that cannot be part of
-    a CSV column name: a comma splits the header's fields, and a line break (any that
-    ``str.splitlines`` breaks at, as ``import_trajectory`` does) its line."""
+    """``labels`` as a tuple, or DimensionError naming the first that cannot name a CSV
+    column of its own: a comma splits the header's fields, a line break (any that
+    ``str.splitlines`` breaks at, as ``import_trajectory`` does) its line, a label that does
+    not encode as UTF-8 cannot be written, and a repeated one names a column twice."""
     labels = tuple(labels)
-    for label in map(str, labels):
+    texts = [str(label) for label in labels]
+    for i, label in enumerate(texts):
         if "," in label or len(f"{label}.".splitlines()) > 1:
-            raise DimensionError(f"label {label!r} cannot name a trajectory CSV column: it holds a comma or a line break")
+            fault = "it holds a comma or a line break"
+        elif any("\ud800" <= ch <= "\udfff" for ch in label):  # a surrogate, which UTF-8 cannot encode
+            fault = "it does not encode as UTF-8"
+        elif label in texts[:i]:
+            fault = "it is repeated"
+        else:
+            continue
+        raise DimensionError(f"label {label!r} cannot name a trajectory CSV column: {fault}")
     return labels
 
 
@@ -265,16 +292,20 @@ def import_trajectory(path: str | Path) -> Trajectory:
 
     Labels are recovered from the header.  The three-way split of the
     gradient-evaluation counter is not part of the format; the total is
-    restored into the training counter.  Text that is not UTF-8, and any
-    row that does not parse or that ``Trajectory.append`` rejects, raise
-    IngestError (with the line number for a row).
+    restored into the training counter.  Text that is not UTF-8, a header
+    naming labels that ``Trajectory`` rejects, and any row that does not
+    parse or that ``Trajectory.append`` rejects, raise IngestError (with the
+    line number), for the first line that appending row by row would reject.
+    The rows are parsed in one pass into columns, judged together and added
+    in one block.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise IngestError(f"trajectory file is not UTF-8 text: {exc}") from exc
+    lines = text.splitlines()
     # (physical line number, fields) of each non-blank line, split lazily to keep peak memory down
-    rows = ((lineno, line.split(",")) for lineno, line in enumerate(text.splitlines(), start=1) if line)
+    rows = ((lineno, line.split(",")) for lineno, line in enumerate(lines, start=1) if line)
     header_line, columns = next(rows, (1, None))
     if columns is None:
         raise IngestError("trajectory file is empty", 1)
@@ -283,18 +314,41 @@ def import_trajectory(path: str | Path) -> Trajectory:
               for _, prefix, side in reversed(VECTOR_COLUMNS)}
     if not all(labels.values()):
         raise IngestError("header lacks per-task or per-domain columns", header_line)
-    trajectory = Trajectory(**labels)
+    try:
+        trajectory = Trajectory(**labels)
+    except DimensionError as exc:
+        raise IngestError(str(exc), header_line) from exc
     if columns != _header(trajectory):
         raise IngestError("header does not match the trajectory schema", header_line)
 
+    # The data rows, parsed with float() and int() per field, up to the first that does not parse.
+    capacity = len(lines) - header_line
+    floats = np.empty((capacity, len(columns) - 2))  # the vectors in column order, then lr
+    steps, counts = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
+    linenos, fault = [], None
+    for r, (lineno, parts) in enumerate(rows):
+        linenos.append(lineno)
+        try:
+            if len(parts) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(parts)}")
+            floats[r] = [float(p) for p in parts[1:-1]]
+            step, count = int(parts[0]), int(parts[-1])
+            steps[r], counts[r] = step, count  # OverflowError: an integer past the int64 columns
+        except (ValueError, OverflowError) as exc:
+            fault = exc
+            break
+    size = len(linenos) - (fault is not None)
     bounds = np.cumsum([0, *trajectory._widths.values()]).tolist()
-    for lineno, parts in rows:
-        if len(parts) != len(columns):
-            raise IngestError(f"expected {len(columns)} fields, got {len(parts)}", lineno)
-        try:  # a field that is not a number, or a record the trajectory rejects
-            row = np.array([float(p) for p in parts[1:-1]])  # the vectors in column order, then lr
-            vectors = [row[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            trajectory.append(int(parts[0]), *vectors, float(row[-1]), int(parts[-1]), 0, 0)
-        except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the int64 columns
-            raise IngestError(str(exc), lineno) from exc
+    vectors = [floats[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    block = dict(zip(FIELDS, (steps[:size], *(v[:size] for v in vectors), floats[:size, -1], counts[:size], 0, 0)))
+    rejected = trajectory._extend(block)
+    if rejected:
+        raise IngestError(rejected[1], linenos[rejected[0]])
+    if isinstance(fault, OverflowError):  # append judges the row, as row by row, before it fails to fit the columns
+        try:
+            trajectory.append(step, *(v[size] for v in vectors), floats[size, -1], count, 0, 0)
+        except (ValueError, OverflowError) as exc:
+            fault = exc
+    if fault is not None:
+        raise IngestError(str(fault), linenos[-1]) from fault
     return trajectory

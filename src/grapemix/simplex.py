@@ -32,12 +32,18 @@ from .errors import DegenerateWeights, DimensionError, DivergenceUndefined, Scor
 SIMPLEX_TOL = 1e-9
 
 
-def on_simplex(values, axis: int = -1) -> bool:
-    """True when ``values`` is nonempty and every vector along ``axis`` is >= 0 and
-    sums to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
+def simplex_rows(values) -> np.ndarray:
+    """The verdict on each vector along the last axis of ``values``: True when its entries
+    are >= 0 and sum to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
     values = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a sum that overflows is infinite, which fails the test
-        return bool(values.size and values.min() >= 0.0 and (abs(values.sum(axis=axis) - 1.0) <= SIMPLEX_TOL).all())
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows, or meets both infinities, fails
+        return (values.min(axis=-1, initial=np.inf) >= 0.0) & (abs(values.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)
+
+
+def on_simplex(values, axis: int = -1) -> bool:
+    """True when ``values`` is nonempty and ``simplex_rows`` accepts every vector along ``axis``."""
+    values = np.asarray(values, dtype=np.float64)
+    return bool(values.size and simplex_rows(values.swapaxes(axis, -1) if values.ndim > 1 else values).all())
 
 
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """Trajectory analysis, theorem harness reports, and CSV export."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from grapemix import (
     variance_monotonicity_check,
     variance_series,
 )
-from grapemix.analysis import FIRST_ROWS, VECTOR_COLUMNS
+from grapemix import analysis, simplex
+from grapemix.analysis import FIELDS, FIRST_ROWS, VECTOR_COLUMNS
 
 
 def make_record(step, losses, alpha=None, z=None, lr=0.1, evals=(0, 0, 0)):
@@ -183,6 +185,23 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             traj.append(**make_record(0, [1.0]))
 
+    def test_a_record_with_several_faults_reports_the_first_rule_it_breaks(self):
+        # the rules in order: step, lengths, alpha, z, then the int64 columns
+        traj = make_trajectory([(5, [1.0, 2.0])])
+        bad_z = [0.5, np.nan]
+        cases = [
+            (make_record(5, [1.0], alpha=[0.9, 0.9], z=bad_z), "steps must strictly increase, got 5 after 5"),
+            (make_record(6, [1.0], alpha=[0.9, 0.9], z=bad_z), "record field losses has wrong length"),
+            (make_record(6, [1.0, 2.0], alpha=[0.9, 0.9], z=bad_z), "record field alpha is not a valid simplex vector"),
+            (make_record(2**63, [1.0, 2.0], z=bad_z), "record field z is not a valid simplex vector"),
+            (make_record(2**63, [1.0, 2.0]), "Python int too large to convert to C long"),
+            (make_record(6, [1.0, 2.0], evals=(2**63, 0, 0)), "Python int too large to convert to C long"),
+        ]
+        for record, message in cases:
+            with pytest.raises((ValueError, OverflowError), match=re.escape(message)):
+                traj.append(**record)
+        assert len(traj) == 1
+
 
 def _writable(array) -> bool:
     try:
@@ -281,9 +300,11 @@ class TestExportImport:
         export_trajectory(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b"], ids=["comma", "lf", "cr", "u2028"])
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "a\ud800b"],
+                             ids=["comma", "lf", "cr", "u2028", "surrogate"])
     def test_labels_the_csv_cannot_carry_are_rejected(self, label):
-        # the header's fields are split at commas and its lines at every line break
+        # the header's fields are split at commas and its lines at every line break, and the
+        # file is UTF-8, which cannot encode a lone surrogate
         for sides in [((label,), ("t0",)), (("d0",), ("t0", label))]:
             with pytest.raises(DimensionError, match=re.escape(repr(label))):
                 Trajectory(*sides)
@@ -301,6 +322,26 @@ class TestExportImport:
         export_trajectory(traj, tmp_path / "traj.csv")
         back = import_trajectory(tmp_path / "traj.csv")
         assert (back.domain_labels, back.task_labels) == (traj.domain_labels, traj.task_labels)
+
+    def test_a_repeated_label_is_rejected(self, tmp_path):
+        for sides in [(("d0", "d0"), ("t0",)), (("d0",), ("t0", "t1", "t0"))]:
+            with pytest.raises(DimensionError, match="label 'd0' .* repeated|label 't0' .* repeated"):
+                Trajectory(*sides)
+        # a hand-edited header that names one domain twice
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(0, [1.0, 2.0])]), path)
+        path.write_text(path.read_text().replace(".d1,", ".d0,"))
+        with pytest.raises(IngestError, match="line 1: label 'd0' .* repeated") as excinfo:
+            import_trajectory(path)
+        assert excinfo.value.line == 1
+
+    def test_import_accepts_steps_across_the_whole_int64_range(self, tmp_path):
+        # consecutive steps whose difference does not fit in an int64
+        steps = [-(2**63), -1, 2**62, 2**63 - 1]
+        traj = make_trajectory([(step, [1.0, 2.0]) for step in steps])
+        path = tmp_path / "traj.csv"
+        export_trajectory(traj, path)
+        assert import_trajectory(path).steps.tolist() == steps
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
         traj = Trajectory(("d0",), ("t0", "t1"))
@@ -450,3 +491,156 @@ class TestCsvRoundTripProperty:
             for name, _, _ in VECTOR_COLUMNS:
                 assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
         assert render_trajectory(back) == text
+
+
+def row_by_row_import(path) -> Trajectory:
+    """The importer as it was before it parsed and judged the rows in bulk, kept as the oracle of
+    ``import_trajectory``: every row parsed on its own and added by its own ``Trajectory.append``."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = ((lineno, line.split(",")) for lineno, line in enumerate(text.splitlines(), start=1) if line)
+    _, columns = next(rows)
+    labels = {side: [c[len(prefix) + 1 :] for c in columns if c.startswith(prefix + ".")]
+              for _, prefix, side in reversed(VECTOR_COLUMNS)}
+    trajectory = Trajectory(**labels)
+    bounds = np.cumsum([0, *(len(getattr(trajectory, side)) for _, _, side in VECTOR_COLUMNS)]).tolist()
+    for lineno, parts in rows:
+        if len(parts) != len(columns):
+            raise IngestError(f"expected {len(columns)} fields, got {len(parts)}", lineno)
+        try:
+            row = np.array([float(p) for p in parts[1:-1]])
+            vectors = [row[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            trajectory.append(int(parts[0]), *vectors, float(row[-1]), int(parts[-1]), 0, 0)
+        except (ValueError, OverflowError) as exc:
+            raise IngestError(str(exc), lineno) from exc
+    return trajectory
+
+
+def outcome(importer, path):
+    """What ``importer`` makes of ``path``: the line and text of its IngestError, or every column's bytes."""
+    try:
+        trajectory = importer(path)
+    except IngestError as exc:
+        return exc.line, str(exc)
+    return (trajectory.domain_labels, trajectory.task_labels,
+            [(trajectory._column(name).dtype, trajectory._column(name).tobytes()) for name in FIELDS])
+
+
+@st.composite
+def exported_lines(draw):
+    """The lines of an exported trajectory CSV, header first: 1-3 domains and tasks, 1-5 records
+    whose steps may span the whole int64 range."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    traj = Trajectory(tuple(f"d{i}" for i in range(k)), tuple(f"t{i}" for i in range(n)))
+    steps = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5, unique=True))
+    for i, step in enumerate(sorted(steps)):
+        traj.append(step=step, losses=rng.normal(size=n), alpha=rng.dirichlet(np.ones(k)), z=rng.dirichlet(np.ones(n)),
+                    task_scores=rng.normal(size=n), domain_scores=rng.normal(size=k), lr=float(rng.random()),
+                    train_grad_evals=i, task_grad_evals=2 * i, domain_grad_evals=3 * i)
+    return render_trajectory(traj).splitlines()
+
+
+FAULTS = ("non-number", "off-simplex", "step-order", "past-int64", "field-count", "blank-lines")
+
+
+def corrupt(draw, lines: list[str], fault: str) -> None:
+    """Put ``fault`` into one line after the header of ``lines``, most often the first, so that
+    faults meet on one line."""
+    j = draw(st.one_of(st.just(1), st.integers(1, len(lines) - 1)))
+    parts = lines[j].split(",")
+    header = lines[0].split(",")
+    if fault == "non-number":
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(["x", "", "1.5", "1e", "--1", "0x10", "nan"]))
+    elif fault == "off-simplex":  # one or two weights, maybe one of each side
+        weights = [i for i, c in enumerate(header) if c.startswith(("alpha.", "z.")) and i < len(parts)]
+        for i in draw(st.lists(st.sampled_from(weights), min_size=1, max_size=2)) if weights else ():
+            parts[i] = draw(st.sampled_from(["nan", "inf", "0.9", "-0.25", "2", "1e308"]))
+    elif fault == "step-order":  # the step of another line: repeated, earlier or later
+        parts[0] = lines[draw(st.integers(1, len(lines) - 1))].split(",")[0]
+    elif fault == "past-int64":
+        parts[draw(st.sampled_from([0, len(parts) - 1]))] = str(draw(st.sampled_from([2**63, -(2**63) - 1, 2**64])))
+    elif fault == "field-count":
+        if draw(st.booleans()):
+            parts.pop(draw(st.integers(0, len(parts) - 1)))
+        else:
+            parts.insert(draw(st.integers(0, len(parts))), "0")
+    else:  # blank lines move the physical line numbers of every row after them
+        lines[j:j] = [""] * draw(st.integers(1, 2))
+        return
+    lines[j] = ",".join(parts)
+
+
+class TestBulkImport:
+    """``import_trajectory`` parses every row, judges them together and adds them in one block, and
+    rejects a file at the line, and with the message, that appending row by row would reject."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lines=exported_lines(), faults=st.lists(st.sampled_from(FAULTS), max_size=3))
+    def test_agrees_with_appending_row_by_row(self, tmp_path_factory, data, lines, faults):
+        for fault in faults:
+            corrupt(data.draw, lines, fault)
+        path = tmp_path_factory.getbasetemp() / "corrupted.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert outcome(import_trajectory, path) == outcome(row_by_row_import, path)
+
+    def test_an_uncorrupted_file_gives_the_row_by_row_columns(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        rng = np.random.default_rng(5)
+        export_trajectory(make_trajectory([(t, rng.uniform(0.1, 3.0, size=3)) for t in range(0, 700, 7)]), path)
+        want = outcome(row_by_row_import, path)
+        assert len(want) == 3 and outcome(import_trajectory, path) == want
+
+    def test_appends_after_an_import_grow_the_columns(self, tmp_path):
+        rows = [(t, [float(t), 1.0]) for t in range(3 * FIRST_ROWS)]
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory(rows), path)
+        back = import_trajectory(path)
+        handed_out = [(a, a.copy()) for a in (back.steps, back.losses, back.alphas, back.zs)]
+        capacity = len(back._columns["step"])
+        more = [(t, [float(t), 2.0]) for t in range(len(rows), 2 * capacity + 1)]
+        for step, losses in more:
+            back.append(**make_record(step, losses))
+        assert len(back._columns["step"]) > capacity  # at least one doubling
+        for array, values in handed_out:
+            assert array.tobytes() == values.tobytes()
+        assert render_trajectory(back) == render_trajectory(make_trajectory(rows + more))
+
+    def test_imported_columns_share_no_memory_with_the_parse_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(t, [float(t), 1.0]) for t in range(3 * FIRST_ROWS)]), path)
+        made = []
+
+        def recorded_empty(*args, **kwargs):
+            made.append(empty(*args, **kwargs))
+            return made[-1]
+
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        back = import_trajectory(path)
+        monkeypatch.undo()
+        columns = list(back._columns.values())
+        assert made
+        for i, column in enumerate(columns):
+            assert not any(np.may_share_memory(column, other) for other in made + columns[i + 1 :])
+
+    def test_the_cost_of_judging_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
+        # one call of the simplex rule per judged field, however many rows the file holds
+        paths = {}
+        for rows in (3, 300):
+            paths[rows] = tmp_path / f"{rows}.csv"
+            export_trajectory(make_trajectory([(t, [1.0, 2.0]) for t in range(rows)]), paths[rows])
+        rule, calls = simplex.simplex_rows, []
+
+        def counted(values):
+            calls.append(np.shape(values))
+            return rule(values)
+
+        monkeypatch.setattr(simplex, "simplex_rows", counted)
+        monkeypatch.setattr(analysis, "simplex_rows", counted)
+        monkeypatch.setattr(Trajectory, "append", lambda *args, **kwargs: pytest.fail("a row was appended"))
+        counts = {}
+        for rows, path in paths.items():
+            calls.clear()
+            assert len(import_trajectory(path)) == rows
+            counts[rows] = len(calls)
+        assert counts[3] == counts[300] == 2  # alpha and z

@@ -412,9 +412,12 @@ MALFORMED = [
     ("divergence-factor-one", minimal_quadratic_config, {"divergence_factor": 1.0},
      "field divergence_factor must be > 1, got 1.0"),
     ("ema-beta-one", minimal_quadratic_config, {"ema_beta": 1.0}, "field ema_beta must lie in (0, 1), got 1.0"),
-    # a trajectory CSV column name holds the label, so it cannot hold a comma or a line break
+    # a trajectory CSV column name holds the label, so it cannot hold a comma, a line break,
+    # or a lone surrogate, which the file's UTF-8 cannot encode
     ("label-comma", minimal_quadratic_config, _set_domain("label", "d,0"), "field domains[0].label: label 'd,0'"),
     ("label-line-break", minimal_quadratic_config, _set_task("label", "t\n0"), "field tasks[0].label: label 't\\n0'"),
+    ("label-surrogate", minimal_quadratic_config, _set_domain("label", "d\ud800"),
+     "field domains[0].label: label 'd\\ud800' cannot name a trajectory CSV column: it does not encode as UTF-8"),
     ("mix-length", minimal_quadratic_config, _set_domain("mix", [0.5, 0.5]), "'d0'"),
     # a mix is a probability vector over the one task
     ("mix-nan", minimal_quadratic_config, _set_domain("mix", [float("nan")]), "entry 'd0': mix"),

@@ -19,7 +19,7 @@ from grapemix import (
 from grapemix.analysis import Trajectory
 from grapemix.data import MarkovLanguageSpec
 from grapemix.errors import SpecError
-from grapemix.simplex import SIMPLEX_TOL, on_simplex
+from grapemix.simplex import SIMPLEX_TOL, on_simplex, simplex_rows
 from grapemix.verify import closed_form_update
 
 
@@ -310,6 +310,22 @@ class TestOneSimplexRule:
             SimplexWeights([1e308, 1e308])
         with pytest.raises(DegenerateWeights):
             normalize([1e308, 1e308])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(near_simplex_vectors(), min_size=1, max_size=5), offset=st.integers(0, 2))
+    def test_row_verdicts_are_the_one_vector_verdicts(self, rows, offset):
+        # each row of a block, here a strided view as the CSV importer judges, gets the verdict
+        # that the one-vector rule, as written before it had a row-wise form, gives that row alone
+        width = max(row.size for row in rows)
+        block = np.zeros((len(rows), width + offset + 1))
+        for i, row in enumerate(rows):
+            block[i, offset : offset + row.size] = row
+        view = block[:, offset : offset + width]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [bool(row.min() >= 0.0 and abs(row.sum() - 1.0) <= SIMPLEX_TOL) for row in map(np.copy, view)]
+        assert simplex_rows(view).tolist() == expected
+        assert [on_simplex(row) for row in view] == expected
+        assert on_simplex(view) == all(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(values=near_simplex_vectors())
