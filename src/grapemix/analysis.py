@@ -96,41 +96,62 @@ class Trajectory(Sequence):
                train_grad_evals, task_grad_evals, domain_grad_evals) -> None:
         """Add the record of ``step``, which must exceed the last one.  ``alpha`` and ``z`` are
         ``SimplexWeights``, whose type carries their judgement, or raw vectors, judged here."""
-        row = dict(zip(FIELDS, ((step,), losses, alpha, z, task_scores, domain_scores, lr,
+        row = dict(zip(FIELDS, (step, losses, alpha, z, task_scores, domain_scores, lr,
                                 train_grad_evals, task_grad_evals, domain_grad_evals)))
         raw = [name for name in ("alpha", "z") if not isinstance(row[name], SimplexWeights)]
         for name in self._widths:
-            value = row[name]
-            row[name] = (value.values if isinstance(value, SimplexWeights) else np.asarray(value))[None]
-        rejected = self._extend(row, raw)
+            row[name] = row[name].values if isinstance(row[name], SimplexWeights) else np.asarray(row[name])
+        rejected = self._rejection((step,), row, raw)
         if rejected:
             raise ValueError(rejected[1])
+        self._reserve(1)
+        for name, value in row.items():
+            self._columns[name][self._size] = value
+        self._size += 1
 
-    def _extend(self, block: dict, raw=("alpha", "z")) -> tuple[int, str] | None:
-        """Add a block of rows, or, when ``append`` would reject one of them, add none and return
-        ``(row, message)`` for the first it rejects.  ``block`` holds each field's rows: a sequence
-        of steps, a (rows, width) array per vector, and what fills the rows of each other field;
-        ``raw`` names the weight fields to judge."""
+    def _extend(self, block: dict) -> tuple[int, str] | None:
+        """Add a block of rows with raw alpha and z, or, when ``append`` would reject one of them,
+        add none and return ``(row, message)`` for the first it rejects.  ``block`` holds each
+        field's rows: an int64 array of steps, a (rows, width) array per vector, and what fills
+        the rows of each other field."""
         steps, i = block["step"], self._size
-        n = len(steps)
+        rejected = self._rejection(steps, block, ("alpha", "z"), rows=steps.shape)
+        if rejected:
+            return rejected
+        self._reserve(steps.size)
+        for name, col in self._columns.items():
+            col[i : i + steps.size] = block[name]
+        self._size = i + steps.size
+        return None
+
+    def _rejection(self, steps, vectors: dict, raw, rows=()) -> tuple[int, str] | None:
+        """``(row, message)`` for the first of the rows of ``steps`` that may not follow the last
+        record, or None.  ``append``'s rules, in its order: each step exceeds the one before it,
+        each vector field in ``vectors`` has shape ``(*rows, width)``, and each weight field
+        named in ``raw`` is on the simplex."""
+        i, n = self._size, len(steps)
         if i and n and steps[0] <= self._columns["step"][i - 1]:
             return 0, STEP_ORDER.format(steps[0], self._columns["step"][i - 1])
         for name, width in self._widths.items():
-            if block[name].shape[1:] != (width,):
+            if vectors[name].shape != (*rows, width):
                 return 0, f"record field {name} has wrong length"
-        later = (steps[1:] <= steps[:-1]).nonzero()[0][:1] + 1 if n > 1 else ()  # compared, not subtracted: no overflow
-        faults = [(row, STEP_ORDER.format(steps[row], steps[row - 1])) for row in later]
-        faults += [(row, f"record field {name} is not a valid simplex vector")
-                   for name in raw for row in (~simplex_rows(block[name])).nonzero()[0][:1]]
-        if faults:
-            return min(faults, key=lambda fault: fault[0])  # a tie goes to the rule append applies first
-        if i + n > len(self._columns["step"]):  # full: move each column into a new one of twice the rows, or more
-            rows = max(2 * len(self._columns["step"]), i + n)
+        faults = []  # the first row each later rule rejects; a tie goes to the earlier rule
+        if n > 1:
+            later = (steps[1:] <= steps[:-1]).nonzero()[0] + 1  # compared, not subtracted: no overflow
+            if later.size:
+                faults.append((later[0], STEP_ORDER.format(steps[later[0]], steps[later[0] - 1])))
+        for name in raw:
+            off = np.flatnonzero(~simplex_rows(vectors[name]))
+            if off.size:
+                faults.append((off[0], f"record field {name} is not a valid simplex vector"))
+        return min(faults, key=lambda fault: fault[0]) if faults else None
+
+    def _reserve(self, n: int) -> None:
+        """Room for ``n`` more rows: when they do not fit, each column moves into a new one of
+        twice the rows, or more."""
+        if self._size + n > len(self._columns["step"]):
+            rows = max(2 * len(self._columns["step"]), self._size + n)
             self._columns = {name: np.resize(col, (rows, *col.shape[1:])) for name, col in self._columns.items()}
-        for name, col in self._columns.items():
-            col[i : i + n] = block[name]
-        self._size = i + n
-        return None
 
     def _column(self, name: str) -> np.ndarray:
         view = self._columns[name][: self._size]
