@@ -26,6 +26,7 @@ from .data import (
     ingest_dataset,
     sample_domain_batches,
     sample_mixture_batch,
+    sample_mixture_batches,
     sample_task_batches,
     stationary_distribution,
     stream_rng,

@@ -10,10 +10,14 @@ bit-identical batches.
 A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
 that side's examples in label order, built at the first sampled draw.
 A sampled batch is a view of the pool, an index vector of its rows, and
-no list of examples is built for it.  Every batch is a ``Dataset`` (a
-store dataset, a pool view, or a wrapped list), which keeps what models
-derive from it in ``Dataset.prepared``.  Never mutate an example, or an
-array inside one, in place.
+no list of examples is built for it.  Batches drawn together by
+``sample_mixture_batches`` (the training loop draws every batch up to
+the next change of the domain weights at once) are the members of one
+``Block``, which keeps what models derive from all of them at once; a
+single draw is a block of one.  Every batch is a ``Dataset`` (a store
+dataset, a pool view, or a wrapped list), which keeps what models derive
+from it in ``Dataset.prepared``.  Never mutate an example, or an array
+inside one, in place.
 """
 
 from __future__ import annotations
@@ -89,11 +93,14 @@ class Dataset:
 
 class DatasetView(Dataset):
     """The rows of a pool ``Dataset`` at an index vector: a batch that reads
-    like the list of those examples, and is built without one."""
+    like the list of those examples, and is built without one.  A view is a
+    member of the ``Block`` of batches it was drawn with; a view drawn alone
+    is the one member of its own."""
 
-    def __init__(self, pool: Dataset, index: np.ndarray):
+    def __init__(self, pool: Dataset, index: np.ndarray, member: "tuple[Block, int] | None" = None):
         self.pool = pool
         self.index = index
+        self._member = member  # (its block, its row there), or None for a block of one
         self._kept = {}
 
     def take(self, index: np.ndarray) -> "DatasetView":
@@ -102,8 +109,13 @@ class DatasetView(Dataset):
 
     def rows(self, prepare: Callable):
         """The view's rows of ``pool.rows(prepare)``, read-only and not kept."""
-        whole = self.pool.prepared(prepare)
-        return _read_only(tuple(arr[self.index] for arr in whole) if isinstance(whole, tuple) else whole[self.index])
+        return _gather(self.pool.prepared(prepare), self.index)
+
+    def block_row(self, compute: Callable) -> tuple:
+        """This batch's row of every array of ``block.prepared(compute)``,
+        where ``compute`` derives one row per batch from its whole block."""
+        block, row = self._member or (Block(self.pool, self.index[None]), 0)
+        return tuple(arr[row] for arr in block.prepared(compute))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -113,6 +125,34 @@ class DatasetView(Dataset):
 
     def __iter__(self) -> Iterator:
         return map(self.pool._examples.__getitem__, self.index.tolist())
+
+
+class Block:
+    """Batches of one pool drawn together: an (L, B) index matrix whose row
+    l is the index of batch l, and what models derive from all L batches
+    at once, kept for the block's lifetime."""
+
+    def __init__(self, pool: Dataset, index: np.ndarray):
+        self.pool = pool
+        self.index = index
+        self._kept = {}
+
+    def batches(self) -> Iterator[DatasetView]:
+        """The block's batches in order, each a view made when it is reached."""
+        return (DatasetView(self.pool, index, (self, i)) for i, index in enumerate(self.index))
+
+    def prepared(self, compute: Callable) -> tuple:
+        """``compute(self)``, a tuple of arrays with one row per batch, kept by ``keep``."""
+        return keep(self._kept, compute, None, self)
+
+    def rows(self, prepare: Callable):
+        """The (L, B, ...) rows of ``pool.rows(prepare)`` at the block's index, read-only and not kept."""
+        return _gather(self.pool.prepared(prepare), self.index)
+
+
+def _gather(whole, index: np.ndarray):
+    """The rows at ``index`` of ``whole`` (an array or a tuple of arrays), read-only."""
+    return _read_only(tuple(arr[index] for arr in whole) if isinstance(whole, tuple) else whole[index])
 
 
 def keep(slots: dict, compute: Callable, key, *args):
@@ -191,13 +231,27 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), stream_key]))
 
 
-def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng: np.random.Generator) -> Dataset:
-    """A batch of ``size`` examples, each from a dataset chosen by categorical(w).
+def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng: np.random.Generator) -> DatasetView:
+    """A batch of ``size`` examples, each from a dataset chosen by categorical(w):
+    the one-batch case of ``sample_mixture_batches``.
 
     ``w.labels`` must match either the store's domain labels or its task
     labels, which says the side.  Sampling is per example, not per batch,
     so the batch composition itself is a draw from the mixture.  The batch
     is a view of the side's pool.
+    """
+    return next(sample_mixture_batches(store, w, size, 1, rng))
+
+
+def sample_mixture_batches(
+    store: MixtureStore, w: SimplexWeights, size: int, count: int, rng: np.random.Generator
+) -> Iterator[DatasetView]:
+    """The batches of ``count`` successive ``sample_mixture_batch`` calls, drawn at once.
+
+    Each batch takes ``size`` doubles for its components, then ``size`` for
+    its rows, so ``rng.random((count, 2, size))`` is the calls' doubles in
+    their order, and leaves ``rng`` where the calls would.  The batches are
+    the members of one ``Block``, in draw order.
     """
     if w.labels == store.domain_labels:
         side = "domains"
@@ -209,8 +263,9 @@ def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     pool, offsets, sizes = store.pool(side)
     cum, last_live = w.cumulative
-    which = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), last_live)
-    return pool.take(offsets[which] + _rows(rng.random(size), sizes[which]))
+    u = rng.random((count, 2, size))
+    which = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), last_live)
+    return Block(pool, offsets[which] + _rows(u[:, 1], sizes[which])).batches()
 
 
 def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .data import _ALPHABET, Dataset, DatasetView, keep
+from .data import _ALPHABET, Block, Dataset, DatasetView, keep
 from .errors import DimensionError, EmptyBatch
 from .simplex import on_simplex
 
@@ -307,6 +307,7 @@ class QuadraticTaskFamily(_BatchModel):
 
 _SEPARATOR = "\0"
 _TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
+_DRAW_BLOCK = 4096  # most examples the training loop draws at once, which bounds a block's gather of those counts
 
 
 class CharLMModel(_BatchModel):
@@ -317,7 +318,9 @@ class CharLMModel(_BatchModel):
     computed from a batch's pooled transition counts.  A whole dataset or
     a list is counted from its text, in O(batch chars + V^2) regardless of
     how the text is chunked; a view of a store pool sums its rows of the
-    pool's per-string counts, which are counted once per pool.
+    pool's per-string counts, which are counted once per pool.  The views
+    of one ``Block`` (the training batches drawn at once) are summed
+    together, from one gather, and each reads its own row.
     """
 
     def __init__(self, vocab_size: int):
@@ -353,8 +356,7 @@ class CharLMModel(_BatchModel):
     def _count_transitions(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray, np.float64]:
         """The batch's transition counts, their (V, 1) row totals and their total."""
         if isinstance(batch, DatasetView):
-            # Integer counts summed in float64 are exact: equal to counting the view's text.
-            counts = batch.rows(self._row_counts).sum(axis=0, dtype=np.float64)
+            counts, row_totals, total = batch.block_row(self._block_counts)
         else:
             codes = self._codes(batch)
             # The separator gets code V, so every pair that spans two strings
@@ -362,9 +364,18 @@ class CharLMModel(_BatchModel):
             side = self.vocab_size + 1
             pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
             counts = pairs[:-1, :-1].astype(np.float64)
-        if not counts.any():
+            row_totals, total = counts.sum(axis=1, keepdims=True), counts.sum()
+        if total == 0:
             raise EmptyBatch("batch has no character transitions")
-        return counts, counts.sum(axis=1, keepdims=True), counts.sum()
+        return counts, row_totals, total
+
+    def _block_counts(self, block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (L, V, V) transition counts of each batch of a block, their
+        (L, V, 1) row totals and (L,) totals, from one gather of the pool's
+        per-string counts.  Integer counts summed in float64 are exact: each
+        batch's equal counting its text."""
+        counts = block.rows(self._row_counts).sum(axis=1, dtype=np.float64)
+        return counts, counts.sum(axis=2, keepdims=True), counts.sum(axis=(1, 2))
 
     def _row_counts(self, pool: Dataset) -> np.ndarray:
         """The (n, V, V) transition counts of each string of a pool, in the

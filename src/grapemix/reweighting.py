@@ -35,12 +35,13 @@ from .data import (
     MixtureStore,
     sample_domain_batches,
     sample_mixture_batch,
+    sample_mixture_batches,
     sample_task_batches,
     stream_rng,
 )
 from .errors import DegenerateWeights, DimensionError, NumericalDivergence, ScoreError
 from .metrics import LOSS_FLOOR, normalized_grad
-from .models import DifferentiableModel
+from .models import _DRAW_BLOCK, DifferentiableModel
 from .simplex import SimplexWeights, multiplicative_update
 
 
@@ -469,6 +470,16 @@ def _initial_weights(
     return init
 
 
+def _draw_count(cfg: ReweightConfig, t: int) -> int:
+    """How many sampled training batches to draw at step ``t``: those of
+    the steps up to the next change of alpha (the next multiple of
+    ``update_every_alpha``, or ``total_steps`` when alpha does not adapt),
+    at most ``_DRAW_BLOCK`` examples and at least one batch."""
+    every = cfg.update_every_alpha if cfg.adapts_alpha else cfg.total_steps
+    end = min((t // every + 1) * every, cfg.total_steps)
+    return min(end - t, max(1, _DRAW_BLOCK // cfg.train_batch_size))
+
+
 @np.errstate(all="ignore")  # every non-finite value ends in a typed error below, not in a warning
 def train_run(
     cfg: ReweightConfig,
@@ -484,7 +495,12 @@ def train_run(
     Weight updates fire after the optimizer update of steps that are
     multiples of their frequency, and score batches are evaluated at the
     *post-update* parameters; when both fire on one step, task weights
-    update first and the domain update sees the new task weights.  Task
+    update first and the domain update sees the new task weights.  A
+    sampled training batch depends only on alpha and the "train" stream,
+    so the batches of all the steps up to the next change of alpha are
+    drawn in one ``sample_mixture_batches`` call (see ``_draw_count``),
+    the same batches that one ``sample_mixture_batch`` call per step would
+    draw; each step still makes one ``model.grad`` call on its own.  Task
     losses are recorded at every reweighting step, every ``eval_every``
     steps, and at the end.  Raises NumericalDivergence if parameters go
     non-finite or any task loss exceeds ``divergence_factor`` times its
@@ -532,9 +548,18 @@ def train_run(
     guard(initial_losses, 0)
     record(0, initial_losses, learning_rate_at(cfg, 0))
 
+    drawn = iter(())  # sampled mode: the training batches drawn for the coming steps
     for t in range(cfg.total_steps):
         gamma = learning_rate_at(cfg, t)
-        direction, _ = _mixture_direction(model, theta, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
+        if cfg.domain_mix_mode == "sampled":
+            batch = next(drawn, None)
+            if batch is None:
+                drawn = sample_mixture_batches(store, alpha, cfg.train_batch_size, _draw_count(cfg, t), train_rng)
+                batch = next(drawn)
+            direction = model.grad(theta, batch)
+        else:
+            direction, _ = _mixture_direction(model, theta, store, alpha, "domains", cfg, train_rng,
+                                              cfg.train_batch_size)
         counters.train_grad_evals += 1
         theta = optimizer.step(theta, direction, gamma)
         if not np.isfinite(theta).all():

@@ -24,6 +24,7 @@ from grapemix import (
     ingest_dataset,
     sample_domain_batches,
     sample_mixture_batch,
+    sample_mixture_batches,
     sample_task_batches,
     stationary_distribution,
     stream_rng,
@@ -311,13 +312,81 @@ class TestPerComponentSamplerReference:
 
 
 class _StubRng:
-    """Stands in for a Generator: ``random(size)`` returns the given draws, cycled."""
+    """Stands in for a Generator: ``random(size)`` returns the next draws of
+    the given ones, cycled, so successive calls read on where the last stopped."""
 
     def __init__(self, *draws):
         self.draws = np.array(draws)
+        self.used = 0
 
     def random(self, size):
-        return np.resize(self.draws, size)
+        out = np.resize(np.roll(self.draws, -(self.used % len(self.draws))), size)
+        self.used += out.size
+        return out
+
+
+class TestBlockDraw:
+    """``sample_mixture_batches`` draws at once what ``count`` successive
+    ``sample_mixture_batch`` calls draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        data=st.data(),
+        dead_last=st.booleans(),
+        shortfall=st.sampled_from([0.0, 1e-10]),
+        size=st.integers(1, 9),
+        count=st.integers(1, 5),
+        stub=st.one_of(st.none(), st.lists(st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True)),
+                                           min_size=1, max_size=4)),
+        seed=st.integers(0, 2**32 - 1),
+        on_tasks=st.booleans(),
+    )
+    def test_same_index_vectors_as_successive_single_draws(self, lengths, data, dead_last, shortfall, size, count,
+                                                           stub, seed, on_tasks):
+        raw = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=len(lengths), max_size=len(lengths))
+            .filter(lambda xs: sum(xs[:-1] if dead_last and len(xs) > 1 else xs) > 0.0)
+        )
+        if dead_last and len(raw) > 1:
+            raw[-1] = 0.0
+        values = np.array(raw) / sum(raw) * (1.0 - shortfall)
+        named = {f"s{k}": Dataset([f"s{k}-{j}" for j in range(n)]) for k, n in enumerate(lengths)}
+        other = {"other": Dataset(["other"])}
+        store = MixtureStore(other, named) if on_tasks else MixtureStore(named, other)
+        w = SimplexWeights(values, tuple(named))
+
+        def generator():
+            return _StubRng(*stub) if stub else np.random.default_rng(seed)
+
+        block_rng, single_rng = generator(), generator()
+        block = list(sample_mixture_batches(store, w, size, count, block_rng))
+        singles = [sample_mixture_batch(store, w, size, single_rng) for _ in range(count)]
+        assert len(block) == count
+        for got, want in zip(block, singles):
+            assert got.pool is want.pool
+            assert got.index.dtype == want.index.dtype and got.index.tobytes() == want.index.tobytes()
+            assert all(values[int(ex[1:].split("-")[0])] > 0.0 for ex in got)
+        if stub:
+            assert block_rng.used == single_rng.used
+        else:
+            assert block_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_dead_last_entry_is_never_drawn_past_a_short_sum(self):
+        store = toy_store(k=3)
+        w = SimplexWeights(np.array([0.5, 0.5 - 1e-10, 0.0]), store.domain_labels)
+        block = list(sample_mixture_batches(store, w, 4, 3, _StubRng(1.0 - 2.0**-53)))
+        assert [list(batch) for batch in block] == [["d1-ex4"] * 4] * 3
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_batches_rejected(self, size):
+        store = toy_store()
+        w = SimplexWeights.uniform(store.domain_labels)
+        rng = stream_rng(0, "x")
+        state = rng.bit_generator.state
+        with pytest.raises(EmptyBatch):
+            sample_mixture_batches(store, w, size, 3, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestPerGroupBatches:

@@ -28,10 +28,12 @@ from grapemix import (
     generate_markov_corpus,
     sample_domain_batches,
     sample_mixture_batch,
+    sample_mixture_batches,
     sample_task_batches,
     train_run,
 )
 from grapemix import models, verify
+from grapemix.data import Block
 from grapemix.models import _as_dataset
 from grapemix.verify import harness_family
 
@@ -526,6 +528,54 @@ class TestPools:
         # the task side is clean, and the whole domain datasets are counted from their own text
         model.loss(np.zeros(9), sample_task_batches(store, 4, np.random.default_rng(0))[0])
         model.loss(np.zeros(9), store.domains["d0"])
+
+
+class TestBlockMembers:
+    """The char LM counts the batches of one block together; each member
+    evaluates bitwise as a fresh view of the same rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 9), count=st.integers(1, 5),
+           lengths=st.lists(st.sampled_from([1, 2, 5, 33, 300]), min_size=1, max_size=3))
+    @example(seed=0, size=3, count=4, lengths=[1, 2])  # members with and without transitions
+    def test_members_bitwise_equal_to_fresh_views(self, seed, size, count, lengths):
+        rng = np.random.default_rng(seed)
+        model, store = _view_store("char", lengths, rng)
+        weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
+        members = list(sample_mixture_batches(store, weights, size, count, rng))
+        params = rng.normal(size=model.param_dim)
+        for member in members:
+            fresh, fresh_model = member.pool.take(member.index.copy()), CharLMModel(model.vocab_size)
+            try:
+                want = (fresh_model.transition_counts(fresh).tobytes(), fresh_model.loss(params, fresh),
+                        fresh_model.grad(params, fresh).tobytes())
+            except EmptyBatch:
+                with pytest.raises(EmptyBatch):
+                    model.transition_counts(member)
+                assert not member._kept
+                continue
+            got = (model.transition_counts(member).tobytes(), model.loss(params, member),
+                   model.grad(params, member).tobytes())
+            assert got == want
+        block = members[0]._member[0]
+        assert all(member._member == (block, i) for i, member in enumerate(members))
+        assert all(not arr.flags.writeable for _, kept in block._kept.values() for arr in kept)
+
+    def test_a_member_without_transitions_fails_alone(self):
+        model = CharLMModel(3)
+        pool = Dataset(["a", "b", "abca", "cab"])
+        # the first and last members hold only one-character strings
+        members = list(Block(pool, np.array([[0, 1], [2, 0], [1, 1], [3, 2]])).batches())
+        params = np.random.default_rng(2).normal(size=9)
+        for member in members[::2]:
+            for evaluate in (model.loss, model.grad, lambda _, batch: model.transition_counts(batch)) * 2:
+                with pytest.raises(EmptyBatch, match="no character transitions"):
+                    evaluate(params, member)
+            assert not member._kept
+        for member in members[1::2]:
+            fresh = pool.take(member.index.copy())
+            assert model.loss(params, member) == CharLMModel(3).loss(params, fresh)
+            assert model.grad(params, member).tobytes() == CharLMModel(3).grad(params, fresh).tobytes()
 
 
 @pytest.mark.parametrize("model", [QuadraticTaskFamily, CharLMModel, SoftmaxModel], ids=lambda cls: cls.__name__)

@@ -6,6 +6,7 @@ equal, and a run that fails must fail alike.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from grapemix import (
     render_trajectory,
     train_run,
 )
+from grapemix import models, reweighting
 from reference_loop import reference_run
 
 
@@ -124,3 +126,56 @@ class TestAgainstFrozenLoop:
         params, trajectory = got
         assert render_trajectory(trajectory) == want[1]
         assert params.tobytes() == want[0].tobytes()
+
+
+def _draws_counted(monkeypatch):
+    """Count the loop's block draws of training batches."""
+    calls = []
+    draw = reweighting.sample_mixture_batches
+    monkeypatch.setattr(reweighting, "sample_mixture_batches", lambda *args: calls.append(args[3]) or draw(*args))
+    return calls
+
+
+class TestAcrossBlockBoundaries:
+    """The loop draws its sampled training batches a stretch at a time;
+    runs whose stretches end off the update grid or at the example cap
+    still match the frozen loop bitwise."""
+
+    @staticmethod
+    def _assert_matches_reference(cfg, model, store, **kwargs):
+        want = reference_run(cfg, model, store, **kwargs)
+        params, trajectory = train_run(cfg, model, store, **kwargs)
+        assert render_trajectory(trajectory) == want[1]
+        assert params.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(SETUPS))
+    def test_uniform_run_split_by_the_example_cap(self, monkeypatch, kind):
+        model, store = SETUPS[kind]
+        per_block = 3
+        cfg = ReweightConfig(algorithm="uniform", total_steps=10, base_lr=0.05, eval_every=4,
+                             train_batch_size=models._DRAW_BLOCK // per_block, eval_batch_size=4)
+        calls = _draws_counted(monkeypatch)
+        self._assert_matches_reference(cfg, model, store, seed=3)
+        assert calls == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("kind", sorted(SETUPS))
+    @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
+    def test_alpha_period_that_does_not_divide_the_run(self, monkeypatch, kind, algorithm):
+        model, store = SETUPS[kind]
+        cfg = ReweightConfig(algorithm=algorithm, total_steps=23, base_lr=0.05, update_every_alpha=5,
+                             update_every_z=3, train_batch_size=3, eval_every=7)
+        calls = _draws_counted(monkeypatch)
+        self._assert_matches_reference(cfg, model, store, seed=4)
+        assert calls == [5, 5, 5, 5, 3]
+
+    @pytest.mark.parametrize("dead", [0, -1], ids=["first", "last"])
+    def test_warm_start_with_a_dead_domain(self, dead):
+        model, store = SETUPS["char"]
+        alpha = np.full(store.num_domains, 1.0)
+        alpha[dead] = 0.0
+        init_alpha = SimplexWeights(alpha / alpha.sum(), store.domain_labels)
+        cfg = ReweightConfig(algorithm="grape", total_steps=17, base_lr=0.1, update_every_alpha=4,
+                             update_every_z=2, train_batch_size=5, eval_every=5, weight_floor=0.0)
+        self._assert_matches_reference(cfg, model, store, init_alpha=init_alpha, seed=5)
+        _, trajectory = train_run(cfg, model, store, init_alpha=init_alpha, seed=5)
+        assert (trajectory.alphas[:, dead] == 0.0).all()

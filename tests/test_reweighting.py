@@ -668,8 +668,8 @@ class TestLoopCallsThroughModuleGlobals:
     """The benchmark traces the loop by replacing these module globals;
     a loop that bound them early would escape the trace unnoticed."""
 
-    NAMES = ("sample_mixture_batch", "task_reweight_step", "domain_reweight_step", "pcgrad_combine",
-             "multiplicative_update")
+    NAMES = ("sample_mixture_batches", "sample_mixture_batch", "task_reweight_step", "domain_reweight_step",
+             "pcgrad_combine", "multiplicative_update")
 
     @pytest.mark.parametrize("algorithm,pcgrad_calls", [("grape", 0), ("doge_pcgrad", 2)])
     def test_train_run_reaches_every_global(self, monkeypatch, algorithm, pcgrad_calls):
@@ -679,10 +679,12 @@ class TestLoopCallsThroughModuleGlobals:
                              update_every_alpha=10, train_batch_size=4, eval_every=10)
         train_run(cfg, model, store, seed=0)
         task_steps = 4 if algorithm == "grape" else 0
-        # one mixture batch per training step, per task step, and per non-pcgrad domain step
+        # the training batches in one draw per stretch between alpha changes; one
+        # mixture batch per task step and per non-pcgrad domain step
         domain_targets = 2 if pcgrad_calls == 0 else 0
         assert calls == {
-            "sample_mixture_batch": 20 + task_steps + domain_targets,
+            "sample_mixture_batches": 2,
+            "sample_mixture_batch": task_steps + domain_targets,
             "task_reweight_step": task_steps,
             "domain_reweight_step": 2,
             "pcgrad_combine": pcgrad_calls,
