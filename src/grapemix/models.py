@@ -307,7 +307,10 @@ class QuadraticTaskFamily(_BatchModel):
 
 _SEPARATOR = "\0"
 _TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
-_DRAW_BLOCK = 4096  # most examples the training loop draws at once, which bounds a block's gather of those counts
+# The most examples and the most batches the training loop draws at once: they bound a
+# block's index and gather of those counts, and its float64 counts, L x V x V.
+_DRAW_BLOCK = 4096
+_DRAW_BATCHES = 256
 
 
 class CharLMModel(_BatchModel):

@@ -41,7 +41,7 @@ from .data import (
 )
 from .errors import DegenerateWeights, DimensionError, NumericalDivergence, ScoreError
 from .metrics import LOSS_FLOOR, normalized_grad
-from .models import _DRAW_BLOCK, DifferentiableModel
+from .models import _DRAW_BATCHES, _DRAW_BLOCK, DifferentiableModel
 from .simplex import SimplexWeights, multiplicative_update
 
 
@@ -474,10 +474,11 @@ def _draw_count(cfg: ReweightConfig, t: int) -> int:
     """How many sampled training batches to draw at step ``t``: those of
     the steps up to the next change of alpha (the next multiple of
     ``update_every_alpha``, or ``total_steps`` when alpha does not adapt),
-    at most ``_DRAW_BLOCK`` examples and at least one batch."""
+    at most ``_DRAW_BATCHES`` batches of ``_DRAW_BLOCK`` examples in all,
+    and at least one batch."""
     every = cfg.update_every_alpha if cfg.adapts_alpha else cfg.total_steps
     end = min((t // every + 1) * every, cfg.total_steps)
-    return min(end - t, max(1, _DRAW_BLOCK // cfg.train_batch_size))
+    return min(end - t, _DRAW_BATCHES, max(1, _DRAW_BLOCK // cfg.train_batch_size))
 
 
 @np.errstate(all="ignore")  # every non-finite value ends in a typed error below, not in a warning

@@ -149,14 +149,18 @@ class TestAcrossBlockBoundaries:
         assert params.tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("kind", sorted(SETUPS))
-    def test_uniform_run_split_by_the_example_cap(self, monkeypatch, kind):
+    @pytest.mark.parametrize("cap", ["examples", "batches"])
+    def test_uniform_run_split_by_the_caps(self, monkeypatch, kind, cap):
         model, store = SETUPS[kind]
-        per_block = 3
-        cfg = ReweightConfig(algorithm="uniform", total_steps=10, base_lr=0.05, eval_every=4,
-                             train_batch_size=models._DRAW_BLOCK // per_block, eval_batch_size=4)
+        if cap == "examples":
+            size, steps, blocks = models._DRAW_BLOCK // 3, 10, [3, 3, 3, 1]
+        else:
+            size, steps, blocks = 1, 2 * models._DRAW_BATCHES + 5, [models._DRAW_BATCHES] * 2 + [5]
+        cfg = ReweightConfig(algorithm="uniform", total_steps=steps, base_lr=0.05, eval_every=50,
+                             train_batch_size=size, eval_batch_size=4)
         calls = _draws_counted(monkeypatch)
         self._assert_matches_reference(cfg, model, store, seed=3)
-        assert calls == [3, 3, 3, 1]
+        assert calls == blocks
 
     @pytest.mark.parametrize("kind", sorted(SETUPS))
     @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
