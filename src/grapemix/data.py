@@ -10,14 +10,14 @@ bit-identical batches.
 A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
 that side's examples in label order, built at the first sampled draw.
 A sampled batch is a view of the pool, an index vector of its rows, and
-no list of examples is built for it.  Batches drawn together by
-``sample_mixture_batches`` (the training loop draws every batch up to
-the next change of the domain weights at once) are the members of one
-``Block``, which keeps what models derive from all of them at once; a
-single draw is a block of one.  Every batch is a ``Dataset`` (a store
-dataset, a pool view, or a wrapped list), which keeps what models derive
-from it in ``Dataset.prepared``.  Never mutate an example, or an array
-inside one, in place.
+no list of examples is built for it.  Every sampled batch is a member of
+a ``Block``, the batches drawn together by one rule: the mixture batches
+up to the next change of the domain weights, or one batch per component
+of a side; a single draw is a block of one.  A block keeps what models
+derive from all its batches at once.  Every batch is a ``Dataset`` (a
+store dataset, a pool view, or a wrapped list), which keeps what models
+derive from it in ``Dataset.prepared``.  Never mutate an example, or an
+array inside one, in place.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class Dataset:
         return self.prepared(prepare)
 
     def take(self, index: np.ndarray) -> "DatasetView":
-        """The batch of the rows at ``index`` (int64), as a view of this dataset."""
-        return DatasetView(self, index)
+        """The batch of the rows at ``index`` (int64), as a view of this dataset: a block of one."""
+        return next(Block(self, index[None]).batches())
 
     def __len__(self) -> int:
         return len(self._examples)
@@ -93,19 +93,19 @@ class Dataset:
 
 class DatasetView(Dataset):
     """The rows of a pool ``Dataset`` at an index vector: a batch that reads
-    like the list of those examples, and is built without one.  A view is a
-    member of the ``Block`` of batches it was drawn with; a view drawn alone
-    is the one member of its own."""
+    like the list of those examples, and is built without one.  A view is
+    row ``row`` of the ``Block`` of batches it was drawn with; a view drawn
+    alone is the one member of its own."""
 
-    def __init__(self, pool: Dataset, index: np.ndarray, member: "tuple[Block, int] | None" = None):
-        self.pool = pool
-        self.index = index
-        self._member = member  # (its block, its row there), or None for a block of one
+    def __init__(self, block: "Block", row: int):
+        self.pool = block.pool
+        self.index = block.index[row]
+        self._member = (block, row)
         self._kept = {}
 
     def take(self, index: np.ndarray) -> "DatasetView":
         """The rows at ``index`` of this view, as a view of its pool."""
-        return DatasetView(self.pool, self.index[index])
+        return self.pool.take(self.index[index])
 
     def rows(self, prepare: Callable):
         """The view's rows of ``pool.rows(prepare)``, read-only and not kept."""
@@ -114,7 +114,7 @@ class DatasetView(Dataset):
     def block_row(self, compute: Callable) -> tuple:
         """This batch's row of every array of ``block.prepared(compute)``,
         where ``compute`` derives one row per batch from its whole block."""
-        block, row = self._member or (Block(self.pool, self.index[None]), 0)
+        block, row = self._member
         return tuple(arr[row] for arr in block.prepared(compute))
 
     def __len__(self) -> int:
@@ -139,7 +139,7 @@ class Block:
 
     def batches(self) -> Iterator[DatasetView]:
         """The block's batches in order, each a view made when it is reached."""
-        return (DatasetView(self.pool, index, (self, i)) for i, index in enumerate(self.index))
+        return (DatasetView(self, row) for row in range(len(self.index)))
 
     def prepared(self, compute: Callable) -> tuple:
         """``compute(self)``, a tuple of arrays with one row per batch, kept by ``keep``."""
@@ -259,38 +259,39 @@ def sample_mixture_batches(
         side = "tasks"
     else:
         raise DimensionError("weight labels match neither domains nor tasks")
-    if size < 1:
-        raise EmptyBatch(f"batch size must be >= 1, got {size}")
-    pool, offsets, sizes = store.pool(side)
-    cum, last_live = w.cumulative
-    u = rng.random((count, 2, size))
-    which = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), last_live)
-    return Block(pool, offsets[which] + _rows(u[:, 1], sizes[which])).batches()
+    return _draw_block(store, side, size, rng, w, count)
 
 
-def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:
+def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[DatasetView]:
     """One uniformly drawn batch from every domain, in label order."""
-    return _uniform_batches(store, "domains", size, rng)
+    return list(_draw_block(store, "domains", size, rng))
 
 
-def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[Dataset]:
+def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[DatasetView]:
     """One uniformly drawn batch from every task, in label order."""
-    return _uniform_batches(store, "tasks", size, rng)
+    return list(_draw_block(store, "tasks", size, rng))
 
 
-def _uniform_batches(store: MixtureStore, side: str, size: int, rng: np.random.Generator) -> list[Dataset]:
-    """One batch per component of ``side``, each a view of the side's pool."""
+def _draw_block(store: MixtureStore, side: str, size: int, rng: np.random.Generator,
+                w: SimplexWeights | None = None, count: int = 0) -> Iterator[DatasetView]:
+    """The members of one ``Block`` of ``side``'s pool: ``count`` batches of
+    components drawn by categorical(w), or without ``w`` one batch per
+    component, whose K rows ``rng.random((K, size))`` draws as K successive
+    ``rng.random(size)`` calls would.  A draw u picks row floor(u * n),
+    clamped to n - 1, of a component of n rows: one draw per example,
+    whatever n is, keeps every stream's draw count independent of the
+    dataset sizes."""
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     pool, offsets, sizes = store.pool(side)
-    return [pool.take(offset + _rows(rng.random(size), n)) for offset, n in zip(offsets.tolist(), sizes.tolist())]
-
-
-def _rows(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:
-    """The row each uniform draw ``u`` picks in a dataset of ``n`` rows:
-    floor(u * n), clamped to n - 1.  One draw per example, whatever n is,
-    keeps every stream's draw count independent of the dataset sizes."""
-    return np.minimum((u * n).astype(np.int64), n - 1)
+    if w is None:
+        which, u = np.arange(len(sizes))[:, None], rng.random((len(sizes), size))
+    else:
+        cum, last_live = w.cumulative
+        u = rng.random((count, 2, size))
+        which, u = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), last_live), u[:, 1]
+    n = sizes[which]
+    return Block(pool, offsets[which] + np.minimum((u * n).astype(np.int64), n - 1)).batches()
 
 
 # ---------------------------------------------------------------------------

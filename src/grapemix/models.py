@@ -322,7 +322,7 @@ class CharLMModel(_BatchModel):
     a list is counted from its text, in O(batch chars + V^2) regardless of
     how the text is chunked; a view of a store pool sums its rows of the
     pool's per-string counts, which are counted once per pool.  The views
-    of one ``Block`` (the training batches drawn at once) are summed
+    of one ``Block`` (every sampled batch is a member of one) are summed
     together, from one gather, and each reads its own row.
     """
 

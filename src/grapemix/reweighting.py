@@ -275,16 +275,14 @@ def _mix_mode(cfg: ReweightConfig, side: str) -> str:
 def _component_batches(
     store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator
 ) -> list[Dataset]:
-    """One batch per domain or per task, in label order: a uniform draw
-    in sampled mode, the whole dataset in expected mode."""
-    if side == "domains":
-        datasets, labels, sample = store.domains, store.domain_labels, sample_domain_batches
-    else:
-        datasets, labels, sample = store.tasks, store.task_labels, sample_task_batches
+    """One batch per domain or per task, in label order: the members of one
+    uniformly drawn ``Block`` in sampled mode, the whole datasets in expected mode."""
     if _mix_mode(cfg, side) == "expected":
-        # The Dataset itself, not a copy of its examples: it keeps what models derive from it.
-        return [datasets[lbl] for lbl in labels]
-    return sample(store, size, rng)
+        # The Datasets themselves, not copies of their examples: they keep what models derive from them.
+        return list((store.domains if side == "domains" else store.tasks).values())
+    if side == "domains":
+        return sample_domain_batches(store, size, rng)
+    return sample_task_batches(store, size, rng)
 
 
 def _mixture_direction(

@@ -303,12 +303,15 @@ class TestPerComponentSamplerReference:
         tasks = [Dataset([object() for _ in range(n)]) for n in task_lengths]
         store = MixtureStore({f"d{k}": ds for k, ds in enumerate(domains)}, {f"t{k}": ds for k, ds in enumerate(tasks)})
         for sample, datasets in ((sample_domain_batches, domains), (sample_task_batches, tasks)):
-            got = sample(store, size, np.random.default_rng(seed))
-            want = _per_component_reference(datasets, size, np.random.default_rng(seed))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample(store, size, got_rng)
+            want = _per_component_reference(datasets, size, want_rng)
             assert len(got) == len(want)
             for batch, ref in zip(got, want):
                 assert len(batch) == size
                 assert all(a is b for a, b in zip(batch, ref))
+            # one draw for all components leaves the generator where the K separate draws do
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class _StubRng:

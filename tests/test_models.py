@@ -32,7 +32,7 @@ from grapemix import (
     sample_task_batches,
     train_run,
 )
-from grapemix import models, verify
+from grapemix import models, reweighting, verify
 from grapemix.data import Block
 from grapemix.models import _as_dataset
 from grapemix.verify import harness_family
@@ -542,24 +542,43 @@ class TestBlockMembers:
         rng = np.random.default_rng(seed)
         model, store = _view_store("char", lengths, rng)
         weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
-        members = list(sample_mixture_batches(store, weights, size, count, rng))
         params = rng.normal(size=model.param_dim)
-        for member in members:
-            fresh, fresh_model = member.pool.take(member.index.copy()), CharLMModel(model.vocab_size)
-            try:
-                want = (fresh_model.transition_counts(fresh).tobytes(), fresh_model.loss(params, fresh),
-                        fresh_model.grad(params, fresh).tobytes())
-            except EmptyBatch:
-                with pytest.raises(EmptyBatch):
-                    model.transition_counts(member)
-                assert not member._kept
-                continue
-            got = (model.transition_counts(member).tobytes(), model.loss(params, member),
-                   model.grad(params, member).tobytes())
-            assert got == want
-        block = members[0]._member[0]
-        assert all(member._member == (block, i) for i, member in enumerate(members))
-        assert all(not arr.flags.writeable for _, kept in block._kept.values() for arr in kept)
+        # the mixture batches drawn at once, then each side's per-component batches
+        draws = (list(sample_mixture_batches(store, weights, size, count, rng)),
+                 sample_domain_batches(store, size, rng), sample_task_batches(store, size, rng))
+        for members in draws:
+            for member in members:
+                fresh, fresh_model = member.pool.take(member.index.copy()), CharLMModel(model.vocab_size)
+                try:
+                    want = (fresh_model.transition_counts(fresh).tobytes(), fresh_model.loss(params, fresh),
+                            fresh_model.grad(params, fresh).tobytes())
+                except EmptyBatch:
+                    with pytest.raises(EmptyBatch):
+                        model.transition_counts(member)
+                    assert not member._kept
+                    continue
+                got = (model.transition_counts(member).tobytes(), model.loss(params, member),
+                       model.grad(params, member).tobytes())
+                assert got == want
+            block = members[0]._member[0]
+            assert all(member._member == (block, i) for i, member in enumerate(members))
+            assert all(not arr.flags.writeable for _, kept in block._kept.values() for arr in kept)
+
+    def test_a_sampled_run_gathers_once_per_block(self, monkeypatch):
+        # Every sampled batch is a block member, and a block gathers the pool's count table
+        # once: each stretch of training batches, the two blocks of each reweight step (the
+        # mixture batch and one side's per-component batches) and each record's task batches.
+        gathers, stretches = [], []
+        rows, draw = Block.rows, reweighting.sample_mixture_batches
+        monkeypatch.setattr(Block, "rows", lambda block, prepare: gathers.append(block) or rows(block, prepare))
+        monkeypatch.setattr(reweighting, "sample_mixture_batches",
+                            lambda *args: stretches.append(args[3]) or draw(*args))
+        cfg = ReweightConfig(algorithm="grape", total_steps=60, update_every_alpha=20, update_every_z=15,
+                             train_batch_size=4, eval_batch_size=3, eval_every=7)
+        _, trajectory = train_run(cfg, CharLMModel(3), _char_store(), seed=0)
+        task_steps, domain_steps = 60 // 15, 60 // 20
+        assert sum(stretches) == 60 and len(trajectory) == 15
+        assert len(gathers) == len(stretches) + 2 * task_steps + 2 * domain_steps + len(trajectory)
 
     def test_a_member_without_transitions_fails_alone(self):
         model = CharLMModel(3)
