@@ -14,10 +14,11 @@ no list of examples is built for it.  Every sampled batch is a member of
 a ``Block``, the batches drawn together by one rule: the mixture batches
 up to the next change of the domain weights, or one batch per component
 of a side; a single draw is a block of one.  A block keeps what models
-derive from all its batches at once.  Every batch is a ``Dataset`` (a
-store dataset, a pool view, or a wrapped list), which keeps what models
-derive from it in ``Dataset.prepared``.  Never mutate an example, or an
-array inside one, in place.
+derive from all its batches at once, and so do a side's whole datasets,
+its ``Datasets``.  Every batch is a ``Dataset`` (a store dataset, a pool
+view, or a wrapped list), which keeps what models derive from it in
+``Dataset.prepared``.  Never mutate an example, or an array inside one,
+in place.
 """
 
 from __future__ import annotations
@@ -59,14 +60,10 @@ class Dataset:
         self._examples = examples
         self._kept = {}
 
-    def prepared(self, compute: Callable, params=None):
-        """``compute(self)``, or ``compute(params, self)`` for parameters,
-        kept by ``keep``: without parameters for the dataset's lifetime,
-        with them keyed on the bytes of a float64 ``params``, not on the
-        array, so an array changed in place is computed anew."""
-        if params is None:
-            return keep(self._kept, compute, None, self)
-        return keep(self._kept, compute, params.tobytes(), params, self)
+    def prepared(self, compute: Callable):
+        """``compute(self)``, which depends on the examples alone, kept by
+        ``keep`` for the dataset's lifetime."""
+        return keep(self._kept, compute, None, self)
 
     def rows(self, prepare: Callable):
         """``prepared(prepare)``, for a ``prepare`` whose arrays have one row
@@ -150,6 +147,29 @@ class Block:
         return _gather(self.pool.prepared(prepare), self.index)
 
 
+class Datasets:
+    """Whole datasets evaluated together, one side of a store in label
+    order: a sequence of batches, and what models derive from all of them
+    at once, kept for its lifetime, which is its store's."""
+
+    def __init__(self, datasets: Sequence[Dataset]):
+        self._datasets = tuple(datasets)
+        self._kept = {}
+
+    def prepared(self, compute: Callable) -> tuple:
+        """``compute(self)``, a tuple of arrays with one row per dataset, kept by ``keep``."""
+        return keep(self._kept, compute, None, self)
+
+    def __len__(self) -> int:
+        return len(self._datasets)
+
+    def __getitem__(self, i: int) -> Dataset:
+        return self._datasets[i]
+
+    def __iter__(self) -> Iterator[Dataset]:
+        return iter(self._datasets)
+
+
 def _gather(whole, index: np.ndarray):
     """The rows at ``index`` of ``whole`` (an array or a tuple of arrays), read-only."""
     return _read_only(tuple(arr[index] for arr in whole) if isinstance(whole, tuple) else whole[index])
@@ -184,8 +204,8 @@ class MixtureStore:
     Domain and task label sets must be disjoint so that a weight vector's
     labels identify unambiguously which side it addresses.  The datasets
     never change and the ``domains`` and ``tasks`` mappings are read-only,
-    so each side's pool, built at its first sampled draw, stays valid for
-    the store's lifetime.
+    so each side's ``datasets`` and its pool, built at its first sampled
+    draw, stay valid for the store's lifetime.
     """
 
     def __init__(self, domains: Mapping[str, Dataset], tasks: Mapping[str, Dataset]):
@@ -201,6 +221,7 @@ class MixtureStore:
         self.tasks = MappingProxyType(dict(tasks))
         self.domain_labels = tuple(self.domains)
         self.task_labels = tuple(self.tasks)
+        self._sides = {"domains": Datasets(self.domains.values()), "tasks": Datasets(self.tasks.values())}
         self._pools = {}
 
     @property
@@ -211,12 +232,16 @@ class MixtureStore:
     def num_tasks(self) -> int:
         return len(self.tasks)
 
+    def datasets(self, side: str) -> Datasets:
+        """The whole datasets of ``side`` ("domains" or "tasks"), in label order."""
+        return self._sides[side]
+
     def pool(self, side: str) -> tuple[Dataset, np.ndarray, np.ndarray]:
         """The pool of ``side`` ("domains" or "tasks"): one Dataset of every
         example of the side in label order, with the first row and the row
         count of each label."""
         if side not in self._pools:
-            datasets = list((self.domains if side == "domains" else self.tasks).values())
+            datasets = self._sides[side]
             sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
             offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
             pool = Dataset([ex for ds in datasets for ex in ds])

@@ -25,7 +25,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .data import _ALPHABET, Block, Dataset, DatasetView, keep
+from .data import _ALPHABET, Block, Dataset, Datasets, DatasetView, _read_only, keep
 from .errors import DimensionError, EmptyBatch
 from .simplex import on_simplex
 
@@ -34,13 +34,15 @@ class DifferentiableModel(Protocol):
     """What the training loop needs: a loss and its gradient on a batch.
 
     A batch is a ``Dataset``: a sampled draw or a whole store dataset.
-    The built-in models evaluate through ``Dataset.prepared``, so ``loss``
-    and ``grad`` on one batch prepare it once, in either order, and a
-    repeated call at unchanged parameters returns the kept value; a kept
-    gradient is read-only.  What depends on the parameters alone (the char
-    LM's log-softmax) is kept by the same rule, ``data.keep``, for the
-    model's last parameter vector, so every batch evaluated at one point
-    shares it.  A record the model cannot use raises a typed error.
+    Every call evaluates; nothing keeps a result per parameter vector.
+    The built-in models are ``_BatchModel``s, which also evaluate a
+    sequence of batches in one call (``losses``/``grads``), and the loop
+    uses that for every side it evaluates at one point.  They keep what
+    depends on a batch alone in ``Dataset.prepared``, so ``loss`` and
+    ``grad`` on one batch prepare it once, in either order; what depends
+    on the parameters alone (the char LM's log-softmax) is kept for the
+    model's last parameter vector by the same rule, ``data.keep``.  A
+    record the model cannot use raises a typed error.
     """
 
     param_dim: int
@@ -93,16 +95,44 @@ def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _BatchModel:
-    """The ``loss`` and ``grad`` of every built-in model: the subclass's
-    ``_loss`` or ``_grad`` of the checked parameters, through ``Dataset.prepared``."""
+    """The evaluation entries of every built-in model, each the subclass's
+    ``_loss``, ``_grad``, ``_losses`` or ``_grads`` of the checked
+    parameters.  ``losses``/``grads`` return the (R,) losses and (R, D)
+    gradients of R batches in one call, each row bitwise that batch's
+    ``loss``/``grad``.  Every array returned is read-only.  By default the
+    batches are evaluated one by one; a model overrides ``_losses``/``_grads``
+    where numpy promises the same sums over stacked rows."""
 
     param_dim: int
 
     def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        return _as_dataset(batch).prepared(self._loss, _check_params(params, self.param_dim))
+        return self._loss(_check_params(params, self.param_dim), _as_dataset(batch))
 
     def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        return _as_dataset(batch).prepared(self._grad, _check_params(params, self.param_dim))
+        return _read_only(self._grad(_check_params(params, self.param_dim), _as_dataset(batch)))
+
+    def losses(self, params: np.ndarray, batches: Sequence) -> np.ndarray:
+        return _read_only(self._losses(_check_params(params, self.param_dim), _as_batches(batches)))
+
+    def grads(self, params: np.ndarray, batches: Sequence) -> np.ndarray:
+        return _read_only(self._grads(_check_params(params, self.param_dim), _as_batches(batches)))
+
+    def _losses(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
+        return np.array([self._loss(params, batch) for batch in batches], dtype=np.float64)
+
+    def _grads(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
+        grads = [self._grad(params, batch) for batch in batches]
+        return np.array(grads, dtype=np.float64).reshape(len(grads), self.param_dim)
+
+
+def _as_batches(batches: Sequence) -> Sequence[Dataset]:
+    """``batches``, each a ``Dataset``: a store side's ``Datasets`` as it is."""
+    return batches if isinstance(batches, Datasets) else [_as_dataset(batch) for batch in batches]
+
+
+def _stacked(batches: Sequence[Dataset], prepare) -> tuple:
+    """Each array of ``prepare(batch)`` stacked over the batches: (R, ...) arrays."""
+    return tuple(np.stack(column) for column in zip(*map(prepare, batches)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +210,31 @@ class QuadraticTaskFamily(_BatchModel):
         mixes, deltas = batch.rows(self._stack_examples)
         diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
         return np.einsum("bn,nd,bnd->d", mixes, self.curvatures, diff) / len(batch)
+
+    # Batches of one size are stacked and take one einsum, which sums each row in the order
+    # of the einsum of one batch; batches of several sizes are evaluated one by one.
+
+    def _losses(self, theta: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
+        if len({len(batch) for batch in batches}) != 1:
+            return super()._losses(theta, batches)
+        mixes, diff = self._stacked_diffs(theta, batches)
+        per_task = 0.5 * np.einsum("nd,rbnd,rbnd->rbn", self.curvatures, diff, diff)
+        return (mixes * per_task).sum(axis=(1, 2)) / len(batches[0])
+
+    def _grads(self, theta: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
+        if len({len(batch) for batch in batches}) != 1:
+            return super()._grads(theta, batches)
+        mixes, diff = self._stacked_diffs(theta, batches)
+        return np.einsum("rbn,nd,rbnd->rd", mixes, self.curvatures, diff) / len(batches[0])
+
+    def _stacked_diffs(self, theta: np.ndarray, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+        """The (R, B, N) mixes of R batches of B examples and their (R, B, N, D) differences
+        from the shifted centers; a store side's stack is kept."""
+        mixes, deltas = batches.prepared(self._stack_rows) if isinstance(batches, Datasets) else self._stack_rows(batches)
+        return mixes, theta[None, None, None, :] - self.centers[None, None, :, :] - deltas[:, :, None, :]
+
+    def _stack_rows(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+        return _stacked(batches, lambda batch: batch.rows(self._stack_examples))
 
     def task_dataset(self, n: int) -> Dataset:
         """Single clean example whose loss/grad equal task n's exactly."""
@@ -323,7 +378,10 @@ class CharLMModel(_BatchModel):
     how the text is chunked; a view of a store pool sums its rows of the
     pool's per-string counts, which are counted once per pool.  The views
     of one ``Block`` (every sampled batch is a member of one) are summed
-    together, from one gather, and each reads its own row.
+    together, and each reads its own row.  ``losses``/``grads`` take one
+    elementwise (R, V, V) pass over the stacked counts of R batches: the
+    block's own rows when all are its members, a store side's stack kept
+    by its ``Datasets``, or else each batch's counts.
     """
 
     def __init__(self, vocab_size: int):
@@ -374,10 +432,16 @@ class CharLMModel(_BatchModel):
 
     def _block_counts(self, block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (L, V, V) transition counts of each batch of a block, their
-        (L, V, 1) row totals and (L,) totals, from one gather of the pool's
-        per-string counts.  Integer counts summed in float64 are exact: each
-        batch's equal counting its text."""
-        counts = block.rows(self._row_counts).sum(axis=1, dtype=np.float64)
+        (L, V, 1) row totals and (L,) totals, from gathers of the pool's
+        per-string counts of at most ``_DRAW_BLOCK`` examples (and at least
+        one batch) each: one gather for a training block.  Integer counts
+        summed in float64 are exact: each batch's equal counting its text."""
+        length, size = block.index.shape
+        chunk = max(1, _DRAW_BLOCK // size)
+        counts = np.empty((length, self.vocab_size, self.vocab_size))
+        for start in range(0, length, chunk):
+            part = block if chunk >= length else Block(block.pool, block.index[start : start + chunk])
+            part.rows(self._row_counts).sum(axis=1, dtype=np.float64, out=counts[start : start + chunk])
         return counts, counts.sum(axis=2, keepdims=True), counts.sum(axis=(1, 2))
 
     def _row_counts(self, pool: Dataset) -> np.ndarray:
@@ -415,6 +479,39 @@ class CharLMModel(_BatchModel):
         counts, row_totals, total = batch.prepared(self._count_transitions)
         _, probs = self._point(params)
         return ((probs * row_totals - counts) / total).ravel()
+
+    def _losses(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
+        if not batches:
+            return super()._losses(params, batches)
+        counts, _, totals = self._stacked_counts(batches)
+        log_probs, _ = self._point(params)
+        return -(counts * log_probs).sum(axis=(1, 2)) / totals
+
+    def _grads(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
+        if not batches:
+            return super()._grads(params, batches)
+        counts, row_totals, totals = self._stacked_counts(batches)
+        _, probs = self._point(params)
+        grads = probs * row_totals
+        grads -= counts
+        grads /= totals[:, None, None]
+        return grads.reshape(len(totals), -1)
+
+    def _stacked_counts(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (R, V, V) counts of R batches, their (R, V, 1) row totals and (R,) totals."""
+        if isinstance(batches, Datasets):
+            return batches.prepared(self._stack_counts)
+        block = batches[0]._member[0] if isinstance(batches[0], DatasetView) else None
+        if block is None or not all(isinstance(b, DatasetView) and b._member[0] is block for b in batches):
+            return self._stack_counts(batches)
+        rows = [batch._member[1] for batch in batches]
+        counts, row_totals, totals = (arr[rows] for arr in block.prepared(self._block_counts))
+        if not totals.all():
+            raise EmptyBatch("batch has no character transitions")
+        return counts, row_totals, totals
+
+    def _stack_counts(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _stacked(batches, lambda batch: batch.prepared(self._count_transitions))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 from .analysis import Trajectory
 from .data import (
     Dataset,
+    Datasets,
     MixtureStore,
     sample_domain_batches,
     sample_mixture_batch,
@@ -41,7 +42,7 @@ from .data import (
 )
 from .errors import DegenerateWeights, DimensionError, NumericalDivergence, ScoreError
 from .metrics import LOSS_FLOOR, normalized_grad
-from .models import _DRAW_BATCHES, _DRAW_BLOCK, DifferentiableModel
+from .models import _DRAW_BATCHES, _DRAW_BLOCK, DifferentiableModel, _BatchModel
 from .simplex import SimplexWeights, multiplicative_update
 
 
@@ -202,9 +203,10 @@ class OverheadCounter:
     the evaluations the algorithm requests: under the default sampled
     pipeline a task step costs N+1 and a domain step K+1, while expected
     (full-batch) mixtures replace each mixed-batch gradient with one per
-    component.  A request that repeats one on the same batch at unchanged
-    parameters is counted, though the batch serves it from what it kept
-    (``Dataset.prepared``) without evaluating the model again.
+    component.  A request is counted whether or not it evaluates the
+    model: at one parameter point a built-in model evaluates each side's
+    whole datasets once and serves every later request from those rows
+    (``_Point``).
     """
 
     train_grad_evals: int = 0
@@ -262,10 +264,47 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-def _grad(model: DifferentiableModel, params: np.ndarray, batch: Dataset, normalize: bool) -> np.ndarray:
+class _Point:
+    """The model at one parameter vector, which every consumer there reads.
+
+    ``train_run`` makes one per parameter vector and hands it to the task
+    step, the domain step, the record and the next training step.  A
+    ``_BatchModel`` evaluates the batches of one request in one
+    ``grads``/``losses`` call, and a store side's whole datasets (expected
+    mode) once per point, on first use; sampled batches are drawn per
+    request and not kept.  Any other model has only ``grad``/``loss``,
+    and is asked once per batch of every request.
+    """
+
+    def __init__(self, model: DifferentiableModel, params: np.ndarray):
+        self.model = model
+        self.params = params
+        self._whole = {} if isinstance(model, _BatchModel) else None  # (kind, a side's Datasets) -> rows
+
+    def grads(self, batches, rows=None) -> np.ndarray | list:
+        """The gradient of each of ``batches``, or of those at ``rows``."""
+        return self._evaluate("grads", batches, rows)
+
+    def losses(self, batches, rows=None) -> np.ndarray | list:
+        """The loss of each of ``batches``, or of those at ``rows``."""
+        return self._evaluate("losses", batches, rows)
+
+    def _evaluate(self, kind: str, batches, rows):
+        if self._whole is None:
+            one = self.model.grad if kind == "grads" else self.model.loss
+            return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
+        if not isinstance(batches, Datasets):
+            return getattr(self.model, kind)(self.params, batches if rows is None else [batches[i] for i in rows])
+        whole = self._whole.get((kind, batches))
+        if whole is None:
+            whole = self._whole[kind, batches] = getattr(self.model, kind)(self.params, batches)
+        return whole if rows is None else whole[rows]
+
+
+def _grad(point: _Point, batch: Dataset, normalize: bool) -> np.ndarray:
     """The gradient of ``batch``, divided by the batch loss when ``normalize``."""
-    grad = model.grad(params, batch)
-    return normalized_grad(grad, model.loss(params, batch)) if normalize else grad
+    grad = point.model.grad(point.params, batch)
+    return normalized_grad(grad, point.model.loss(point.params, batch)) if normalize else grad
 
 
 def _mix_mode(cfg: ReweightConfig, side: str) -> str:
@@ -274,20 +313,18 @@ def _mix_mode(cfg: ReweightConfig, side: str) -> str:
 
 def _component_batches(
     store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator
-) -> list[Dataset]:
+) -> Datasets | list[Dataset]:
     """One batch per domain or per task, in label order: the members of one
-    uniformly drawn ``Block`` in sampled mode, the whole datasets in expected mode."""
+    uniformly drawn ``Block`` in sampled mode, the side's ``Datasets`` in expected mode."""
     if _mix_mode(cfg, side) == "expected":
-        # The Datasets themselves, not copies of their examples: they keep what models derive from them.
-        return list((store.domains if side == "domains" else store.tasks).values())
+        return store.datasets(side)
     if side == "domains":
         return sample_domain_batches(store, size, rng)
     return sample_task_batches(store, size, rng)
 
 
 def _mixture_direction(
-    model: DifferentiableModel,
-    params: np.ndarray,
+    point: _Point,
     store: MixtureStore,
     weights: SimplexWeights,
     side: str,
@@ -303,13 +340,17 @@ def _mixture_direction(
     batch first.  Returns (gradient, number of gradient evaluations spent).
     """
     if _mix_mode(cfg, side) == "expected":
-        batches = _component_batches(store, side, cfg, size, rng)
-        live = [(weight, batch) for weight, batch in zip(weights.values, batches) if weight != 0.0]
-        direction = np.zeros(model.param_dim)
-        for weight, batch in live:
-            direction += weight * _grad(model, params, batch, normalize)
-        return direction, len(live)
-    return _grad(model, params, sample_mixture_batch(store, weights, size, rng), normalize), 1
+        batches, live = store.datasets(side), weights.values.nonzero()[0]
+        rows = None if live.size == len(batches) else live  # every component live: read the rows in place
+        grads = point.grads(batches, rows)
+        if normalize:
+            grads = [normalized_grad(grad, loss) for grad, loss in zip(grads, point.losses(batches, rows))]
+        scale = weights.values[:, None] if rows is None else weights.values[rows, None]
+        direction = np.zeros(point.model.param_dim)
+        for weighted in np.asarray(grads) * scale:
+            direction += weighted  # row by row, in label order
+        return direction, live.size
+    return _grad(point, sample_mixture_batch(store, weights, size, rng), normalize), 1
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +388,7 @@ def task_reweight_step(
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
     ema: np.ndarray | None = None,
+    point: _Point | None = None,
 ) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every task against the training direction and downweight
     the well-aligned (fast-improving) ones.
@@ -359,7 +401,7 @@ def task_reweight_step(
     blow up the first normalized score), in place:
     ``ema' = ema_beta * ema + (1 - ema_beta) * loss``.  Returns the new
     task weights and the scores, averaged over ``eval_replicates``
-    estimates.
+    estimates.  ``point``, the model at ``params``, is ``train_run``'s.
     """
     if not cfg.adapts_z:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update task weights")
@@ -367,18 +409,23 @@ def task_reweight_step(
     if scorer == "ema" and ema is None:
         raise ValueError(f"{cfg.algorithm} needs the per-task EMA loss array")
     size = cfg.resolved_eval_batch_size
+    point = point or _Point(model, params)
 
-    def scorer_grad(n: int, batch: Dataset) -> np.ndarray:
-        if scorer == "ema":
-            grad, loss = model.grad(params, batch), model.loss(params, batch)
+    def scorer_grads(batches) -> list[np.ndarray]:
+        grads = point.grads(batches)
+        if scorer == "raw":
+            return list(grads)
+        losses = point.losses(batches)
+        if scorer == "loss":
+            return [normalized_grad(grad, loss) for grad, loss in zip(grads, losses)]
+        for n, loss in enumerate(losses):
             ema[n] = loss if np.isnan(ema[n]) else cfg.ema_beta * ema[n] + (1.0 - cfg.ema_beta) * loss
-            return normalized_grad(grad, ema[n])
-        return _grad(model, params, batch, normalize=scorer == "loss")
+        return [normalized_grad(grad, ema[n]) for n, grad in enumerate(grads)]
 
     def score_once() -> np.ndarray:
-        direction, direction_evals = _mixture_direction(model, params, store, alpha, "domains", cfg, rng, size)
+        direction, direction_evals = _mixture_direction(point, store, alpha, "domains", cfg, rng, size)
         batches = _component_batches(store, "tasks", cfg, size, rng)
-        scores = np.array([alignment(scorer_grad(n, batch), direction) for n, batch in enumerate(batches)])
+        scores = np.array([alignment(grad, direction) for grad in scorer_grads(batches)])
         if counters is not None:
             counters.task_grad_evals += len(batches) + direction_evals
         return scores
@@ -397,26 +444,28 @@ def domain_reweight_step(
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
     pcgrad_rng: np.random.Generator | None = None,
+    point: _Point | None = None,
 ) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every domain against the task-weighted target gradient
     (the ``target`` of the algorithm's table row) and upweight the
     well-aligned ones.  Returns the new domain weights and the averaged
-    scores."""
+    scores.  ``point``, the model at ``params``, is ``train_run``'s."""
     if not cfg.adapts_alpha:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update domain weights")
     target_kind = ALGORITHM_TABLE[cfg.algorithm].target
     if target_kind == "pcgrad" and pcgrad_rng is None:
         raise ValueError(f"{cfg.algorithm} needs a pcgrad rng stream")
     size = cfg.resolved_eval_batch_size
+    point = point or _Point(model, params)
 
     def score_once() -> np.ndarray:
-        domain_grads = [model.grad(params, b) for b in _component_batches(store, "domains", cfg, size, rng)]
+        domain_grads = point.grads(_component_batches(store, "domains", cfg, size, rng))
         if target_kind == "pcgrad":
-            task_grads = [model.grad(params, b) for b in _component_batches(store, "tasks", cfg, size, rng)]
+            task_grads = list(point.grads(_component_batches(store, "tasks", cfg, size, rng)))
             target, target_evals = pcgrad_combine(task_grads, pcgrad_rng), len(task_grads)
         else:
             target, target_evals = _mixture_direction(
-                model, params, store, z, "tasks", cfg, rng, size, normalize=target_kind == "loss"
+                point, store, z, "tasks", cfg, rng, size, normalize=target_kind == "loss"
             )
         if counters is not None:
             counters.domain_grad_evals += len(domain_grads) + target_evals
@@ -499,11 +548,16 @@ def train_run(
     so the batches of all the steps up to the next change of alpha are
     drawn in one ``sample_mixture_batches`` call (see ``_draw_count``),
     the same batches that one ``sample_mixture_batch`` call per step would
-    draw; each step still makes one ``model.grad`` call on its own.  Task
-    losses are recorded at every reweighting step, every ``eval_every``
-    steps, and at the end.  Raises NumericalDivergence if parameters go
-    non-finite or any task loss exceeds ``divergence_factor`` times its
-    initial value, or if a weight update meets non-finite scores or weights.
+    draw; each step still makes one ``model.grad`` call on its own.  The
+    loop holds one ``_Point`` per parameter vector, one at the start and a
+    new one after each optimizer step; the task step, the domain step, the
+    record and the next training step read their rows from it, so a
+    built-in model evaluates each side's whole datasets (expected mode)
+    once per point.  Task losses are recorded at every reweighting step,
+    every ``eval_every`` steps, and at the end.  Raises NumericalDivergence
+    if parameters go non-finite or any task loss exceeds
+    ``divergence_factor`` times its initial value, or if a weight update
+    meets non-finite scores or weights.
     """
     train_rng, task_rng, domain_rng, pcgrad_rng, record_rng = (
         stream_rng(seed, name) for name in ("train", "task_step", "domain_step", "pcgrad", "record")
@@ -522,7 +576,7 @@ def train_run(
 
     def eval_task_losses() -> np.ndarray:
         batches = _component_batches(store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
-        return np.array([model.loss(theta, batch) for batch in batches])
+        return np.array(point.losses(batches))
 
     def guard(losses: np.ndarray, step: int) -> None:
         if not np.isfinite(losses).all():
@@ -541,6 +595,7 @@ def train_run(
         trajectory.append(step, losses, alpha, z, last_task_scores, last_domain_scores, lr,
                           counters.train_grad_evals, counters.task_grad_evals, counters.domain_grad_evals)
 
+    point = _Point(model, theta)
     initial_losses = eval_task_losses()
     # A task whose initial loss is at most LOSS_FLOOR is never judged blown up.
     limits = np.where(initial_losses > LOSS_FLOOR, cfg.divergence_factor * initial_losses, np.inf)
@@ -557,24 +612,25 @@ def train_run(
                 batch = next(drawn)
             direction = model.grad(theta, batch)
         else:
-            direction, _ = _mixture_direction(model, theta, store, alpha, "domains", cfg, train_rng,
-                                              cfg.train_batch_size)
+            direction, _ = _mixture_direction(point, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
         counters.train_grad_evals += 1
         theta = optimizer.step(theta, direction, gamma)
         if not np.isfinite(theta).all():
             raise NumericalDivergence("parameters are not finite", t + 1)
+        point = _Point(model, theta)
 
         update_z = cfg.adapts_z and (t + 1) % cfg.update_every_z == 0
         update_alpha = cfg.adapts_alpha and (t + 1) % cfg.update_every_alpha == 0
         try:
             if update_z:
                 z, last_task_scores = task_reweight_step(
-                    z, model, theta, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema
+                    z, model, theta, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema,
+                    point=point,
                 )
             if update_alpha:
                 alpha, last_domain_scores = domain_reweight_step(
                     alpha, model, theta, store, z, cfg, domain_rng,
-                    gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng,
+                    gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng, point=point,
                 )
         except (ScoreError, DegenerateWeights) as exc:  # non-finite model output at theta
             raise NumericalDivergence(f"weight update failed: {exc}", t + 1) from exc

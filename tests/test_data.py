@@ -83,47 +83,24 @@ class TestStore:
 
 
 class TestEvaluationSlot:
-    """``Dataset.prepared``: one kept result per compute function, keyed by
-    the bytes of the parameter vector, if any."""
+    """``Dataset.prepared``: one kept result per compute function, which
+    depends on the examples alone; no slot is keyed by parameters."""
 
-    def test_kept_per_parameter_bytes(self):
-        calls = []
-
-        def evaluate(params, batch):
-            calls.append(params.copy())
-            return np.signbit(params) * len(batch)
-
-        dataset = Dataset(["a", "b"])
-        params = np.zeros(2)
-        first = dataset.prepared(evaluate, params)
-        assert dataset.prepared(evaluate, params.copy()) is first and len(calls) == 1
-        assert not first.flags.writeable
-        assert dataset.prepared(evaluate, -params).tolist() == [2, 2]  # -0.0 has other bytes than 0.0
-        params[1] = 1.0  # changed in place: evaluated anew
-        assert dataset.prepared(evaluate, params).tolist() == [0, 0] and len(calls) == 3
-        view = dataset.take(np.array([0]))  # a view keeps its own slot
-        assert view.prepared(evaluate, params).tolist() == [0, 0] and len(calls) == 4
-        assert dataset.prepared(evaluate, params).tolist() == [0, 0] and len(calls) == 4
-
-    def test_preparation_and_evaluation_both_kept(self):
+    def test_preparation_kept_once_without_parameters(self):
         calls = []
 
         def prepare(batch):
             calls.append("prepare")
             return np.arange(len(batch), dtype=np.float64)
 
-        def evaluate(params, batch):
-            calls.append("evaluate")
-            return float(params @ batch.prepared(prepare))
-
         dataset = Dataset(["a", "b", "c"])
         prepared = dataset.prepared(prepare)
-        params = np.ones(3)
-        assert dataset.prepared(evaluate, params) == 3.0
         for _ in range(2):
-            assert dataset.prepared(prepare) is prepared and dataset.prepared(evaluate, params) == 3.0
-        assert calls == ["prepare", "evaluate"]
-        assert not prepared.flags.writeable and set(dataset._kept) == {prepare, evaluate}
+            assert dataset.prepared(prepare) is prepared
+        assert calls == ["prepare"]
+        assert not prepared.flags.writeable and set(dataset._kept) == {prepare}
+        with pytest.raises(TypeError):
+            dataset.prepared(prepare, np.ones(3))  # no evaluation slot per parameter vector
 
     def test_view_rows_gathered_and_not_kept(self):
         def prepare(batch):
@@ -152,10 +129,10 @@ class TestEvaluationSlot:
             raise ValueError("no")
 
         dataset = Dataset([1])
-        for params in (np.zeros(1), None) * 2:
+        for _ in range(2):
             with pytest.raises(ValueError):
-                dataset.prepared(fail, params)
-        assert len(calls) == 4 and not dataset._kept
+                dataset.prepared(fail)
+        assert len(calls) == 2 and not dataset._kept
 
 
 class TestMixtureSampling:

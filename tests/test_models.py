@@ -429,16 +429,17 @@ _BAD_BATCH = {
 
 
 def _counting(counts, name, evaluate):
-    def counted(self, params, batch):
-        counts[name] += 1
-        return evaluate(self, params, batch)
+    """``evaluate``, counting the rows it evaluates: one per ``loss``/``grad`` call, and
+    one per batch of a ``losses``/``grads`` call."""
+    def counted(self, params, batches):
+        counts[name] += len(batches) if name in ("losses", "grads") else 1
+        return evaluate(self, params, batches)
     return counted
 
 
 class TestEvaluationMemo:
-    """A batch keeps each model's last ``loss`` and ``grad`` per parameter
-    vector; whatever came before, a call returns bitwise what a fresh batch
-    of the same examples gives."""
+    """No batch keeps a model's ``loss`` or ``grad``; whatever came before,
+    a call returns bitwise what a fresh batch of the same examples gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "char", "softmax"]), seed=st.integers(0, 2**32 - 1),
@@ -479,14 +480,15 @@ class TestEvaluationMemo:
     def test_theorem1_evaluates_each_gradient_and_loss_once(self, monkeypatch, steps):
         # Per step: the 3 domain and 3 task gradients and the 3 task losses at the new
         # parameters; the step before the first adds the initial losses and the domain
-        # gradients at the start.  The counters count what the algorithm asks for.
-        counts = {"_grad": 0, "_loss": 0}
-        for name in counts:
-            monkeypatch.setattr(QuadraticTaskFamily, name, _counting(counts, name, getattr(QuadraticTaskFamily, name)))
+        # gradients at the start.  Each is a row of one batched call per side and kind,
+        # and no batch is evaluated on its own.  The counters count what the algorithm asks for.
+        rows = {"grads": 0, "losses": 0, "grad": 0, "loss": 0}
+        for name in rows:
+            monkeypatch.setattr(QuadraticTaskFamily, name, _counting(rows, name, getattr(QuadraticTaskFamily, name)))
         monkeypatch.setattr(verify, "ReweightConfig", lambda **kw: ReweightConfig(**{**kw, "total_steps": steps}))
         _, trajectory = verify.theorem1_run()
         assert trajectory.final_counters == (steps, 6 * steps, 6 * steps)
-        assert counts == {"_grad": 6 * steps + 3, "_loss": 3 * steps + 3}
+        assert rows == {"grads": 6 * steps + 3, "losses": 3 * steps + 3, "grad": 0, "loss": 0}
 
 
 def _char_store(vocab_size=3, bad=""):
@@ -564,6 +566,29 @@ class TestBlockMembers:
             assert all(member._member == (block, i) for i, member in enumerate(members))
             assert all(not arr.flags.writeable for _, kept in block._kept.values() for arr in kept)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 9), count=st.integers(1, 6),
+           chunk=st.integers(1, 12), per_component=st.booleans())
+    def test_small_gather_chunks_give_the_same_counts(self, seed, size, count, chunk, per_component):
+        # a block is gathered at most ``_DRAW_BLOCK`` examples, and at least one batch, at a time
+        rng = np.random.default_rng(seed)
+        model, store = _view_store("char", [1, 2, 5, 33], rng)
+        if per_component:
+            members = sample_domain_batches(store, size, rng)
+        else:
+            weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
+            members = list(sample_mixture_batches(store, weights, size, count, rng))
+        block = members[0]._member[0]
+        want = CharLMModel(model.vocab_size)._block_counts(block)
+        gathers, rows = [], Block.rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_DRAW_BLOCK", chunk)
+            patch.setattr(Block, "rows", lambda part, prepare: gathers.append(len(part.index)) or rows(part, prepare))
+            got = model._block_counts(block)
+        assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in want]
+        per = max(1, chunk // size)
+        assert gathers == [min(per, len(members) - start) for start in range(0, len(members), per)]
+
     def test_a_sampled_run_gathers_once_per_block(self, monkeypatch):
         # Every sampled batch is a block member, and a block gathers the pool's count table
         # once: each stretch of training batches, the two blocks of each reweight step (the
@@ -595,6 +620,76 @@ class TestBlockMembers:
             fresh = pool.take(member.index.copy())
             assert model.loss(params, member) == CharLMModel(3).loss(params, fresh)
             assert model.grad(params, member).tobytes() == CharLMModel(3).grad(params, fresh).tobytes()
+
+
+def _fresh(model):
+    """A new model of the same kind and shape as ``model``, with nothing kept."""
+    if isinstance(model, QuadraticTaskFamily):
+        return QuadraticTaskFamily(model.curvatures, model.centers)
+    if isinstance(model, CharLMModel):
+        return CharLMModel(model.vocab_size)
+    return SoftmaxModel(model.n_features, model.n_classes)
+
+
+class TestBatchedRows:
+    """``losses``/``grads`` of R batches in one call: each row is bitwise the
+    ``loss``/``grad`` a fresh model gives on a fresh batch of the same examples,
+    every returned array is read-only, and a bad batch raises the error it
+    raises alone and leaves nothing kept."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["quadratic", "char", "softmax"]), seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.sampled_from([1, 2, 5, 33]), min_size=1, max_size=3), bad_at=st.integers(0, 3))
+    @example(kind="char", lengths=[1, 2], seed=3, bad_at=0)  # block members without transitions
+    def test_rows_bitwise_equal_to_a_fresh_model(self, kind, seed, lengths, bad_at):
+        rng = np.random.default_rng(seed)
+        model, store = _view_store(kind, lengths, rng)
+        params = rng.normal(size=model.param_dim)
+        size = int(rng.integers(1, 6))
+        weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
+        members = list(sample_mixture_batches(store, weights, size, 3, rng))
+        domains, tasks = list(store.domains.values()), list(store.tasks.values())
+        groups = {
+            "a side's whole datasets": store.datasets("domains"),
+            "the other side's, again": store.datasets("tasks"),
+            "whole datasets of one size": [domains[0], domains[0]],
+            "whole datasets of several sizes": [*domains, *tasks],
+            "all of a block's members": sample_task_batches(store, size, rng),
+            "some of a block's members": [members[2], members[0], members[2]],
+            "members of two blocks": [*sample_domain_batches(store, size, rng), members[1]],
+            "lists": [list(batch) for batch in (*members, domains[-1])],
+            "no batches": [],
+        }
+        for label, batches in groups.items():
+            fresh = _fresh(model)
+            try:
+                want_losses = [fresh.loss(params, list(batch)) for batch in batches]
+                want_grads = [fresh.grad(params, list(batch)) for batch in batches]
+            except EmptyBatch:
+                for evaluate in (model.losses, model.grads):
+                    with pytest.raises(EmptyBatch):
+                        evaluate(params, batches)
+                continue
+            for _ in range(2):  # a side's stack is kept, and read again
+                losses, grads = model.losses(params, batches), model.grads(params, batches)
+                assert losses.shape == (len(batches),) and grads.shape == (len(batches), model.param_dim), label
+                assert losses.tobytes() == np.array(want_losses).tobytes(), label
+                assert grads.tobytes() == np.array(want_grads).tobytes(), label
+                assert not losses.flags.writeable and not grads.flags.writeable, label
+        records, error = _BAD_BATCH[kind]
+        bad = Dataset(records)
+        batches = domains[:bad_at] + [bad] + tasks
+        fresh = _fresh(model)
+        with pytest.raises(error):
+            fresh.grad(params, list(bad))
+        for evaluate in (fresh.losses, fresh.grads) * 2:
+            with pytest.raises(error):
+                evaluate(params, batches)
+        assert not bad._kept and not getattr(fresh, "_kept", None)
+        sided = MixtureStore({"d": bad}, {"t": tasks[0]})
+        with pytest.raises(error):
+            fresh.grads(params, sided.datasets("domains"))
+        assert not sided.datasets("domains")._kept and not bad._kept
 
 
 @pytest.mark.parametrize("model", [QuadraticTaskFamily, CharLMModel, SoftmaxModel], ids=lambda cls: cls.__name__)

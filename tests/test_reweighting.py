@@ -632,6 +632,64 @@ class TestFullBatchesAsDatasets:
         assert texts[0] == texts[1]
 
 
+class _PurposeCountingModel:
+    """A model with only the Protocol's ``loss``/``grad`` over a built-in one,
+    counting its ``grad`` calls by the purpose ``purpose`` names.  Its
+    ``losses`` list, the losses it returned, has nothing to do with the
+    batched entry of the built-in models."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.param_dim = inner.param_dim
+        self.purpose = "train"
+        self.grad_calls = dict.fromkeys(("train", "task", "domain"), 0)
+        self.losses = []
+
+    def initial_params(self):
+        return self.inner.initial_params()
+
+    def loss(self, params, batch):
+        self.losses.append(self.inner.loss(params, batch))
+        return self.losses[-1]
+
+    def grad(self, params, batch):
+        self.grad_calls[self.purpose] += 1
+        return self.inner.grad(params, batch)
+
+
+class TestProtocolModelsAskedPerRequest:
+    """The invariant of the benchmark's cross-check: a model that is not a
+    built-in is asked for one ``grad`` per gradient the counters count, by
+    purpose, and trains bitwise as the built-in model it wraps."""
+
+    @pytest.mark.parametrize("mode", ["sampled", "expected"])
+    @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
+    def test_grad_calls_per_purpose_equal_the_counters(self, monkeypatch, algorithm, mode):
+        store = verify.multilingual_store(seed=4)
+        cfg = ReweightConfig(algorithm=algorithm, total_steps=30, base_lr=0.15, update_every_alpha=5,
+                             update_every_z=3, eval_every=7, train_batch_size=8, eval_batch_size=8,
+                             task_mix_mode=mode, domain_mix_mode=mode)
+        model = _PurposeCountingModel(CharLMModel(verify.MULTILINGUAL_VOCAB))
+        for name, purpose in (("task_reweight_step", "task"), ("domain_reweight_step", "domain")):
+            def during(*args, step=getattr(reweighting, name), purpose=purpose, **kwargs):
+                model.purpose = purpose
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    model.purpose = "train"
+
+            monkeypatch.setattr(reweighting, name, during)
+        _, trajectory = train_run(cfg, model, store, seed=4)
+        train, task, domain = trajectory.final_counters
+        # an expected-mode training step asks for the gradient of every domain with weight
+        train_grads = train if mode == "sampled" else int(
+            ((trajectory.alphas > 0.0).sum(axis=1)[:-1] * np.diff(trajectory.steps)).sum())
+        assert model.grad_calls == {"train": train_grads, "task": task, "domain": domain}
+        assert model.losses
+        built_in = train_run(cfg, CharLMModel(verify.MULTILINGUAL_VOCAB), store, seed=4)[1]
+        assert render_trajectory(trajectory) == render_trajectory(built_in)
+
+
 class TestSampledBatchesPreparedOnce:
     def test_each_batch_is_counted_once(self, monkeypatch):
         """``grad`` then ``loss`` on one sampled batch count its transitions

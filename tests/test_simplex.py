@@ -1,5 +1,7 @@
 """Simplex weight vectors and the exponentiated-gradient update."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,6 +312,16 @@ class TestOneSimplexRule:
             SimplexWeights([1e308, 1e308])
         with pytest.raises(DegenerateWeights):
             normalize([1e308, 1e308])
+
+    def test_row_verdicts_raise_no_warning_on_overflow_or_both_infinities(self):
+        # the verdict sums entries above 2 as 2, so no sum overflows or meets inf - inf, and no
+        # floating-point warning escapes, whatever numpy's error state
+        rows = np.array([[1e308, 1e308, 0.0], [np.inf, -np.inf, 0.0], [np.inf, np.inf, 1.0], [0.5, 0.25, 0.25]])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            assert simplex_rows(rows).tolist() == [False, False, False, True]
+            assert [on_simplex(row) for row in rows] == [False, False, False, True]
+            assert not on_simplex(rows[:2], axis=0) and on_simplex(rows[3:].T, axis=0)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(near_simplex_vectors(), min_size=1, max_size=5), offset=st.integers(0, 2))
