@@ -379,9 +379,8 @@ class CharLMModel(_BatchModel):
     pool's per-string counts, which are counted once per pool.  The views
     of one ``Block`` (every sampled batch is a member of one) are summed
     together, and each reads its own row.  ``losses``/``grads`` take one
-    elementwise (R, V, V) pass over the stacked counts of R batches: the
-    block's own rows when all are its members, a store side's stack kept
-    by its ``Datasets``, or else each batch's counts.
+    elementwise (R, V, V) pass over the stacked counts of R batches: a
+    store side's stack kept by its ``Datasets``, or else each batch's.
     """
 
     def __init__(self, vocab_size: int):
@@ -501,14 +500,7 @@ class CharLMModel(_BatchModel):
         """The (R, V, V) counts of R batches, their (R, V, 1) row totals and (R,) totals."""
         if isinstance(batches, Datasets):
             return batches.prepared(self._stack_counts)
-        block = batches[0]._member[0] if isinstance(batches[0], DatasetView) else None
-        if block is None or not all(isinstance(b, DatasetView) and b._member[0] is block for b in batches):
-            return self._stack_counts(batches)
-        rows = [batch._member[1] for batch in batches]
-        counts, row_totals, totals = (arr[rows] for arr in block.prepared(self._block_counts))
-        if not totals.all():
-            raise EmptyBatch("batch has no character transitions")
-        return counts, row_totals, totals
+        return self._stack_counts(batches)
 
     def _stack_counts(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _stacked(batches, lambda batch: batch.prepared(self._count_transitions))

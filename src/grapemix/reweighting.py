@@ -272,8 +272,12 @@ class _Point:
     ``_BatchModel`` evaluates the batches of one request in one
     ``grads``/``losses`` call, and a store side's whole datasets (expected
     mode) once per point, on first use; sampled batches are drawn per
-    request and not kept.  Any other model has only ``grad``/``loss``,
-    and is asked once per batch of every request.
+    request and not kept.  A request for some rows of a side not yet
+    evaluated at the point (a mixture with dead components) evaluates
+    those rows alone, without keeping them, so a dead component is never
+    evaluated unless a domain step asks for every one.  Any other model
+    has only ``grad``/``loss``, and is asked once per batch of every
+    request.
     """
 
     def __init__(self, model: DifferentiableModel, params: np.ndarray):
@@ -293,12 +297,16 @@ class _Point:
         if self._whole is None:
             one = self.model.grad if kind == "grads" else self.model.loss
             return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
+        evaluate = getattr(self.model, kind)
         if not isinstance(batches, Datasets):
-            return getattr(self.model, kind)(self.params, batches if rows is None else [batches[i] for i in rows])
+            return evaluate(self.params, batches)
         whole = self._whole.get((kind, batches))
-        if whole is None:
-            whole = self._whole[kind, batches] = getattr(self.model, kind)(self.params, batches)
-        return whole if rows is None else whole[rows]
+        if whole is not None:
+            return whole if rows is None else whole[rows]
+        if rows is not None:  # the live rows alone, as at a point no domain step reads
+            return evaluate(self.params, [batches[i] for i in rows])
+        whole = self._whole[kind, batches] = evaluate(self.params, batches)
+        return whole
 
 
 def _grad(point: _Point, batch: Dataset, normalize: bool) -> np.ndarray:
@@ -553,11 +561,12 @@ def train_run(
     new one after each optimizer step; the task step, the domain step, the
     record and the next training step read their rows from it, so a
     built-in model evaluates each side's whole datasets (expected mode)
-    once per point.  Task losses are recorded at every reweighting step,
-    every ``eval_every`` steps, and at the end.  Raises NumericalDivergence
-    if parameters go non-finite or any task loss exceeds
-    ``divergence_factor`` times its initial value, or if a weight update
-    meets non-finite scores or weights.
+    once per point, and a mixture with dead domains its live ones alone
+    until a domain step asks for all.  Task losses are recorded at every
+    reweighting step, every ``eval_every`` steps, and at the end.  Raises
+    NumericalDivergence if parameters go non-finite or any task loss
+    exceeds ``divergence_factor`` times its initial value, or if a weight
+    update meets non-finite scores or weights.
     """
     train_rng, task_rng, domain_rng, pcgrad_rng, record_rng = (
         stream_rng(seed, name) for name in ("train", "task_step", "domain_step", "pcgrad", "record")

@@ -36,9 +36,9 @@ def simplex_rows(values) -> np.ndarray:
     """The verdict on each vector along the last axis of ``values``: True when its entries
     are >= 0 and sum to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
     values = np.asarray(values, dtype=np.float64)
-    # Entries above 2 are summed as 2: a vector with one fails either way, and the sum can
-    # then neither overflow nor meet both infinities, so it needs no np.errstate.
-    total = np.minimum(values, 2.0).sum(axis=-1)
+    # Entries are summed clipped to [-2, 2]: a vector with one outside fails either way, and
+    # the sum can then neither overflow nor meet both infinities, so it needs no np.errstate.
+    total = np.clip(values, -2.0, 2.0).sum(axis=-1)
     return (values.min(axis=-1, initial=np.inf) >= 0.0) & (abs(total - 1.0) <= SIMPLEX_TOL)
 
 

@@ -400,6 +400,22 @@ class TestExportImport:
             import_trajectory(path)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("field,value", [("alpha", "-1e308"), ("alpha", "1e308"), ("z", "-1e308")])
+    def test_import_rejects_an_overflowing_weight_row_without_a_warning(self, tmp_path, field, value):
+        # every entry of the row is huge, so its plain sum overflows; tier-1 turns numpy
+        # RuntimeWarnings into errors, so a warning would escape here instead of IngestError
+        path = tmp_path / "traj.csv"
+        export_trajectory(make_trajectory([(0, [1.0, 2.0]), (5, [1.0, 2.0])]), path)
+        lines = path.read_text().splitlines()
+        header, parts = lines[0].split(","), lines[2].split(",")
+        for i, name in enumerate(header):
+            if name.startswith(f"{field}."):
+                parts[i] = value
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=f"line 3: record field {field} is not a valid simplex vector"):
+            import_trajectory(path)
+
     def test_import_names_physical_lines_after_blank_lines(self, tmp_path):
         path = tmp_path / "traj.csv"
         export_trajectory(make_trajectory([(0, [1.0, 2.0])]), path)

@@ -12,6 +12,7 @@ import grapemix.reweighting as reweighting
 import grapemix.verify as verify
 from grapemix import (
     CharLMModel,
+    Dataset,
     DimensionError,
     MixtureStore,
     NumericalDivergence,
@@ -629,6 +630,19 @@ class TestFullBatchesAsDatasets:
         for wrap in (lambda m: m, _ListBatchModel):
             monkeypatch.setattr(verify, "train_run", shortened(wrap))
             texts.append(render_trajectory(verify.theorem1_run()[1]))
+        assert texts[0] == texts[1]
+
+    def test_a_dead_domain_is_not_evaluated_without_a_domain_step(self):
+        # uniform runs no domain step, so a warm start's dead domain is never read: its
+        # dataset, which has no transitions and raises EmptyBatch when evaluated, trains
+        store = verify.multilingual_store(seed=4)
+        store = MixtureStore(dict(store.domains, dead=Dataset(["a", "b"])), store.tasks)
+        init_alpha = SimplexWeights([0.5, 0.5] + [0.0] * (store.num_domains - 2), store.domain_labels)
+        cfg = ReweightConfig(algorithm="uniform", total_steps=12, base_lr=0.15, update_every_z=5,
+                             eval_every=5, task_mix_mode="expected", domain_mix_mode="expected")
+        texts = [render_trajectory(train_run(cfg, model, store, init_alpha=init_alpha, seed=4)[1])
+                 for model in (CharLMModel(verify.MULTILINGUAL_VOCAB),
+                               _ListBatchModel(CharLMModel(verify.MULTILINGUAL_VOCAB)))]
         assert texts[0] == texts[1]
 
 

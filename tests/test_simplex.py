@@ -314,14 +314,19 @@ class TestOneSimplexRule:
             normalize([1e308, 1e308])
 
     def test_row_verdicts_raise_no_warning_on_overflow_or_both_infinities(self):
-        # the verdict sums entries above 2 as 2, so no sum overflows or meets inf - inf, and no
-        # floating-point warning escapes, whatever numpy's error state
-        rows = np.array([[1e308, 1e308, 0.0], [np.inf, -np.inf, 0.0], [np.inf, np.inf, 1.0], [0.5, 0.25, 0.25]])
+        # the verdict sums entries clipped to [-2, 2], so no sum overflows either way or meets
+        # inf - inf, and no floating-point warning escapes, whatever numpy's error state
+        rows = np.array([[1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [np.inf, -np.inf, 0.0],
+                         [np.inf, np.inf, 1.0], [-np.inf, -np.inf, 1.0], [0.5, 0.25, 0.25]])
+        verdicts = [False] * 5 + [True]
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
-            assert simplex_rows(rows).tolist() == [False, False, False, True]
-            assert [on_simplex(row) for row in rows] == [False, False, False, True]
-            assert not on_simplex(rows[:2], axis=0) and on_simplex(rows[3:].T, axis=0)
+            assert simplex_rows(rows).tolist() == verdicts
+            assert [on_simplex(row) for row in rows] == verdicts
+            assert not on_simplex(rows[:2], axis=0) and on_simplex(rows[5:].T, axis=0)
+            for row in rows[:5]:
+                with pytest.raises(DegenerateWeights):
+                    SimplexWeights(row)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(near_simplex_vectors(), min_size=1, max_size=5), offset=st.integers(0, 2))
