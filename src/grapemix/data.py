@@ -10,15 +10,15 @@ bit-identical batches.
 A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
 that side's examples in label order, built at the first sampled draw.
 A sampled batch is a view of the pool, an index vector of its rows, and
-no list of examples is built for it.  Every sampled batch is a member of
-a ``Block``, the batches drawn together by one rule: the mixture batches
-up to the next change of the domain weights, or one batch per component
-of a side; a single draw is a block of one.  A block keeps what models
-derive from all its batches at once, and so do a side's whole datasets,
-its ``Datasets``.  Every batch is a ``Dataset`` (a store dataset, a pool
-view, or a wrapped list), which keeps what models derive from it in
-``Dataset.prepared``.  Never mutate an example, or an array inside one,
-in place.
+no list of examples is built for it.  A view is made one way, by a block
+draw.  Every sampled batch is a member of a ``Block``, the batches drawn
+together by one rule: the mixture batches up to the next change of the
+domain weights, or one batch per component of a side; a single draw is
+a block of one.  A block keeps what models derive from all its batches
+at once, and so do a side's whole datasets, its ``Datasets``.  Every
+batch is a ``Dataset`` (a store dataset, a pool view, or a wrapped
+list), which keeps what models derive from it in ``Dataset.prepared``.
+Never mutate an example, or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class Dataset:
         per example, in order: a view gathers its rows of its pool's."""
         return self.prepared(prepare)
 
-    def take(self, index: np.ndarray) -> "DatasetView":
-        """The batch of the rows at ``index`` (int64), as a view of this dataset: a block of one."""
-        return next(Block(self, index[None]).batches())
-
     def __len__(self) -> int:
         return len(self._examples)
 
@@ -99,10 +95,6 @@ class DatasetView(Dataset):
         self.index = block.index[row]
         self._member = (block, row)
         self._kept = {}
-
-    def take(self, index: np.ndarray) -> "DatasetView":
-        """The rows at ``index`` of this view, as a view of its pool."""
-        return self.pool.take(self.index[index])
 
     def rows(self, prepare: Callable):
         """The view's rows of ``pool.rows(prepare)``, read-only and not kept."""
@@ -316,7 +308,11 @@ def _draw_block(store: MixtureStore, side: str, size: int, rng: np.random.Genera
         u = rng.random((count, 2, size))
         which, u = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), last_live), u[:, 1]
     n = sizes[which]
-    return Block(pool, offsets[which] + np.minimum((u * n).astype(np.int64), n - 1)).batches()
+    u *= n  # scaled, cast, clamped and offset in place: one (L, B) index array beside the draws
+    index = u.astype(np.int64)
+    np.minimum(index, n - 1, out=index)
+    index += offsets[which]
+    return Block(pool, index).batches()
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,8 @@ class OverheadCounter:
     (full-batch) mixtures replace each mixed-batch gradient with one per
     component.  A request is counted whether or not it evaluates the
     model: at one parameter point a built-in model evaluates each side's
-    whole datasets once and serves every later request from those rows
-    (``_Point``).
+    whole datasets once and serves every later request for that side
+    from those rows (``_Point``).
     """
 
     train_grad_evals: int = 0
@@ -265,19 +265,18 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 
 
 class _Point:
-    """The model at one parameter vector, which every consumer there reads.
+    """The model at one parameter vector, and the loop's one way to it.
 
     ``train_run`` makes one per parameter vector and hands it to the task
-    step, the domain step, the record and the next training step.  A
-    ``_BatchModel`` evaluates the batches of one request in one
-    ``grads``/``losses`` call, and a store side's whole datasets (expected
-    mode) once per point, on first use; sampled batches are drawn per
-    request and not kept.  A request for some rows of a side not yet
-    evaluated at the point (a mixture with dead components) evaluates
-    those rows alone, without keeping them, so a dead component is never
-    evaluated unless a domain step asks for every one.  Any other model
-    has only ``grad``/``loss``, and is asked once per batch of every
-    request.
+    step, the domain step, the record and the next training step, and
+    nothing else there calls the model.  Two rules: a ``_BatchModel``
+    evaluates a store side's whole datasets (its ``Datasets``) in one
+    ``grads``/``losses`` call, once per point, and serves every request
+    for that side, its live rows included, from those rows; every other
+    request (a sampled batch, the live rows of a side not yet evaluated at
+    the point, and every request to any other model) is evaluated batch by
+    batch through ``grad``/``loss``.  So a dead component is never
+    evaluated unless a domain step asks for every one.
     """
 
     def __init__(self, model: DifferentiableModel, params: np.ndarray):
@@ -294,25 +293,14 @@ class _Point:
         return self._evaluate("losses", batches, rows)
 
     def _evaluate(self, kind: str, batches, rows):
-        if self._whole is None:
-            one = self.model.grad if kind == "grads" else self.model.loss
-            return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
-        evaluate = getattr(self.model, kind)
-        if not isinstance(batches, Datasets):
-            return evaluate(self.params, batches)
-        whole = self._whole.get((kind, batches))
-        if whole is not None:
-            return whole if rows is None else whole[rows]
-        if rows is not None:  # the live rows alone, as at a point no domain step reads
-            return evaluate(self.params, [batches[i] for i in rows])
-        whole = self._whole[kind, batches] = evaluate(self.params, batches)
-        return whole
-
-
-def _grad(point: _Point, batch: Dataset, normalize: bool) -> np.ndarray:
-    """The gradient of ``batch``, divided by the batch loss when ``normalize``."""
-    grad = point.model.grad(point.params, batch)
-    return normalized_grad(grad, point.model.loss(point.params, batch)) if normalize else grad
+        if self._whole is not None and isinstance(batches, Datasets):
+            whole = self._whole.get((kind, batches))
+            if whole is None and rows is None:
+                whole = self._whole[kind, batches] = getattr(self.model, kind)(self.params, batches)
+            if whole is not None:
+                return whole if rows is None else whole[rows]
+        one = self.model.grad if kind == "grads" else self.model.loss
+        return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
 
 
 def _mix_mode(cfg: ReweightConfig, side: str) -> str:
@@ -358,7 +346,9 @@ def _mixture_direction(
         for weighted in np.asarray(grads) * scale:
             direction += weighted  # row by row, in label order
         return direction, live.size
-    return _grad(point, sample_mixture_batch(store, weights, size, rng), normalize), 1
+    batch = [sample_mixture_batch(store, weights, size, rng)]
+    grad = point.grads(batch)[0]
+    return (normalized_grad(grad, point.losses(batch)[0]) if normalize else grad), 1
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +546,18 @@ def train_run(
     so the batches of all the steps up to the next change of alpha are
     drawn in one ``sample_mixture_batches`` call (see ``_draw_count``),
     the same batches that one ``sample_mixture_batch`` call per step would
-    draw; each step still makes one ``model.grad`` call on its own.  The
-    loop holds one ``_Point`` per parameter vector, one at the start and a
-    new one after each optimizer step; the task step, the domain step, the
-    record and the next training step read their rows from it, so a
-    built-in model evaluates each side's whole datasets (expected mode)
-    once per point, and a mixture with dead domains its live ones alone
-    until a domain step asks for all.  Task losses are recorded at every
-    reweighting step, every ``eval_every`` steps, and at the end.  Raises
-    NumericalDivergence if parameters go non-finite or any task loss
-    exceeds ``divergence_factor`` times its initial value, or if a weight
-    update meets non-finite scores or weights.
+    draw; each step reads its batch's gradient from the point on its own.
+    The loop holds one ``_Point`` per parameter vector, one at the start
+    and a new one after each optimizer step; the training step, the task
+    step, the domain step and the record read their rows from it and call
+    no model themselves, so a built-in model evaluates each side's whole
+    datasets (expected mode) once per point, and a mixture with dead
+    domains its live ones alone until a domain step asks for all.  Task
+    losses are recorded at every reweighting step, every ``eval_every``
+    steps, and at the end.  Raises NumericalDivergence if parameters go
+    non-finite or any task loss exceeds ``divergence_factor`` times its
+    initial value, or if a weight update meets non-finite scores or
+    weights.
     """
     train_rng, task_rng, domain_rng, pcgrad_rng, record_rng = (
         stream_rng(seed, name) for name in ("train", "task_step", "domain_step", "pcgrad", "record")
@@ -619,7 +610,7 @@ def train_run(
             if batch is None:
                 drawn = sample_mixture_batches(store, alpha, cfg.train_batch_size, _draw_count(cfg, t), train_rng)
                 batch = next(drawn)
-            direction = model.grad(theta, batch)
+            direction = point.grads([batch])[0]
         else:
             direction, _ = _mixture_direction(point, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
         counters.train_grad_evals += 1

@@ -29,6 +29,7 @@ from grapemix import (
     stationary_distribution,
     stream_rng,
 )
+from grapemix.data import Block
 
 
 def toy_store(k=3, n=2, tag=""):
@@ -107,19 +108,20 @@ class TestEvaluationSlot:
             return np.arange(len(batch)) * 10, np.arange(len(batch))
 
         dataset = Dataset(["a", "b", "c"])
-        view = dataset.take(np.array([2, 0, 2]))
+        view = next(Block(dataset, np.array([[2, 0, 2]])).batches())  # a block of one
         tens, ones = view.rows(prepare)
         assert tens.tolist() == [20, 0, 20] and ones.tolist() == [2, 0, 2]
         assert not tens.flags.writeable and not ones.flags.writeable
         assert view.rows(prepare)[0] is not tens and not view._kept
         assert dataset.rows(prepare) is dataset.prepared(prepare)
 
-    def test_view_of_a_view_is_a_view_of_the_pool(self):
+    def test_a_block_member_is_a_view_of_the_pool(self):
         dataset = Dataset(["a", "b", "c", "d"])
-        view = dataset.take(np.array([3, 1, 2]))
-        inner = view.take(np.array([2, 0, 0]))
-        assert inner.pool is dataset and inner.index.tolist() == [2, 3, 3]
+        block = Block(dataset, np.array([[3, 1, 2], [2, 3, 3]]))
+        first, inner = block.batches()
+        assert inner.pool is dataset and inner.index.tolist() == [2, 3, 3] and inner._member == (block, 1)
         assert list(inner) == ["c", "d", "d"] == [inner[i] for i in range(len(inner))]
+        assert list(first) == ["d", "b", "c"]
 
     def test_error_not_kept(self):
         calls = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from grapemix import (
     ReweightConfig,
     ScoreError,
     SimplexWeights,
+    SoftmaxModel,
     alignment,
     domain_reweight_step,
     learning_rate_at,
@@ -646,11 +648,47 @@ class TestFullBatchesAsDatasets:
         assert texts[0] == texts[1]
 
 
+def _caller() -> str | None:
+    """The qualified name of the innermost ``reweighting.py`` function on
+    the stack of the model entry that calls this, comprehensions skipped."""
+    frame = sys._getframe(2)
+    while frame is not None and (frame.f_code.co_filename != reweighting.__file__
+                                 or frame.f_code.co_name.startswith("<")):
+        frame = frame.f_back
+    return frame and frame.f_code.co_qualname
+
+
+def _recording(cls):
+    """A subclass of the built-in model ``cls`` that notes (entry, caller,
+    batches) of every ``loss``/``grad``/``losses``/``grads`` call in
+    ``calls``, a list of its own."""
+
+    def entry(name):
+        def call(self, params, batches):
+            self.calls.append((name, _caller(), batches))
+            return getattr(cls, name)(self, params, batches)
+
+        return call
+
+    return type(f"Recording{cls.__name__}", (cls,),
+                {"calls": [], **{name: entry(name) for name in ("loss", "grad", "losses", "grads")}})
+
+
+def _batched_calls(calls, store) -> int:
+    """How many of ``calls`` were ``losses``/``grads`` calls, after checking
+    that each came from ``_Point._evaluate``, the loop's one way to the model,
+    and that only a store side's whole ``Datasets`` reached ``losses``/``grads``."""
+    assert calls and {caller for _, caller, _ in calls} == {"_Point._evaluate"}
+    batched = [batches for entry, _, batches in calls if entry in ("losses", "grads")]
+    assert all(batches is store.datasets("domains") or batches is store.datasets("tasks") for batches in batched)
+    return len(batched)
+
+
 class _PurposeCountingModel:
     """A model with only the Protocol's ``loss``/``grad`` over a built-in one,
-    counting its ``grad`` calls by the purpose ``purpose`` names.  Its
-    ``losses`` list, the losses it returned, has nothing to do with the
-    batched entry of the built-in models."""
+    counting its ``grad`` calls by the purpose ``purpose`` names and noting
+    every call as ``_recording`` does.  Its ``losses`` list, the losses it
+    returned, has nothing to do with the batched entry of the built-in models."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -658,15 +696,18 @@ class _PurposeCountingModel:
         self.purpose = "train"
         self.grad_calls = dict.fromkeys(("train", "task", "domain"), 0)
         self.losses = []
+        self.calls = []
 
     def initial_params(self):
         return self.inner.initial_params()
 
     def loss(self, params, batch):
+        self.calls.append(("loss", _caller(), batch))
         self.losses.append(self.inner.loss(params, batch))
         return self.losses[-1]
 
     def grad(self, params, batch):
+        self.calls.append(("grad", _caller(), batch))
         self.grad_calls[self.purpose] += 1
         return self.inner.grad(params, batch)
 
@@ -674,7 +715,8 @@ class _PurposeCountingModel:
 class TestProtocolModelsAskedPerRequest:
     """The invariant of the benchmark's cross-check: a model that is not a
     built-in is asked for one ``grad`` per gradient the counters count, by
-    purpose, and trains bitwise as the built-in model it wraps."""
+    purpose, and trains bitwise as the built-in model it wraps.  Only the
+    loop's ``_Point`` calls either model."""
 
     @pytest.mark.parametrize("mode", ["sampled", "expected"])
     @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
@@ -699,9 +741,41 @@ class TestProtocolModelsAskedPerRequest:
         train_grads = train if mode == "sampled" else int(
             ((trajectory.alphas > 0.0).sum(axis=1)[:-1] * np.diff(trajectory.steps)).sum())
         assert model.grad_calls == {"train": train_grads, "task": task, "domain": domain}
-        assert model.losses
-        built_in = train_run(cfg, CharLMModel(verify.MULTILINGUAL_VOCAB), store, seed=4)[1]
-        assert render_trajectory(trajectory) == render_trajectory(built_in)
+        assert model.losses and _batched_calls(model.calls, store) == 0
+        built_in = _recording(CharLMModel)(verify.MULTILINGUAL_VOCAB)
+        assert render_trajectory(trajectory) == render_trajectory(train_run(cfg, built_in, store, seed=4)[1])
+        # a built-in model evaluates whole sides in one call (expected mode), and nothing else
+        assert bool(_batched_calls(built_in.calls, store)) == (mode == "expected")
+
+
+class TestOneWayToTheModel:
+    """Only ``_Point._evaluate`` calls a built-in model, and a store side's
+    ``Datasets`` is the only request it evaluates in one ``losses``/``grads``
+    call: sampled batches, and the live rows of a side with a dead domain
+    at a point where no domain step read the side, go batch by batch."""
+
+    @pytest.mark.parametrize("mode", ["sampled", "expected"])
+    @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
+    @pytest.mark.parametrize("kind", ["quadratic", "softmax"])
+    def test_only_the_point_calls_a_built_in_model(self, kind, algorithm, mode):
+        rng = np.random.default_rng(3)
+        if kind == "quadratic":
+            family = two_task_setup()[0]
+            model = _recording(QuadraticTaskFamily)(family.curvatures, family.centers)
+            datasets = [family.domain_dataset(np.array(mix)) for mix in ([1.0, 0.0], [0.3, 0.7], [0.5, 0.5])]
+            datasets += [family.task_dataset(0), family.task_dataset(1)]
+        else:
+            model = _recording(SoftmaxModel)(3, 4)
+            datasets = [Dataset([(rng.normal(size=3), int(rng.integers(4))) for _ in range(6)]) for _ in range(5)]
+        store = MixtureStore(dict(zip(("d0", "d1", "dead"), datasets)), dict(zip(("t0", "t1"), datasets[3:])))
+        init_alpha = SimplexWeights([0.5, 0.5, 0.0], store.domain_labels)
+        cfg = ReweightConfig(algorithm=algorithm, total_steps=12, base_lr=0.1, update_every_alpha=4,
+                             update_every_z=3, eval_every=5, train_batch_size=4,
+                             task_mix_mode=mode, domain_mix_mode=mode)
+        train_run(cfg, model, store, init_alpha=init_alpha, seed=3)
+        assert bool(_batched_calls(model.calls, store)) == (mode == "expected")
+        if mode == "expected":  # the live domains of a side no domain step read, one by one
+            assert any(entry == "grad" and batches is store.domains["d0"] for entry, _, batches in model.calls)
 
 
 class TestSampledBatchesPreparedOnce:
