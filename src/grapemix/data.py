@@ -7,18 +7,16 @@ toggling one consumer (say, gradient-surgery ordering) never perturbs
 another's sequence.  Given (seed, config) the entire layer reproduces
 bit-identical batches.
 
-A store keeps, per side (domains, tasks), one pool: a ``Dataset`` of all
-that side's examples in label order, built at the first sampled draw.
-A sampled batch is a view of the pool, an index vector of its rows, and
-no list of examples is built for it.  A view is made one way, by a block
-draw.  Every sampled batch is a member of a ``Block``, the batches drawn
-together by one rule: the mixture batches up to the next change of the
-domain weights, or one batch per component of a side; a single draw is
-a block of one.  A block keeps what models derive from all its batches
-at once, and so do a side's whole datasets, its ``Datasets``.  Every
-batch is a ``Dataset`` (a store dataset, a pool view, or a wrapped
-list), which keeps what models derive from it in ``Dataset.prepared``.
-Never mutate an example, or an array inside one, in place.
+A store side (``Datasets``) holds its whole datasets in label order and
+its pool: one ``Dataset`` of all the side's examples, built at the first
+sampled draw.  A sampled batch is a view of the pool, an index vector of
+its rows, and no list of examples is built for it.  Batches are drawn
+together, as one ``Block``: the mixture batches up to the next change of
+the domain weights, or one batch per component of a side; a single draw
+is a block of one.  What a model prepares from a block or a side, it
+prepares once, and only a side keeps a preparation: its whole datasets'
+and its pool's, for the store's lifetime.  Datasets, views and blocks
+keep nothing.  Never mutate an example, or an array inside one, in place.
 """
 
 from __future__ import annotations
@@ -51,24 +49,13 @@ from .simplex import SimplexWeights, normalize, on_simplex
 
 
 class Dataset:
-    """An immutable, indexed collection of examples, and what models derive from it."""
+    """An immutable, indexed collection of examples."""
 
     def __init__(self, examples: Sequence):
         examples = list(examples)
         if not examples:
             raise EmptyDataset("dataset has no examples")
         self._examples = examples
-        self._kept = {}
-
-    def prepared(self, compute: Callable):
-        """``compute(self)``, which depends on the examples alone, kept by
-        ``keep`` for the dataset's lifetime."""
-        return keep(self._kept, compute, None, self)
-
-    def rows(self, prepare: Callable):
-        """``prepared(prepare)``, for a ``prepare`` whose arrays have one row
-        per example, in order: a view gathers its rows of its pool's."""
-        return self.prepared(prepare)
 
     def __len__(self) -> int:
         return len(self._examples)
@@ -86,25 +73,11 @@ class Dataset:
 
 class DatasetView(Dataset):
     """The rows of a pool ``Dataset`` at an index vector: a batch that reads
-    like the list of those examples, and is built without one.  A view is
-    row ``row`` of the ``Block`` of batches it was drawn with; a view drawn
-    alone is the one member of its own."""
+    like the list of those examples, and is built without one."""
 
-    def __init__(self, block: "Block", row: int):
-        self.pool = block.pool
-        self.index = block.index[row]
-        self._member = (block, row)
-        self._kept = {}
-
-    def rows(self, prepare: Callable):
-        """The view's rows of ``pool.rows(prepare)``, read-only and not kept."""
-        return _gather(self.pool.prepared(prepare), self.index)
-
-    def block_row(self, compute: Callable) -> tuple:
-        """This batch's row of every array of ``block.prepared(compute)``,
-        where ``compute`` derives one row per batch from its whole block."""
-        block, row = self._member
-        return tuple(arr[row] for arr in block.prepared(compute))
+    def __init__(self, pool: Dataset, index: np.ndarray):
+        self.pool = pool
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.index)
@@ -116,41 +89,32 @@ class DatasetView(Dataset):
         return map(self.pool._examples.__getitem__, self.index.tolist())
 
 
-class Block:
-    """Batches of one pool drawn together: an (L, B) index matrix whose row
-    l is the index of batch l, and what models derive from all L batches
-    at once, kept for the block's lifetime."""
-
-    def __init__(self, pool: Dataset, index: np.ndarray):
-        self.pool = pool
-        self.index = index
-        self._kept = {}
-
-    def batches(self) -> Iterator[DatasetView]:
-        """The block's batches in order, each a view made when it is reached."""
-        return (DatasetView(self, row) for row in range(len(self.index)))
-
-    def prepared(self, compute: Callable) -> tuple:
-        """``compute(self)``, a tuple of arrays with one row per batch, kept by ``keep``."""
-        return keep(self._kept, compute, None, self)
-
-    def rows(self, prepare: Callable):
-        """The (L, B, ...) rows of ``pool.rows(prepare)`` at the block's index, read-only and not kept."""
-        return _gather(self.pool.prepared(prepare), self.index)
-
-
 class Datasets:
-    """Whole datasets evaluated together, one side of a store in label
-    order: a sequence of batches, and what models derive from all of them
-    at once, kept for its lifetime, which is its store's."""
+    """One side of a store: its whole datasets in label order, a sequence
+    of batches; its pool; and what models prepare from either, kept for
+    the side's lifetime, which is its store's."""
 
     def __init__(self, datasets: Sequence[Dataset]):
         self._datasets = tuple(datasets)
-        self._kept = {}
+        self._pool = None
+        self._prepared = {}
 
-    def prepared(self, compute: Callable) -> tuple:
-        """``compute(self)``, a tuple of arrays with one row per dataset, kept by ``keep``."""
-        return keep(self._kept, compute, None, self)
+    def pool(self) -> tuple[Dataset, np.ndarray, np.ndarray]:
+        """One Dataset of every example of the side in label order, with the
+        first row and the row count of each label; built at the first call."""
+        if self._pool is None:
+            sizes = np.array([len(ds) for ds in self], dtype=np.int64)
+            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            self._pool = (Dataset([ex for ds in self for ex in ds]), offsets, sizes)
+        return self._pool
+
+    def prepared(self, prepare: Callable):
+        """``prepare(self)``, kept by ``prepare`` (a model's bound method) for
+        the side's lifetime.  A failure is not kept."""
+        kept = self._prepared.get(prepare)
+        if kept is None:
+            kept = self._prepared[prepare] = prepare(self)
+        return kept
 
     def __len__(self) -> int:
         return len(self._datasets)
@@ -162,32 +126,21 @@ class Datasets:
         return iter(self._datasets)
 
 
-def _gather(whole, index: np.ndarray):
-    """The rows at ``index`` of ``whole`` (an array or a tuple of arrays), read-only."""
-    return _read_only(tuple(arr[index] for arr in whole) if isinstance(whole, tuple) else whole[index])
+class Block:
+    """Batches of one store side drawn together: an (L, B) index matrix
+    into the side's pool, whose row l is the index of batch l.  A sequence
+    of those batches, each a view made when it is read."""
 
+    def __init__(self, side: Datasets, index: np.ndarray):
+        self.side = side
+        self.pool = side.pool()[0]
+        self.index = index
 
-def keep(slots: dict, compute: Callable, key, *args):
-    """``compute(*args)``, read-only, kept in ``slots`` with ``key``: each
-    ``compute`` keeps its last result, and a call with an equal key returns
-    it.  A failure is not kept."""
-    kept = slots.get(compute)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    out = _read_only(compute(*args))
-    slots[compute] = (key, out)
-    return out
+    def __len__(self) -> int:
+        return len(self.index)
 
-
-def _read_only(out):
-    """``out`` (a number, an array or a tuple of both), every array in it made read-only."""
-    if isinstance(out, np.ndarray):
-        out.setflags(write=False)
-    elif isinstance(out, tuple):
-        for arr in out:
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-    return out
+    def __getitem__(self, row: int) -> DatasetView:
+        return DatasetView(self.pool, self.index[row])
 
 
 class MixtureStore:
@@ -196,8 +149,9 @@ class MixtureStore:
     Domain and task label sets must be disjoint so that a weight vector's
     labels identify unambiguously which side it addresses.  The datasets
     never change and the ``domains`` and ``tasks`` mappings are read-only,
-    so each side's ``datasets`` and its pool, built at its first sampled
-    draw, stay valid for the store's lifetime.
+    so each side's ``datasets``, its pool, built at its first sampled
+    draw, and what models prepare from them stay valid for the store's
+    lifetime.
     """
 
     def __init__(self, domains: Mapping[str, Dataset], tasks: Mapping[str, Dataset]):
@@ -214,7 +168,6 @@ class MixtureStore:
         self.domain_labels = tuple(self.domains)
         self.task_labels = tuple(self.tasks)
         self._sides = {"domains": Datasets(self.domains.values()), "tasks": Datasets(self.tasks.values())}
-        self._pools = {}
 
     @property
     def num_domains(self) -> int:
@@ -227,18 +180,6 @@ class MixtureStore:
     def datasets(self, side: str) -> Datasets:
         """The whole datasets of ``side`` ("domains" or "tasks"), in label order."""
         return self._sides[side]
-
-    def pool(self, side: str) -> tuple[Dataset, np.ndarray, np.ndarray]:
-        """The pool of ``side`` ("domains" or "tasks"): one Dataset of every
-        example of the side in label order, with the first row and the row
-        count of each label."""
-        if side not in self._pools:
-            datasets = self._sides[side]
-            sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            pool = Dataset([ex for ds in datasets for ex in ds])
-            self._pools[side] = (pool, offsets, sizes)
-        return self._pools[side]
 
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -257,18 +198,18 @@ def sample_mixture_batch(store: MixtureStore, w: SimplexWeights, size: int, rng:
     so the batch composition itself is a draw from the mixture.  The batch
     is a view of the side's pool.
     """
-    return next(sample_mixture_batches(store, w, size, 1, rng))
+    return sample_mixture_batches(store, w, size, 1, rng)[0]
 
 
 def sample_mixture_batches(
     store: MixtureStore, w: SimplexWeights, size: int, count: int, rng: np.random.Generator
-) -> Iterator[DatasetView]:
+) -> Block:
     """The batches of ``count`` successive ``sample_mixture_batch`` calls, drawn at once.
 
     Each batch takes ``size`` doubles for its components, then ``size`` for
     its rows, so ``rng.random((count, 2, size))`` is the calls' doubles in
     their order, and leaves ``rng`` where the calls would.  The batches are
-    the members of one ``Block``, in draw order.
+    those of one ``Block``, in draw order.
     """
     if w.labels == store.domain_labels:
         side = "domains"
@@ -279,19 +220,19 @@ def sample_mixture_batches(
     return _draw_block(store, side, size, rng, w, count)
 
 
-def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[DatasetView]:
-    """One uniformly drawn batch from every domain, in label order."""
-    return list(_draw_block(store, "domains", size, rng))
+def sample_domain_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> Block:
+    """One uniformly drawn batch from every domain, in label order: one ``Block``."""
+    return _draw_block(store, "domains", size, rng)
 
 
-def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> list[DatasetView]:
-    """One uniformly drawn batch from every task, in label order."""
-    return list(_draw_block(store, "tasks", size, rng))
+def sample_task_batches(store: MixtureStore, size: int, rng: np.random.Generator) -> Block:
+    """One uniformly drawn batch from every task, in label order: one ``Block``."""
+    return _draw_block(store, "tasks", size, rng)
 
 
 def _draw_block(store: MixtureStore, side: str, size: int, rng: np.random.Generator,
-                w: SimplexWeights | None = None, count: int = 0) -> Iterator[DatasetView]:
-    """The members of one ``Block`` of ``side``'s pool: ``count`` batches of
+                w: SimplexWeights | None = None, count: int = 0) -> Block:
+    """One ``Block`` of ``side``'s pool: ``count`` batches of
     components drawn by categorical(w), or without ``w`` one batch per
     component, whose K rows ``rng.random((K, size))`` draws as K successive
     ``rng.random(size)`` calls would.  A draw u picks row floor(u * n),
@@ -300,7 +241,8 @@ def _draw_block(store: MixtureStore, side: str, size: int, rng: np.random.Genera
     dataset sizes."""
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
-    pool, offsets, sizes = store.pool(side)
+    datasets = store.datasets(side)
+    _, offsets, sizes = datasets.pool()
     if w is None:
         which, u = np.arange(len(sizes))[:, None], rng.random((len(sizes), size))
     else:
@@ -312,7 +254,7 @@ def _draw_block(store: MixtureStore, side: str, size: int, rng: np.random.Genera
     index = u.astype(np.int64)
     np.minimum(index, n - 1, out=index)
     index += offsets[which]
-    return Block(pool, index).batches()
+    return Block(datasets, index)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .data import _ALPHABET, Block, Dataset, Datasets, DatasetView, _read_only, keep
+from .data import _ALPHABET, Block, Dataset, Datasets
 from .errors import DimensionError, EmptyBatch
 from .simplex import on_simplex
 
@@ -33,16 +33,13 @@ from .simplex import on_simplex
 class DifferentiableModel(Protocol):
     """What the training loop needs: a loss and its gradient on a batch.
 
-    A batch is a ``Dataset``: a sampled draw or a whole store dataset.
-    Every call evaluates; nothing keeps a result per parameter vector.
-    The built-in models are ``_BatchModel``s, which also evaluate a
-    sequence of batches in one call (``losses``/``grads``), and the loop
-    uses that for every side it evaluates at one point.  They keep what
-    depends on a batch alone in ``Dataset.prepared``, so ``loss`` and
-    ``grad`` on one batch prepare it once, in either order; what depends
-    on the parameters alone (the char LM's log-softmax) is kept for the
-    model's last parameter vector by the same rule, ``data.keep``.  A
-    record the model cannot use raises a typed error.
+    A batch is a ``Dataset`` (a sampled draw or a whole store dataset) or
+    a list of examples.  Every call evaluates, and nothing is kept between
+    calls.  The loop asks a model that has only these methods for one
+    ``loss`` or ``grad`` per request.  The built-in models are
+    ``_BatchModel``s, which the loop prepares once per block or store side
+    and evaluates at each parameter point instead.  A record the model
+    cannot use raises a typed error.
     """
 
     param_dim: int
@@ -61,7 +58,6 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     params = np.asarray(params, dtype=np.float64)
     if params.size == 0:
         return 0.0
-    batch = _as_dataset(batch)  # prepared once for all 2D + 1 model calls
     analytic = model.grad(params, batch)
     worst = 0.0
     probe = params.copy()
@@ -76,8 +72,8 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
 
 
 def _as_dataset(batch: Dataset | list) -> Dataset:
-    """The batch; a list of examples from outside the loop (a final eval,
-    a test) is wrapped in a ``Dataset``, which keeps what is prepared from it."""
+    """The batch; a list of examples (a final eval, a test) is wrapped in a
+    ``Dataset``, which rejects an empty one."""
     return batch if isinstance(batch, Dataset) else Dataset(batch)
 
 
@@ -95,44 +91,59 @@ def _check_params(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _BatchModel:
-    """The evaluation entries of every built-in model, each the subclass's
-    ``_loss``, ``_grad``, ``_losses`` or ``_grads`` of the checked
-    parameters.  ``losses``/``grads`` return the (R,) losses and (R, D)
-    gradients of R batches in one call, each row bitwise that batch's
-    ``loss``/``grad``.  Every array returned is read-only.  By default the
-    batches are evaluated one by one; a model overrides ``_losses``/``_grads``
-    where numpy promises the same sums over stacked rows."""
+    """A built-in model, prepared and evaluated in two steps.
+
+    ``prepare`` turns batches into a tuple of arrays with one row per
+    batch: a ``Block``'s rows are gathered from its side's per-example
+    table (``_table``), a store side's whole ``Datasets`` are stacked once
+    and kept by the side, and any other sequence of batches is stacked
+    from each batch's own arrays (``_arrays``); the rows of batches of
+    several sizes sit in object arrays.  Each model's ``row_losses`` and
+    ``row_grads`` evaluate R such rows at the ``tables`` of one parameter
+    vector, as (R,) losses and (R, D) gradients, each row bitwise what its
+    batch alone gives.  The public ``loss`` and ``grad`` prepare one batch
+    and evaluate it in one call.
+    """
 
     param_dim: int
 
     def loss(self, params: np.ndarray, batch: Dataset) -> float:
-        return self._loss(_check_params(params, self.param_dim), _as_dataset(batch))
+        return float(self.row_losses(self.tables(params), self.prepare([_as_dataset(batch)]))[0])
 
     def grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        return _read_only(self._grad(_check_params(params, self.param_dim), _as_dataset(batch)))
+        return self.row_grads(self.tables(params), self.prepare([_as_dataset(batch)]))[0]
 
-    def losses(self, params: np.ndarray, batches: Sequence) -> np.ndarray:
-        return _read_only(self._losses(_check_params(params, self.param_dim), _as_batches(batches)))
+    def prepare(self, batches: Sequence) -> tuple:
+        if isinstance(batches, Block):
+            return self._gather(batches.side.prepared(self._table), batches.index)
+        if isinstance(batches, Datasets):
+            return batches.prepared(self._stack)
+        return self._stack(batches)
 
-    def grads(self, params: np.ndarray, batches: Sequence) -> np.ndarray:
-        return _read_only(self._grads(_check_params(params, self.param_dim), _as_batches(batches)))
+    def tables(self, params: np.ndarray):
+        """What evaluation reads of the parameters alone: here the checked vector."""
+        return _check_params(params, self.param_dim)
 
-    def _losses(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
-        return np.array([self._loss(params, batch) for batch in batches], dtype=np.float64)
+    def _stack(self, batches: Sequence) -> tuple:
+        return tuple(map(_rows, zip(*map(self._arrays, batches))))
 
-    def _grads(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
-        grads = [self._grad(params, batch) for batch in batches]
-        return np.array(grads, dtype=np.float64).reshape(len(grads), self.param_dim)
+    def _table(self, side: Datasets) -> tuple:
+        """The per-example arrays of the side's pool: a batch's arrays have one row per example."""
+        return self._arrays(side.pool()[0])
 
-
-def _as_batches(batches: Sequence) -> Sequence[Dataset]:
-    """``batches``, each a ``Dataset``: a store side's ``Datasets`` as it is."""
-    return batches if isinstance(batches, Datasets) else [_as_dataset(batch) for batch in batches]
+    def _gather(self, table: tuple, index: np.ndarray) -> tuple:
+        return tuple(arr[index] for arr in table)
 
 
-def _stacked(batches: Sequence[Dataset], prepare) -> tuple:
-    """Each array of ``prepare(batch)`` stacked over the batches: (R, ...) arrays."""
-    return tuple(np.stack(column) for column in zip(*map(prepare, batches)))
+def _rows(arrays: tuple) -> np.ndarray:
+    """The arrays of R batches as one array with a row each, or as an object
+    array of them when their shapes differ."""
+    if len({np.shape(arr) for arr in arrays}) == 1:
+        return np.stack(arrays)
+    out = np.empty(len(arrays), dtype=object)
+    for i, arr in enumerate(arrays):
+        out[i] = arr
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +203,7 @@ class QuadraticTaskFamily(_BatchModel):
         return np.zeros(self.param_dim)
 
     @staticmethod
-    def _stack_examples(batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    def _arrays(batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
         try:
             mixes = np.stack([ex.mix for ex in batch])
             deltas = np.stack([ex.delta for ex in batch])
@@ -200,41 +211,27 @@ class QuadraticTaskFamily(_BatchModel):
             raise TypeError("quadratic model needs QuadraticExample records") from exc
         return mixes, deltas
 
-    def _loss(self, theta: np.ndarray, batch: Dataset) -> float:
-        mixes, deltas = batch.rows(self._stack_examples)
-        diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
-        per_task = 0.5 * np.einsum("nd,bnd,bnd->bn", self.curvatures, diff, diff)
-        return float((mixes * per_task).sum() / len(batch))
+    # R batches of B examples take one einsum, which sums each row in the order of the einsum of one
+    # batch; batches of several sizes are evaluated one by one, each as R = 1.
 
-    def _grad(self, theta: np.ndarray, batch: Dataset) -> np.ndarray:
-        mixes, deltas = batch.rows(self._stack_examples)
-        diff = theta[None, None, :] - self.centers[None, :, :] - deltas[:, None, :]
-        return np.einsum("bn,nd,bnd->d", mixes, self.curvatures, diff) / len(batch)
-
-    # Batches of one size are stacked and take one einsum, which sums each row in the order
-    # of the einsum of one batch; batches of several sizes are evaluated one by one.
-
-    def _losses(self, theta: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
-        if len({len(batch) for batch in batches}) != 1:
-            return super()._losses(theta, batches)
-        mixes, diff = self._stacked_diffs(theta, batches)
+    def row_losses(self, theta: np.ndarray, rows: tuple) -> np.ndarray:
+        if rows[0].dtype == object:
+            return np.concatenate([self.row_losses(theta, (mix[None], delta[None])) for mix, delta in zip(*rows)])
+        mixes, diff = self._diffs(theta, rows)
         per_task = 0.5 * np.einsum("nd,rbnd,rbnd->rbn", self.curvatures, diff, diff)
-        return (mixes * per_task).sum(axis=(1, 2)) / len(batches[0])
+        return (mixes * per_task).sum(axis=(1, 2)) / mixes.shape[1]
 
-    def _grads(self, theta: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
-        if len({len(batch) for batch in batches}) != 1:
-            return super()._grads(theta, batches)
-        mixes, diff = self._stacked_diffs(theta, batches)
-        return np.einsum("rbn,nd,rbnd->rd", mixes, self.curvatures, diff) / len(batches[0])
+    def row_grads(self, theta: np.ndarray, rows: tuple) -> np.ndarray:
+        if rows[0].dtype == object:
+            return np.concatenate([self.row_grads(theta, (mix[None], delta[None])) for mix, delta in zip(*rows)])
+        mixes, diff = self._diffs(theta, rows)
+        return np.einsum("rbn,nd,rbnd->rd", mixes, self.curvatures, diff) / mixes.shape[1]
 
-    def _stacked_diffs(self, theta: np.ndarray, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-        """The (R, B, N) mixes of R batches of B examples and their (R, B, N, D) differences
-        from the shifted centers; a store side's stack is kept."""
-        mixes, deltas = batches.prepared(self._stack_rows) if isinstance(batches, Datasets) else self._stack_rows(batches)
+    def _diffs(self, theta: np.ndarray, rows: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The (R, B, N) mixes of R batches of B examples and their (R, B, N, D)
+        differences from the shifted centers."""
+        mixes, deltas = rows
         return mixes, theta[None, None, None, :] - self.centers[None, None, :, :] - deltas[:, :, None, :]
-
-    def _stack_rows(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-        return _stacked(batches, lambda batch: batch.rows(self._stack_examples))
 
     def task_dataset(self, n: int) -> Dataset:
         """Single clean example whose loss/grad equal task n's exactly."""
@@ -373,14 +370,14 @@ class CharLMModel(_BatchModel):
 
     The vocabulary is the first ``vocab_size`` characters of a-z0-9, and
     batches are datasets of strings over it.  Loss and gradient are
-    computed from a batch's pooled transition counts.  A whole dataset or
-    a list is counted from its text, in O(batch chars + V^2) regardless of
-    how the text is chunked; a view of a store pool sums its rows of the
-    pool's per-string counts, which are counted once per pool.  The views
-    of one ``Block`` (every sampled batch is a member of one) are summed
-    together, and each reads its own row.  ``losses``/``grads`` take one
-    elementwise (R, V, V) pass over the stacked counts of R batches: a
-    store side's stack kept by its ``Datasets``, or else each batch's.
+    computed from a batch's pooled transition counts, prepared as the
+    (V, V) counts, their (V, 1) row totals and their total.  A batch is
+    counted from its text, in O(batch chars + V^2) regardless of how the
+    text is chunked; a ``Block`` sums its rows of its side's per-string
+    counts, which are counted once per side.  The parameter tables are the
+    log-softmax of the logits and its ``exp``, and R rows take one
+    elementwise (R, V, V) pass.  A batch without transitions fails when it
+    is evaluated, not when it is prepared.
     """
 
     def __init__(self, vocab_size: int):
@@ -394,60 +391,34 @@ class CharLMModel(_BatchModel):
         for i, ch in enumerate(self.vocab):
             self._lut[ord(ch)] = i
         self._lut[ord(_SEPARATOR)] = self.vocab_size
-        self._kept = {}  # the log-probabilities of the last parameter vector
 
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)  # uniform next-char distribution
 
-    def _point(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only (log_probs, probs) V x V tables of ``params``, kept
-        for the last parameter vector."""
-        return keep(self._kept, self._log_probs, params.tobytes(), params)
-
-    def _log_probs(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_probs = _log_softmax(params.reshape(self.vocab_size, self.vocab_size))
+    def tables(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (log_probs, probs) V x V tables of ``params``."""
+        log_probs = _log_softmax(_check_params(params, self.param_dim).reshape(self.vocab_size, self.vocab_size))
         return log_probs, np.exp(log_probs)
 
     def transition_counts(self, batch: Dataset) -> np.ndarray:
-        """Pooled V x V counts of (char, next char) pairs, per string;
-        read-only, and computed once per batch."""
-        return _as_dataset(batch).prepared(self._count_transitions)[0]
+        """Pooled V x V counts of (char, next char) pairs, per string."""
+        return _with_transitions(self.prepare([_as_dataset(batch)]))[0][0]
 
-    def _count_transitions(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    def _arrays(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray, np.float64]:
         """The batch's transition counts, their (V, 1) row totals and their total."""
-        if isinstance(batch, DatasetView):
-            counts, row_totals, total = batch.block_row(self._block_counts)
-        else:
-            codes = self._codes(batch)
-            # The separator gets code V, so every pair that spans two strings
-            # lands outside the V x V block of the (V+1) x (V+1) pair counts.
-            side = self.vocab_size + 1
-            pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
-            counts = pairs[:-1, :-1].astype(np.float64)
-            row_totals, total = counts.sum(axis=1, keepdims=True), counts.sum()
-        if total == 0:
-            raise EmptyBatch("batch has no character transitions")
-        return counts, row_totals, total
+        codes = self._codes(batch)
+        # The separator gets code V, so every pair that spans two strings
+        # lands outside the V x V block of the (V+1) x (V+1) pair counts.
+        side = self.vocab_size + 1
+        pairs = np.bincount(codes[:-1] * side + codes[1:], minlength=side * side).reshape(side, side)
+        counts = pairs[:-1, :-1].astype(np.float64)
+        return counts, counts.sum(axis=1, keepdims=True), counts.sum()
 
-    def _block_counts(self, block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (L, V, V) transition counts of each batch of a block, their
-        (L, V, 1) row totals and (L,) totals, from gathers of the pool's
-        per-string counts of at most ``_DRAW_BLOCK`` examples (and at least
-        one batch) each: one gather for a training block.  Integer counts
-        summed in float64 are exact: each batch's equal counting its text."""
-        length, size = block.index.shape
-        chunk = max(1, _DRAW_BLOCK // size)
-        counts = np.empty((length, self.vocab_size, self.vocab_size))
-        for start in range(0, length, chunk):
-            part = block if chunk >= length else Block(block.pool, block.index[start : start + chunk])
-            part.rows(self._row_counts).sum(axis=1, dtype=np.float64, out=counts[start : start + chunk])
-        return counts, counts.sum(axis=2, keepdims=True), counts.sum(axis=(1, 2))
-
-    def _row_counts(self, pool: Dataset) -> np.ndarray:
-        """The (n, V, V) transition counts of each string of a pool, in the
-        least unsigned type that holds its longest string's length; counted
-        one block of strings at a time, which bounds the int64 scratch."""
-        texts = pool.examples
+    def _table(self, side: Datasets) -> np.ndarray:
+        """The (n, V, V) transition counts of each string of the side's pool,
+        in the least unsigned type that holds its longest string's length;
+        counted one block of strings at a time, which bounds the int64 scratch."""
+        texts = side.pool()[0].examples
         v = self.vocab_size
         table = np.empty((len(texts), v, v), dtype=np.min_scalar_type(max(map(len, texts))))
         for start in range(0, len(texts), _TABLE_BLOCK):
@@ -459,6 +430,19 @@ class CharLMModel(_BatchModel):
             table[start : start + len(block)] = np.bincount(keys[inside], minlength=len(block) * v * v).reshape(-1, v, v)
         return table
 
+    def _gather(self, table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (L, V, V) transition counts of each batch of an (L, B) index,
+        their (L, V, 1) row totals and (L,) totals, from gathers of at most
+        ``_DRAW_BLOCK`` examples (and at least one batch) each: one gather
+        for a training block.  Integer counts summed in float64 are exact:
+        each batch's equal counting its text."""
+        length, size = index.shape
+        chunk = max(1, _DRAW_BLOCK // size)
+        counts = np.empty((length, self.vocab_size, self.vocab_size))
+        for start in range(0, length, chunk):
+            table[index[start : start + chunk]].sum(axis=1, dtype=np.float64, out=counts[start : start + chunk])
+        return counts, counts.sum(axis=2, keepdims=True), counts.sum(axis=(1, 2))
+
     def _codes(self, texts: Sequence[str]) -> np.ndarray:
         """The character codes of the strings, joined by the separator (code V)."""
         text = _SEPARATOR.join(texts)
@@ -469,41 +453,23 @@ class CharLMModel(_BatchModel):
             raise ValueError(f"batch contains characters outside the vocabulary: {unknown!r}")
         return codes
 
-    def _loss(self, params: np.ndarray, batch: Dataset) -> float:
-        counts, _, total = batch.prepared(self._count_transitions)
-        log_probs, _ = self._point(params)
-        return float(-(counts * log_probs).sum() / total)
+    def row_losses(self, tables: tuple, rows: tuple) -> np.ndarray:
+        counts, _, totals = _with_transitions(rows)
+        return -(counts * tables[0]).sum(axis=(1, 2)) / totals
 
-    def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        counts, row_totals, total = batch.prepared(self._count_transitions)
-        _, probs = self._point(params)
-        return ((probs * row_totals - counts) / total).ravel()
-
-    def _losses(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
-        if not batches:
-            return super()._losses(params, batches)
-        counts, _, totals = self._stacked_counts(batches)
-        log_probs, _ = self._point(params)
-        return -(counts * log_probs).sum(axis=(1, 2)) / totals
-
-    def _grads(self, params: np.ndarray, batches: Sequence[Dataset]) -> np.ndarray:
-        if not batches:
-            return super()._grads(params, batches)
-        counts, row_totals, totals = self._stacked_counts(batches)
-        _, probs = self._point(params)
-        grads = probs * row_totals
+    def row_grads(self, tables: tuple, rows: tuple) -> np.ndarray:
+        counts, row_totals, totals = _with_transitions(rows)
+        grads = tables[1] * row_totals
         grads -= counts
         grads /= totals[:, None, None]
         return grads.reshape(len(totals), -1)
 
-    def _stacked_counts(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (R, V, V) counts of R batches, their (R, V, 1) row totals and (R,) totals."""
-        if isinstance(batches, Datasets):
-            return batches.prepared(self._stack_counts)
-        return self._stack_counts(batches)
 
-    def _stack_counts(self, batches: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _stacked(batches, lambda batch: batch.prepared(self._count_transitions))
+def _with_transitions(rows: tuple) -> tuple:
+    """The char LM's rows, after checking that each batch has a transition."""
+    if np.count_nonzero(rows[2]) < len(rows[2]):
+        raise EmptyBatch("batch has no character transitions")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +498,7 @@ class SoftmaxModel(_BatchModel):
     def initial_params(self) -> np.ndarray:
         return np.zeros(self.param_dim)
 
-    def _stack_examples(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    def _arrays(self, batch: Dataset) -> tuple[np.ndarray, np.ndarray]:
         if not all(isinstance(ex, tuple) and len(ex) == 2 for ex in batch):
             raise TypeError("softmax model needs (features, label) records")
         xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in batch])
@@ -546,13 +512,15 @@ class SoftmaxModel(_BatchModel):
     def _log_probs(self, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return _log_softmax(xs @ params.reshape(self.n_classes, self.n_features).T)
 
-    def _loss(self, params: np.ndarray, batch: Dataset) -> float:
-        xs, ys = batch.rows(self._stack_examples)
-        logp = self._log_probs(params, xs)
-        return float(-logp[np.arange(len(ys)), ys].mean())
+    # Each batch is evaluated on its own.
 
-    def _grad(self, params: np.ndarray, batch: Dataset) -> np.ndarray:
-        xs, ys = batch.rows(self._stack_examples)
-        probs = np.exp(self._log_probs(params, xs))
-        probs[np.arange(len(ys)), ys] -= 1.0
-        return (probs.T @ xs).ravel() / len(ys)
+    def row_losses(self, params: np.ndarray, rows: tuple) -> np.ndarray:
+        return np.array([-self._log_probs(params, xs)[np.arange(len(ys)), ys].mean() for xs, ys in zip(*rows)])
+
+    def row_grads(self, params: np.ndarray, rows: tuple) -> np.ndarray:
+        grads = []
+        for xs, ys in zip(*rows):
+            probs = np.exp(self._log_probs(params, xs))
+            probs[np.arange(len(ys)), ys] -= 1.0
+            grads.append((probs.T @ xs).ravel() / len(ys))
+        return np.array(grads)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import Trajectory
 from .data import (
-    Dataset,
+    Block,
     Datasets,
     MixtureStore,
     sample_domain_batches,
@@ -264,25 +264,44 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
+def _prepare(model: DifferentiableModel, batches):
+    """What a point evaluates ``batches`` by: a built-in model's arrays
+    with one row per batch, prepared here once for every point that reads
+    them (a store side keeps its own), or, for any other model, the
+    batches themselves."""
+    return model.prepare(batches) if isinstance(model, _BatchModel) else batches
+
+
 class _Point:
-    """The model at one parameter vector, and the loop's one way to it.
+    """The model at one parameter vector, and the loop's one way to
+    evaluate it.
 
     ``train_run`` makes one per parameter vector and hands it to the task
     step, the domain step, the record and the next training step, and
-    nothing else there calls the model.  Two rules: a ``_BatchModel``
-    evaluates a store side's whole datasets (its ``Datasets``) in one
-    ``grads``/``losses`` call, once per point, and serves every request
-    for that side, its live rows included, from those rows; every other
-    request (a sampled batch, the live rows of a side not yet evaluated at
-    the point, and every request to any other model) is evaluated batch by
-    batch through ``grad``/``loss``.  So a dead component is never
-    evaluated unless a domain step asks for every one.
+    nothing else there evaluates the model.  The requests are prepared
+    batches (``_prepare``) or a store side's whole ``Datasets``.  For a
+    ``_BatchModel`` the point computes the parameter tables once, at its
+    first evaluation; evaluates a side's whole datasets at most once, and
+    serves every request for that side, its live rows included, from
+    those rows; and evaluates every other request, the live rows of a
+    side not yet evaluated at the point among them, from its prepared
+    rows in one call.  So a dead component is never evaluated unless a
+    domain step asks for every one.  Any other model is asked for one
+    ``grad`` or ``loss`` per batch.
     """
 
     def __init__(self, model: DifferentiableModel, params: np.ndarray):
         self.model = model
         self.params = params
-        self._whole = {} if isinstance(model, _BatchModel) else None  # (kind, a side's Datasets) -> rows
+        self._batched = isinstance(model, _BatchModel)
+        self._tables = None
+        self._whole = {}  # (kind, a side's Datasets) -> rows
+
+    def grad(self, batches, row: int) -> np.ndarray:
+        """The gradient of the batch at ``row`` of prepared ``batches``."""
+        if self._batched:
+            return self.model.row_grads(self._at(), tuple(arr[row : row + 1] for arr in batches))[0]
+        return self.model.grad(self.params, batches[row])
 
     def grads(self, batches, rows=None) -> np.ndarray | list:
         """The gradient of each of ``batches``, or of those at ``rows``."""
@@ -292,15 +311,24 @@ class _Point:
         """The loss of each of ``batches``, or of those at ``rows``."""
         return self._evaluate("losses", batches, rows)
 
+    def _at(self):
+        if self._tables is None:
+            self._tables = self.model.tables(self.params)
+        return self._tables
+
     def _evaluate(self, kind: str, batches, rows):
-        if self._whole is not None and isinstance(batches, Datasets):
+        if not self._batched:
+            one = self.model.grad if kind == "grads" else self.model.loss
+            return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
+        evaluate = self.model.row_grads if kind == "grads" else self.model.row_losses
+        if isinstance(batches, Datasets):
             whole = self._whole.get((kind, batches))
             if whole is None and rows is None:
-                whole = self._whole[kind, batches] = getattr(self.model, kind)(self.params, batches)
+                whole = self._whole[kind, batches] = evaluate(self._at(), self.model.prepare(batches))
             if whole is not None:
                 return whole if rows is None else whole[rows]
-        one = self.model.grad if kind == "grads" else self.model.loss
-        return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
+            batches = self.model.prepare(batches)
+        return evaluate(self._at(), batches if rows is None else tuple(arr[rows] for arr in batches))
 
 
 def _mix_mode(cfg: ReweightConfig, side: str) -> str:
@@ -308,15 +336,16 @@ def _mix_mode(cfg: ReweightConfig, side: str) -> str:
 
 
 def _component_batches(
-    store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator
-) -> Datasets | list[Dataset]:
-    """One batch per domain or per task, in label order: the members of one
-    uniformly drawn ``Block`` in sampled mode, the side's ``Datasets`` in expected mode."""
+    model: DifferentiableModel, store: MixtureStore, side: str, cfg: ReweightConfig, size: int,
+    rng: np.random.Generator,
+) -> Datasets | tuple | Block:
+    """One batch per domain or per task, in label order: the side's
+    ``Datasets`` in expected mode, and in sampled mode the prepared
+    batches of one uniformly drawn ``Block``."""
     if _mix_mode(cfg, side) == "expected":
         return store.datasets(side)
-    if side == "domains":
-        return sample_domain_batches(store, size, rng)
-    return sample_task_batches(store, size, rng)
+    sample = sample_domain_batches if side == "domains" else sample_task_batches
+    return _prepare(model, sample(store, size, rng))
 
 
 def _mixture_direction(
@@ -346,8 +375,8 @@ def _mixture_direction(
         for weighted in np.asarray(grads) * scale:
             direction += weighted  # row by row, in label order
         return direction, live.size
-    batch = [sample_mixture_batch(store, weights, size, rng)]
-    grad = point.grads(batch)[0]
+    batch = _prepare(point.model, [sample_mixture_batch(store, weights, size, rng)])
+    grad = point.grad(batch, 0)
     return (normalized_grad(grad, point.losses(batch)[0]) if normalize else grad), 1
 
 
@@ -422,10 +451,10 @@ def task_reweight_step(
 
     def score_once() -> np.ndarray:
         direction, direction_evals = _mixture_direction(point, store, alpha, "domains", cfg, rng, size)
-        batches = _component_batches(store, "tasks", cfg, size, rng)
+        batches = _component_batches(model, store, "tasks", cfg, size, rng)
         scores = np.array([alignment(grad, direction) for grad in scorer_grads(batches)])
         if counters is not None:
-            counters.task_grad_evals += len(batches) + direction_evals
+            counters.task_grad_evals += len(scores) + direction_evals
         return scores
 
     return _reweight(z, score_once, -cfg.step_ratio_z, cfg, gamma)
@@ -457,9 +486,9 @@ def domain_reweight_step(
     point = point or _Point(model, params)
 
     def score_once() -> np.ndarray:
-        domain_grads = point.grads(_component_batches(store, "domains", cfg, size, rng))
+        domain_grads = point.grads(_component_batches(model, store, "domains", cfg, size, rng))
         if target_kind == "pcgrad":
-            task_grads = list(point.grads(_component_batches(store, "tasks", cfg, size, rng)))
+            task_grads = list(point.grads(_component_batches(model, store, "tasks", cfg, size, rng)))
             target, target_evals = pcgrad_combine(task_grads, pcgrad_rng), len(task_grads)
         else:
             target, target_evals = _mixture_direction(
@@ -546,13 +575,14 @@ def train_run(
     so the batches of all the steps up to the next change of alpha are
     drawn in one ``sample_mixture_batches`` call (see ``_draw_count``),
     the same batches that one ``sample_mixture_batch`` call per step would
-    draw; each step reads its batch's gradient from the point on its own.
+    draw, and prepared once; step l reads the gradient of row l alone.
     The loop holds one ``_Point`` per parameter vector, one at the start
     and a new one after each optimizer step; the training step, the task
-    step, the domain step and the record read their rows from it and call
-    no model themselves, so a built-in model evaluates each side's whole
-    datasets (expected mode) once per point, and a mixture with dead
-    domains its live ones alone until a domain step asks for all.  Task
+    step, the domain step and the record read their rows from it and
+    evaluate no model themselves, so a built-in model evaluates each
+    side's whole datasets (expected mode) at most once per point, and a
+    mixture with dead domains its live ones alone until a domain step
+    asks for all.  Task
     losses are recorded at every reweighting step, every ``eval_every``
     steps, and at the end.  Raises NumericalDivergence if parameters go
     non-finite or any task loss exceeds ``divergence_factor`` times its
@@ -575,7 +605,7 @@ def train_run(
     trajectory = Trajectory(store.domain_labels, store.task_labels)
 
     def eval_task_losses() -> np.ndarray:
-        batches = _component_batches(store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
+        batches = _component_batches(model, store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
         return np.array(point.losses(batches))
 
     def guard(losses: np.ndarray, step: int) -> None:
@@ -602,15 +632,14 @@ def train_run(
     guard(initial_losses, 0)
     record(0, initial_losses, learning_rate_at(cfg, 0))
 
-    drawn = iter(())  # sampled mode: the training batches drawn for the coming steps
+    drawn, start, end = None, 0, 0  # sampled mode: the prepared training batches of steps start to end - 1
     for t in range(cfg.total_steps):
         gamma = learning_rate_at(cfg, t)
         if cfg.domain_mix_mode == "sampled":
-            batch = next(drawn, None)
-            if batch is None:
-                drawn = sample_mixture_batches(store, alpha, cfg.train_batch_size, _draw_count(cfg, t), train_rng)
-                batch = next(drawn)
-            direction = point.grads([batch])[0]
+            if t == end:
+                start, end = t, t + _draw_count(cfg, t)
+                drawn = _prepare(model, sample_mixture_batches(store, alpha, cfg.train_batch_size, end - start, train_rng))
+            direction = point.grad(drawn, t - start)
         else:
             direction, _ = _mixture_direction(point, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
         counters.train_grad_evals += 1

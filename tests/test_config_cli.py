@@ -107,13 +107,15 @@ class TestParseConfig:
         cfg = parse_config(minimal_quadratic_config(total_steps=20))
         model = build_model(cfg)
         stacks = []
-        stack = model._stack_examples
-        monkeypatch.setattr(model, "_stack_examples", lambda batch: stacks.append(batch) or stack(batch))
+        stack = model._arrays
+        monkeypatch.setattr(model, "_arrays", lambda batch: stacks.append(batch) or stack(batch))
         store = build_store(cfg, model)
         datasets = [*store.domains.values(), *store.tasks.values()]
         assert stacks == datasets
-        train_run(cfg.reweight, model, store, seed=cfg.seed)  # expected mode: whole datasets as batches
-        assert stacks == datasets
+        # expected mode: the run stacks each side's whole datasets once, and the store keeps the stack
+        for _ in range(2):
+            train_run(cfg.reweight, model, store, seed=cfg.seed)
+        assert sorted(map(id, stacks)) == sorted(map(id, datasets * 2))
 
     def test_minimal_with_defaults(self, tmp_path):
         raw = {

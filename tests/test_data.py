@@ -74,7 +74,7 @@ class TestStore:
                                      np.random.default_rng(0))
         store = MixtureStore({"d": batch}, {"t": Dataset(["t0"])})
         drawn = sample_mixture_batch(store, SimplexWeights([1.0], ("d",)), 4, np.random.default_rng(1))
-        assert list(store.pool("domains")[0]) == list(batch) and set(drawn) <= set(batch)
+        assert list(store.datasets("domains").pool()[0]) == list(batch) and set(drawn) <= set(batch)
 
     @pytest.mark.parametrize("on_tasks", [False, True], ids=["domain", "task"])
     def test_a_list_is_not_a_dataset(self, on_tasks):
@@ -83,58 +83,48 @@ class TestStore:
             MixtureStore(other, named) if on_tasks else MixtureStore(named, other)
 
 
-class TestEvaluationSlot:
-    """``Dataset.prepared``: one kept result per compute function, which
-    depends on the examples alone; no slot is keyed by parameters."""
+class TestStoreSide:
+    """``Datasets``, a store side: the one place a preparation is kept, by
+    the function that prepares it; and the blocks drawn from its pool."""
 
-    def test_preparation_kept_once_without_parameters(self):
+    def test_preparation_kept_once_per_function(self):
         calls = []
 
-        def prepare(batch):
-            calls.append("prepare")
-            return np.arange(len(batch), dtype=np.float64)
+        def prepare(side):
+            calls.append(side)
+            return np.arange(len(side), dtype=np.float64)
 
-        dataset = Dataset(["a", "b", "c"])
-        prepared = dataset.prepared(prepare)
+        store = toy_store()
+        side = store.datasets("domains")
+        prepared = side.prepared(prepare)
         for _ in range(2):
-            assert dataset.prepared(prepare) is prepared
-        assert calls == ["prepare"]
-        assert not prepared.flags.writeable and set(dataset._kept) == {prepare}
-        with pytest.raises(TypeError):
-            dataset.prepared(prepare, np.ones(3))  # no evaluation slot per parameter vector
+            assert side.prepared(prepare) is prepared
+        assert calls == [side] and prepared.tolist() == [0.0, 1.0, 2.0]
+        other = store.datasets("tasks")
+        assert other.prepared(prepare) is not prepared and calls == [side, other]
 
-    def test_view_rows_gathered_and_not_kept(self):
-        def prepare(batch):
-            return np.arange(len(batch)) * 10, np.arange(len(batch))
-
-        dataset = Dataset(["a", "b", "c"])
-        view = next(Block(dataset, np.array([[2, 0, 2]])).batches())  # a block of one
-        tens, ones = view.rows(prepare)
-        assert tens.tolist() == [20, 0, 20] and ones.tolist() == [2, 0, 2]
-        assert not tens.flags.writeable and not ones.flags.writeable
-        assert view.rows(prepare)[0] is not tens and not view._kept
-        assert dataset.rows(prepare) is dataset.prepared(prepare)
-
-    def test_a_block_member_is_a_view_of_the_pool(self):
-        dataset = Dataset(["a", "b", "c", "d"])
-        block = Block(dataset, np.array([[3, 1, 2], [2, 3, 3]]))
-        first, inner = block.batches()
-        assert inner.pool is dataset and inner.index.tolist() == [2, 3, 3] and inner._member == (block, 1)
-        assert list(inner) == ["c", "d", "d"] == [inner[i] for i in range(len(inner))]
-        assert list(first) == ["d", "b", "c"]
+    def test_a_block_is_a_sequence_of_views_of_the_pool(self):
+        store = toy_store(k=1, n=1)
+        side = store.datasets("domains")
+        block = Block(side, np.array([[3, 1, 2], [2, 4, 4]]))
+        assert block.pool is side.pool()[0] and len(block) == 2
+        first, inner = block
+        assert inner.pool is block.pool and inner.index.tolist() == [2, 4, 4]
+        assert list(inner) == ["d0-ex2", "d0-ex4", "d0-ex4"] == [inner[i] for i in range(len(inner))]
+        assert list(first) == ["d0-ex3", "d0-ex1", "d0-ex2"] and list(block[1]) == list(inner)
 
     def test_error_not_kept(self):
         calls = []
 
-        def fail(*args):
+        def fail(side):
             calls.append(1)
             raise ValueError("no")
 
-        dataset = Dataset([1])
+        side = toy_store().datasets("tasks")
         for _ in range(2):
             with pytest.raises(ValueError):
-                dataset.prepared(fail)
-        assert len(calls) == 2 and not dataset._kept
+                side.prepared(fail)
+        assert len(calls) == 2
 
 
 class TestMixtureSampling:

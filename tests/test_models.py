@@ -34,7 +34,6 @@ from grapemix import (
 )
 from grapemix import models, reweighting, verify
 from grapemix.data import Block
-from grapemix.models import _as_dataset
 from grapemix.verify import harness_family
 
 
@@ -283,49 +282,40 @@ class TestSoftmax:
 def _quadratic_case(rng):
     family = QuadraticTaskFamily(rng.uniform(0.5, 2.0, (2, 3)), rng.normal(size=(2, 3)))
     dataset = family.domain_dataset([0.3, 0.7], noise=0.2, size=5, rng=rng)
-    return family.model(), dataset, rng.normal(size=3), lambda m, b: _as_dataset(b).rows(m._stack_examples)
+    return family.model(), dataset, rng.normal(size=3)
 
 
 def _char_case(rng):
     model = CharLMModel(4)
     dataset = Dataset(["".join(model.vocab[i] for i in rng.integers(0, 4, size=n)) for n in (7, 1, 12, 5)])
-    return model, dataset, rng.normal(size=16), lambda m, b: (m.transition_counts(b),)
+    return model, dataset, rng.normal(size=16)
 
 
 def _softmax_case(rng):
     dataset = Dataset([(rng.normal(size=2), int(rng.integers(3))) for _ in range(6)])
-    return SoftmaxModel(2, 3), dataset, rng.normal(size=6), lambda m, b: _as_dataset(b).rows(m._stack_examples)
+    return SoftmaxModel(2, 3), dataset, rng.normal(size=6)
 
 
 @pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
-class TestDatasetMemo:
-    """A whole Dataset as the batch: prepared once, same results as its list."""
+class TestWholeDatasetBatches:
+    """A whole Dataset as the batch: the same results as its list, and only
+    the store side keeps what is prepared from it."""
 
     def test_bitwise_equal_to_list_batch(self, case):
-        model, dataset, params, _ = case(np.random.default_rng(4))
-        for _ in range(3):  # the first call fills the memo, the later ones read it
+        model, dataset, params = case(np.random.default_rng(4))
+        for _ in range(3):  # nothing is kept between calls
             assert model.loss(params, dataset) == model.loss(params, list(dataset))
             assert model.grad(params, dataset).tobytes() == model.grad(params, list(dataset)).tobytes()
 
-    def test_prepared_once_and_read_only(self, case):
-        model, dataset, _, prepared = case(np.random.default_rng(5))
-        first = prepared(model, dataset)
-        assert all(a is b for a, b in zip(first, prepared(model, dataset)))
-        for arr in first:
-            with pytest.raises(ValueError):
-                arr[...] = 0
-        # a list is wrapped in a Dataset, so what is prepared from it is read-only too
-        assert not any(arr.flags.writeable for arr in prepared(model, list(dataset)))
-
-    def test_memo_holds_datasets_weakly(self, case):
-        model, dataset, _, _ = case(np.random.default_rng(6))
+    def test_store_keeps_sides_weakly_held(self, case):
+        model, dataset, _ = case(np.random.default_rng(6))
         store = MixtureStore({"d": dataset}, {"t": Dataset(list(dataset))})
         cfg = ReweightConfig(total_steps=2, update_every_alpha=1, update_every_z=1,
                              task_mix_mode="expected", domain_mix_mode="expected")
         train_run(cfg, model, store, seed=0)
         refs = [weakref.ref(ds) for ds in (*store.domains.values(), *store.tasks.values())]
-        # one preparation per dataset, and nothing else kept in it
-        assert all(len(ref()._kept) == 1 for ref in refs)
+        # one preparation per side, kept by the side, and nothing else kept in it
+        assert all(len(store.datasets(side)._prepared) == 1 for side in ("domains", "tasks"))
         del store, dataset
         gc.collect()
         # neither the model nor anything the run left behind keeps a dataset alive
@@ -340,7 +330,6 @@ def test_char_dataset_error_is_never_cached():
             model.grad(np.zeros(9), dataset)
         with pytest.raises(ValueError, match="outside the vocabulary"):
             model.loss(np.zeros(9), dataset)
-    assert not dataset._kept
 
 
 def _view_store(kind, lengths, rng):
@@ -369,21 +358,32 @@ def _view_store(kind, lengths, rng):
     return model, store
 
 
-def _sampled_views(store, rng):
-    """A mixture batch and the per-component batches of each side."""
-    views = []
+def _sampled_blocks(store, rng):
+    """A block of mixture batches and the per-component block of each side."""
+    blocks = []
     for labels, sample in ((store.domain_labels, sample_domain_batches), (store.task_labels, sample_task_batches)):
         raw = rng.uniform(size=len(labels)) * (rng.uniform(size=len(labels)) < 0.7)
         raw[int(rng.integers(len(labels)))] += 0.1  # at least one live component
         weights = SimplexWeights(raw / raw.sum(), labels)
-        views.append(sample_mixture_batch(store, weights, int(rng.integers(1, 9)), rng))
-        views += sample(store, int(rng.integers(1, 9)), rng)
-    return views
+        blocks.append(sample_mixture_batches(store, weights, int(rng.integers(1, 9)), int(rng.integers(1, 4)), rng))
+        blocks.append(sample(store, int(rng.integers(1, 9)), rng))
+    return blocks
+
+
+def _sampled_views(store, rng):
+    """The batches of ``_sampled_blocks``."""
+    return [view for block in _sampled_blocks(store, rng) for view in block]
+
+
+def _row(rows, l):
+    """Row ``l`` of prepared rows, as the rows of a batch of one."""
+    return tuple(arr[l : l + 1] for arr in rows)
 
 
 class TestViewsAreTheSameBatch:
-    """A sampled batch is a view of its side's pool; a model sees in it
-    exactly the batch of its examples."""
+    """A sampled batch is a view of its side's pool; a model sees in it,
+    and in its row of its block's preparation, exactly the batch of its
+    examples."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "char", "softmax"]),
@@ -395,29 +395,33 @@ class TestViewsAreTheSameBatch:
         rng = np.random.default_rng(seed)
         model, store = _view_store(kind, lengths, rng)
         params = rng.normal(size=model.param_dim)
-        for view in _sampled_views(store, rng):
-            copy = Dataset(list(view))
-            try:
-                want = model.loss(params, copy), model.grad(params, copy).tobytes()
-            except EmptyBatch:
-                with pytest.raises(EmptyBatch):
-                    model.loss(params, view)
-                with pytest.raises(EmptyBatch):
-                    model.grad(params, view)
-                continue
-            for _ in range(2):  # the first call fills the memos, the second reads them
-                assert model.loss(params, view) == want[0]
-                assert model.grad(params, view).tobytes() == want[1]
-            prepared = (model.transition_counts(view),) if kind == "char" else view.rows(model._stack_examples)
-            assert not any(arr.flags.writeable for arr in prepared)
+        tables = model.tables(params)
+        for block in _sampled_blocks(store, rng):
+            rows = model.prepare(block)
+            for l, view in enumerate(block):
+                copy = Dataset(list(view))
+                try:
+                    want = _fresh(model).loss(params, copy), _fresh(model).grad(params, copy).tobytes()
+                except EmptyBatch:
+                    for evaluate in (model.loss, model.grad):
+                        with pytest.raises(EmptyBatch):
+                            evaluate(params, view)
+                    for evaluate in (model.row_losses, model.row_grads):
+                        with pytest.raises(EmptyBatch):
+                            evaluate(tables, _row(rows, l))
+                    continue
+                for _ in range(2):  # nothing is kept between calls
+                    assert model.loss(params, view) == want[0]
+                    assert model.grad(params, view).tobytes() == want[1]
+                assert model.row_losses(tables, _row(rows, l))[0] == want[0]
+                assert model.row_grads(tables, _row(rows, l))[0].tobytes() == want[1]
         if kind == "char":
             for side in ("domains", "tasks"):
-                pool = store.pool(side)[0]
-                if model._row_counts in pool._kept:
-                    table = pool.prepared(model._row_counts)
+                side = store.datasets(side)
+                if model._table in side._prepared:
+                    table, pool = side.prepared(model._table), side.pool()[0]
                     assert table.dtype == np.min_scalar_type(max(map(len, pool)))
                     assert table.dtype != np.uint8 or max(map(len, pool)) <= 255
-                    assert not table.flags.writeable
 
 
 # A one-example batch each model rejects, and the error it raises.
@@ -430,16 +434,17 @@ _BAD_BATCH = {
 
 def _counting(counts, name, evaluate):
     """``evaluate``, counting the rows it evaluates: one per ``loss``/``grad`` call, and
-    one per batch of a ``losses``/``grads`` call."""
+    one per prepared row of a ``row_losses``/``row_grads`` call."""
     def counted(self, params, batches):
-        counts[name] += len(batches) if name in ("losses", "grads") else 1
+        counts[name] += len(batches[0]) if name.startswith("row_") else 1
         return evaluate(self, params, batches)
     return counted
 
 
 class TestEvaluationMemo:
-    """No batch keeps a model's ``loss`` or ``grad``; whatever came before,
-    a call returns bitwise what a fresh batch of the same examples gives."""
+    """No batch and no model keeps a ``loss`` or ``grad``; whatever came
+    before, a call returns bitwise what a fresh model gives on a fresh
+    batch of the same examples."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "char", "softmax"]), seed=st.integers(0, 2**32 - 1),
@@ -462,15 +467,14 @@ class TestEvaluationMemo:
                 probe[i] = base[i] + 1e-5 if probe[i] == base[i] else base[i]
             evaluate = getattr(model, what)
             try:
-                want = np.asarray(evaluate(params[p], Dataset(list(batch)))).tobytes()
+                want = np.asarray(getattr(_fresh(model), what)(params[p], Dataset(list(batch)))).tobytes()
             except (EmptyBatch, TypeError, ValueError) as exc:
                 with pytest.raises(type(exc)):
                     evaluate(params[p], batch)
-                assert not batch._kept  # the failure is not kept
                 continue
             got = evaluate(params[p], batch)
             assert np.asarray(got).tobytes() == want
-            assert type(got) is float if what == "loss" else not got.flags.writeable
+            assert type(got) is float if what == "loss" else got.shape == (model.param_dim,)
         for _ in range(2):
             for evaluate in (model.loss, model.grad):
                 with pytest.raises(error):
@@ -482,13 +486,13 @@ class TestEvaluationMemo:
         # parameters; the step before the first adds the initial losses and the domain
         # gradients at the start.  Each is a row of one batched call per side and kind,
         # and no batch is evaluated on its own.  The counters count what the algorithm asks for.
-        rows = {"grads": 0, "losses": 0, "grad": 0, "loss": 0}
+        rows = {"row_grads": 0, "row_losses": 0, "grad": 0, "loss": 0}
         for name in rows:
             monkeypatch.setattr(QuadraticTaskFamily, name, _counting(rows, name, getattr(QuadraticTaskFamily, name)))
         monkeypatch.setattr(verify, "ReweightConfig", lambda **kw: ReweightConfig(**{**kw, "total_steps": steps}))
         _, trajectory = verify.theorem1_run()
         assert trajectory.final_counters == (steps, 6 * steps, 6 * steps)
-        assert rows == {"grads": 6 * steps + 3, "losses": 3 * steps + 3, "grad": 0, "loss": 0}
+        assert rows == {"row_grads": 6 * steps + 3, "row_losses": 3 * steps + 3, "grad": 0, "loss": 0}
 
 
 def _char_store(vocab_size=3, bad=""):
@@ -506,70 +510,66 @@ def _char_store(vocab_size=3, bad=""):
 class TestPools:
     def test_one_table_per_side_and_model(self, monkeypatch):
         calls = []
-        row_counts = CharLMModel._row_counts
-        monkeypatch.setattr(CharLMModel, "_row_counts", lambda self, pool: calls.append(pool) or row_counts(self, pool))
+        table = CharLMModel._table
+        monkeypatch.setattr(CharLMModel, "_table", lambda self, side: calls.append(side) or table(self, side))
         store = _char_store()
         cfg = ReweightConfig(algorithm="grape", total_steps=200, update_every_alpha=10, update_every_z=10,
                              train_batch_size=8, eval_batch_size=8)
         train_run(cfg, CharLMModel(3), store, seed=0)
-        pools = [store.pool(side)[0] for side in ("domains", "tasks")]
-        assert len(calls) == 2 and all(any(p is pool for p in calls) for pool in pools)
+        sides = [store.datasets(side) for side in ("domains", "tasks")]
+        assert len(calls) == 2 and all(any(s is side for s in calls) for side in sides)
         train_run(cfg, CharLMModel(3), store, seed=1)  # a second model on the same store
         assert len(calls) == 4
-        assert all(len(pool._kept) == 2 for pool in pools)
+        assert all(len(side._prepared) == 2 for side in sides)
 
-    def test_unknown_characters_anywhere_in_a_side_fail_the_first_sampled_batch(self):
+    def test_unknown_characters_anywhere_in_a_side_fail_the_first_sampled_block(self):
         store = _char_store(bad="z")
         model = CharLMModel(3)
         only_d0 = SimplexWeights([1.0, 0.0], store.domain_labels)
-        view = sample_mixture_batch(store, only_d0, 4, np.random.default_rng(0))
-        assert all(set(text) <= set(model.vocab) for text in view)  # the bad chunk was not drawn
+        block = sample_mixture_batches(store, only_d0, 4, 2, np.random.default_rng(0))
+        assert all(set(text) <= set(model.vocab) for view in block for text in view)  # the bad chunk was not drawn
         for _ in range(2):  # the failure is not kept
             with pytest.raises(ValueError, match="outside the vocabulary: 'z'"):
-                model.loss(np.zeros(9), view)
-        # the task side is clean, and the whole domain datasets are counted from their own text
-        model.loss(np.zeros(9), sample_task_batches(store, 4, np.random.default_rng(0))[0])
+                model.prepare(block)
+        # a batch alone, the clean task side and the whole domain datasets are counted from their own text
+        model.loss(np.zeros(9), block[0])
+        model.prepare(sample_task_batches(store, 4, np.random.default_rng(0)))
         model.loss(np.zeros(9), store.domains["d0"])
 
 
-def _view_alone(member):
-    """A fresh view of ``member``'s rows, the one member of a block of its own."""
-    return next(Block(member.pool, member.index[None].copy()).batches())
-
-
 class TestBlockMembers:
-    """The char LM counts the batches of one block together; each member
-    evaluates bitwise as a fresh view of the same rows."""
+    """The char LM counts the batches of one block together; each row of a
+    block's preparation evaluates bitwise as a fresh model on a fresh copy
+    of its batch."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 9), count=st.integers(1, 5),
            lengths=st.lists(st.sampled_from([1, 2, 5, 33, 300]), min_size=1, max_size=3))
     @example(seed=0, size=3, count=4, lengths=[1, 2])  # members with and without transitions
-    def test_members_bitwise_equal_to_fresh_views(self, seed, size, count, lengths):
+    def test_members_bitwise_equal_to_fresh_copies(self, seed, size, count, lengths):
         rng = np.random.default_rng(seed)
         model, store = _view_store("char", lengths, rng)
         weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
         params = rng.normal(size=model.param_dim)
+        tables = model.tables(params)
         # the mixture batches drawn at once, then each side's per-component batches
-        draws = (list(sample_mixture_batches(store, weights, size, count, rng)),
-                 sample_domain_batches(store, size, rng), sample_task_batches(store, size, rng))
-        for members in draws:
-            for member in members:
-                fresh, fresh_model = _view_alone(member), CharLMModel(model.vocab_size)
+        for block in (sample_mixture_batches(store, weights, size, count, rng),
+                      sample_domain_batches(store, size, rng), sample_task_batches(store, size, rng)):
+            rows = model.prepare(block)
+            for l, member in enumerate(block):
+                fresh, fresh_model = Dataset(list(member)), CharLMModel(model.vocab_size)
                 try:
                     want = (fresh_model.transition_counts(fresh).tobytes(), fresh_model.loss(params, fresh),
                             fresh_model.grad(params, fresh).tobytes())
                 except EmptyBatch:
-                    with pytest.raises(EmptyBatch):
-                        model.transition_counts(member)
-                    assert not member._kept
+                    assert not rows[0][l].any() and rows[2][l] == 0
+                    for evaluate in (model.row_losses, model.row_grads):
+                        with pytest.raises(EmptyBatch):
+                            evaluate(tables, _row(rows, l))
                     continue
-                got = (model.transition_counts(member).tobytes(), model.loss(params, member),
-                       model.grad(params, member).tobytes())
+                got = (rows[0][l].tobytes(), model.row_losses(tables, _row(rows, l))[0],
+                       model.row_grads(tables, _row(rows, l))[0].tobytes())
                 assert got == want
-            block = members[0]._member[0]
-            assert all(member._member == (block, i) for i, member in enumerate(members))
-            assert all(not arr.flags.writeable for _, kept in block._kept.values() for arr in kept)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 9), count=st.integers(1, 6),
@@ -579,52 +579,42 @@ class TestBlockMembers:
         rng = np.random.default_rng(seed)
         model, store = _view_store("char", [1, 2, 5, 33], rng)
         if per_component:
-            members = sample_domain_batches(store, size, rng)
+            block = sample_domain_batches(store, size, rng)
         else:
             weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
-            members = list(sample_mixture_batches(store, weights, size, count, rng))
-        block = members[0]._member[0]
-        want = CharLMModel(model.vocab_size)._block_counts(block)
-        gathers, rows = [], Block.rows
+            block = sample_mixture_batches(store, weights, size, count, rng)
+        want = CharLMModel(model.vocab_size).prepare(block)
+        table, gathers = block.side.prepared(model._table), []
+
+        class Gathers:
+            def __getitem__(self, index):
+                gathers.append(len(index))
+                return table[index]
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "_DRAW_BLOCK", chunk)
-            patch.setattr(Block, "rows", lambda part, prepare: gathers.append(len(part.index)) or rows(part, prepare))
-            got = model._block_counts(block)
+            got = model._gather(Gathers(), block.index)
         assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in want]
         per = max(1, chunk // size)
-        assert gathers == [min(per, len(members) - start) for start in range(0, len(members), per)]
-
-    def test_a_sampled_run_gathers_once_per_block(self, monkeypatch):
-        # Every sampled batch is a block member, and a block gathers the pool's count table
-        # once: each stretch of training batches, the two blocks of each reweight step (the
-        # mixture batch and one side's per-component batches) and each record's task batches.
-        gathers, stretches = [], []
-        rows, draw = Block.rows, reweighting.sample_mixture_batches
-        monkeypatch.setattr(Block, "rows", lambda block, prepare: gathers.append(block) or rows(block, prepare))
-        monkeypatch.setattr(reweighting, "sample_mixture_batches",
-                            lambda *args: stretches.append(args[3]) or draw(*args))
-        cfg = ReweightConfig(algorithm="grape", total_steps=60, update_every_alpha=20, update_every_z=15,
-                             train_batch_size=4, eval_batch_size=3, eval_every=7)
-        _, trajectory = train_run(cfg, CharLMModel(3), _char_store(), seed=0)
-        task_steps, domain_steps = 60 // 15, 60 // 20
-        assert sum(stretches) == 60 and len(trajectory) == 15
-        assert len(gathers) == len(stretches) + 2 * task_steps + 2 * domain_steps + len(trajectory)
+        assert gathers == [min(per, len(block) - start) for start in range(0, len(block), per)]
 
     def test_a_member_without_transitions_fails_alone(self):
         model = CharLMModel(3)
-        pool = Dataset(["a", "b", "abca", "cab"])
+        store = MixtureStore({"d": Dataset(["a", "b", "abca", "cab"])}, {"t": Dataset(["ab"])})
         # the first and last members hold only one-character strings
-        members = list(Block(pool, np.array([[0, 1], [2, 0], [1, 1], [3, 2]])).batches())
+        block = Block(store.datasets("domains"), np.array([[0, 1], [2, 0], [1, 1], [3, 2]]))
         params = np.random.default_rng(2).normal(size=9)
-        for member in members[::2]:
-            for evaluate in (model.loss, model.grad, lambda _, batch: model.transition_counts(batch)) * 2:
+        tables, rows = model.tables(params), model.prepare(block)  # preparing the block does not fail
+        for l in (0, 2):
+            for evaluate in (model.row_losses, model.row_grads) * 2:
                 with pytest.raises(EmptyBatch, match="no character transitions"):
-                    evaluate(params, member)
-            assert not member._kept
-        for member in members[1::2]:
-            fresh = _view_alone(member)
-            assert model.loss(params, member) == CharLMModel(3).loss(params, fresh)
-            assert model.grad(params, member).tobytes() == CharLMModel(3).grad(params, fresh).tobytes()
+                    evaluate(tables, _row(rows, l))
+        for l in (1, 3):
+            fresh = Dataset(list(block[l]))
+            assert model.row_losses(tables, _row(rows, l))[0] == CharLMModel(3).loss(params, fresh)
+            assert model.row_grads(tables, _row(rows, l))[0].tobytes() == CharLMModel(3).grad(params, fresh).tobytes()
+        with pytest.raises(EmptyBatch):  # the rows of the whole block
+            model.row_grads(tables, rows)
 
 
 def _fresh(model):
@@ -637,10 +627,9 @@ def _fresh(model):
 
 
 class TestBatchedRows:
-    """``losses``/``grads`` of R batches in one call: each row is bitwise the
-    ``loss``/``grad`` a fresh model gives on a fresh batch of the same examples,
-    every returned array is read-only, and a bad batch raises the error it
-    raises alone and leaves nothing kept."""
+    """``prepare`` then ``row_losses``/``row_grads`` of R batches: each row is
+    bitwise the ``loss``/``grad`` a fresh model gives on a fresh batch of the
+    same examples, and a bad batch raises the error it raises alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["quadratic", "char", "softmax"]), seed=st.integers(0, 2**32 - 1),
@@ -652,18 +641,18 @@ class TestBatchedRows:
         params = rng.normal(size=model.param_dim)
         size = int(rng.integers(1, 6))
         weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
-        members = list(sample_mixture_batches(store, weights, size, 3, rng))
+        members = sample_mixture_batches(store, weights, size, 3, rng)
         domains, tasks = list(store.domains.values()), list(store.tasks.values())
         groups = {
             "a side's whole datasets": store.datasets("domains"),
             "the other side's, again": store.datasets("tasks"),
             "whole datasets of one size": [domains[0], domains[0]],
             "whole datasets of several sizes": [*domains, *tasks],
-            "all of a block's members": sample_task_batches(store, size, rng),
+            "a block": sample_task_batches(store, size, rng),
+            "a block of mixture batches": members,
             "some of a block's members": [members[2], members[0], members[2]],
             "members of two blocks": [*sample_domain_batches(store, size, rng), members[1]],
             "lists": [list(batch) for batch in (*members, domains[-1])],
-            "no batches": [],
         }
         for label, batches in groups.items():
             fresh = _fresh(model)
@@ -671,42 +660,40 @@ class TestBatchedRows:
                 want_losses = [fresh.loss(params, list(batch)) for batch in batches]
                 want_grads = [fresh.grad(params, list(batch)) for batch in batches]
             except EmptyBatch:
-                for evaluate in (model.losses, model.grads):
+                for evaluate in (model.row_losses, model.row_grads):
                     with pytest.raises(EmptyBatch):
-                        evaluate(params, batches)
+                        evaluate(model.tables(params), model.prepare(batches))
                 continue
-            for _ in range(2):  # a side's stack is kept, and read again
-                losses, grads = model.losses(params, batches), model.grads(params, batches)
+            for _ in range(2):  # a side's preparation is kept, and read again
+                rows = model.prepare(batches)
+                losses, grads = model.row_losses(model.tables(params), rows), model.row_grads(model.tables(params), rows)
                 assert losses.shape == (len(batches),) and grads.shape == (len(batches), model.param_dim), label
                 assert losses.tobytes() == np.array(want_losses).tobytes(), label
                 assert grads.tobytes() == np.array(want_grads).tobytes(), label
-                assert not losses.flags.writeable and not grads.flags.writeable, label
         records, error = _BAD_BATCH[kind]
         bad = Dataset(records)
-        batches = domains[:bad_at] + [bad] + tasks
         fresh = _fresh(model)
         with pytest.raises(error):
             fresh.grad(params, list(bad))
-        for evaluate in (fresh.losses, fresh.grads) * 2:
-            with pytest.raises(error):
-                evaluate(params, batches)
-        assert not bad._kept and not getattr(fresh, "_kept", None)
         sided = MixtureStore({"d": bad}, {"t": tasks[0]})
-        with pytest.raises(error):
-            fresh.grads(params, sided.datasets("domains"))
-        assert not sided.datasets("domains")._kept and not bad._kept
+        for batches in (domains[:bad_at] + [bad] + tasks, sided.datasets("domains")):
+            for evaluate in (fresh.row_losses, fresh.row_grads) * 2:
+                with pytest.raises(error):
+                    evaluate(fresh.tables(params), fresh.prepare(batches))
 
 
 @pytest.mark.parametrize("model", [QuadraticTaskFamily, CharLMModel, SoftmaxModel], ids=lambda cls: cls.__name__)
 def test_one_evaluation_entry_for_every_built_in_model(model):
-    # each model gives only its _loss and _grad of checked parameters; the batch keeps their results
-    assert (model.loss, model.grad) == (models._BatchModel.loss, models._BatchModel.grad)
+    # each model gives only its _arrays and its row_losses/row_grads of prepared rows;
+    # the public loss and grad prepare one batch and evaluate it in one call
+    assert all(getattr(model, name) is getattr(models._BatchModel, name) for name in ("loss", "grad", "prepare"))
 
 
 class TestParameterPoint:
-    """The char LM keeps the log-probabilities of its last parameter vector,
-    shared by every batch evaluated there; whatever came before, a call
-    returns bitwise what a fresh model gives on a fresh batch."""
+    """The loop's point computes the char LM's log-probabilities once, and
+    every batch evaluated there shares them; the model keeps nothing, so
+    whatever came before, a call returns bitwise what a fresh model gives
+    on a fresh batch."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -731,18 +718,19 @@ class TestParameterPoint:
             got = getattr(model, what)(theta, list(batch) if as_list else batch)
             assert np.asarray(got).tobytes() == want
 
-    def test_kept_tables_are_read_only_and_shared(self):
+    def test_a_point_computes_its_tables_once(self, monkeypatch):
         model = CharLMModel(3)
         params = np.random.default_rng(0).normal(size=9)
-        model.grad(params, ["abca"])
-        point = model._point(params)
-        model.loss(params, Dataset(["cab", "bb"]))  # another batch at the same parameters
-        assert model._point(params) is point
-        for table in point:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 0.0
-        np.testing.assert_allclose(point[1].sum(axis=1), 1.0)
+        calls, tables = [], CharLMModel.tables
+        monkeypatch.setattr(CharLMModel, "tables", lambda self, p: calls.append(p) or tables(self, p))
+        point = reweighting._Point(model, params)
+        assert not calls  # nothing is computed before the first evaluation
+        grad = point.grad(model.prepare([["abca"]]), 0)
+        loss = point.losses(model.prepare([Dataset(["cab", "bb"])]))[0]  # another batch at the same point
+        assert len(calls) == 1 and calls[0] is params
+        assert grad.tobytes() == CharLMModel(3).grad(params, ["abca"]).tobytes()
+        assert loss == CharLMModel(3).loss(params, ["cab", "bb"])
+        np.testing.assert_allclose(point._at()[1].sum(axis=1), 1.0)
 
     @pytest.mark.parametrize("texts,error", [(["a", "b"], EmptyBatch), (["abz"], ValueError)],
                              ids=["no-transitions", "outside-vocabulary"])
@@ -753,7 +741,6 @@ class TestParameterPoint:
         for evaluate in (model.loss, model.grad) * 2:
             with pytest.raises(error):
                 evaluate(params, bad)
-        assert not bad._kept and not model._kept
         fresh = CharLMModel(3)
         assert model.loss(params, ["abcab"]) == fresh.loss(params, ["abcab"])
         assert model.grad(params, ["abcab"]).tobytes() == fresh.grad(params, ["abcab"]).tobytes()
@@ -795,17 +782,6 @@ class TestFiniteDiff:
         model = CharLMModel(4)
         batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=30))]
         assert finite_diff_check(model, rng.normal(size=16), batch, h=1e-5) <= 1e-6
-
-    def test_list_batch_prepared_once(self, monkeypatch):
-        counted = []
-        count = CharLMModel._count_transitions
-        monkeypatch.setattr(CharLMModel, "_count_transitions",
-                            lambda self, batch: counted.append(batch) or count(self, batch))
-        rng = np.random.default_rng(2)
-        model = CharLMModel(4)
-        batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=30))]
-        finite_diff_check(model, rng.normal(size=16), batch)
-        assert len(counted) == 1  # not once per each of the 2 * 16 + 1 model calls
 
     def test_zero_dim_model_vacuous(self):
         assert finite_diff_check(_NoParamsModel(), np.zeros(0), ["x"]) == 0.0

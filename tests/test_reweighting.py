@@ -15,6 +15,7 @@ from grapemix import (
     CharLMModel,
     Dataset,
     DimensionError,
+    EmptyBatch,
     MixtureStore,
     NumericalDivergence,
     QuadraticTaskFamily,
@@ -33,6 +34,8 @@ from grapemix import (
     task_reweight_step,
     train_run,
 )
+from grapemix import models
+from grapemix.data import Block, Datasets
 from grapemix.metrics import LOSS_FLOOR
 
 
@@ -658,30 +661,39 @@ def _caller() -> str | None:
     return frame and frame.f_code.co_qualname
 
 
+# The entries of a built-in model that the loop may call, and the functions of reweighting.py that may call them.
+_ENTRIES = ("loss", "grad", "prepare", "tables", "row_losses", "row_grads")
+_CALLERS = {"prepare": {"_prepare", "_Point._evaluate"}, "tables": {"_Point._at"}}
+
+
 def _recording(cls):
     """A subclass of the built-in model ``cls`` that notes (entry, caller,
-    batches) of every ``loss``/``grad``/``losses``/``grads`` call in
-    ``calls``, a list of its own."""
+    argument) of every call of an ``_ENTRIES`` entry in ``calls``, a list
+    of its own; the argument is the batches, the rows or the parameters."""
 
     def entry(name):
-        def call(self, params, batches):
-            self.calls.append((name, _caller(), batches))
-            return getattr(cls, name)(self, params, batches)
+        def call(self, *args):
+            self.calls.append((name, _caller(), args[-1]))
+            return getattr(cls, name)(self, *args)
 
         return call
 
-    return type(f"Recording{cls.__name__}", (cls,),
-                {"calls": [], **{name: entry(name) for name in ("loss", "grad", "losses", "grads")}})
+    return type(f"Recording{cls.__name__}", (cls,), {"calls": [], **{name: entry(name) for name in _ENTRIES}})
 
 
-def _batched_calls(calls, store) -> int:
-    """How many of ``calls`` were ``losses``/``grads`` calls, after checking
-    that each came from ``_Point._evaluate``, the loop's one way to the model,
-    and that only a store side's whole ``Datasets`` reached ``losses``/``grads``."""
-    assert calls and {caller for _, caller, _ in calls} == {"_Point._evaluate"}
-    batched = [batches for entry, _, batches in calls if entry in ("losses", "grads")]
-    assert all(batches is store.datasets("domains") or batches is store.datasets("tasks") for batches in batched)
-    return len(batched)
+def _side_preparations(calls, store) -> int:
+    """How many of ``calls`` prepared a store side's whole ``Datasets``,
+    after checking that only ``_Point`` evaluated the model (``_Point.grad``
+    and ``_Point._evaluate``, its one way to it), that only ``_prepare`` and
+    the point prepared batches, and that no batch reached ``prepare`` that is
+    not a side, a drawn ``Block`` or a list of one drawn batch."""
+    assert calls
+    for entry, caller, arg in calls:
+        assert caller in _CALLERS.get(entry, {"_Point.grad", "_Point._evaluate"}), (entry, caller)
+        if entry == "prepare":
+            assert isinstance(arg, (Datasets, Block)) or (isinstance(arg, list) and len(arg) == 1), arg
+    sides = (store.datasets("domains"), store.datasets("tasks"))
+    return sum(entry == "prepare" and any(arg is side for side in sides) for entry, _, arg in calls)
 
 
 class _PurposeCountingModel:
@@ -741,18 +753,21 @@ class TestProtocolModelsAskedPerRequest:
         train_grads = train if mode == "sampled" else int(
             ((trajectory.alphas > 0.0).sum(axis=1)[:-1] * np.diff(trajectory.steps)).sum())
         assert model.grad_calls == {"train": train_grads, "task": task, "domain": domain}
-        assert model.losses and _batched_calls(model.calls, store) == 0
+        assert model.losses and _side_preparations(model.calls, store) == 0
         built_in = _recording(CharLMModel)(verify.MULTILINGUAL_VOCAB)
         assert render_trajectory(trajectory) == render_trajectory(train_run(cfg, built_in, store, seed=4)[1])
-        # a built-in model evaluates whole sides in one call (expected mode), and nothing else
-        assert bool(_batched_calls(built_in.calls, store)) == (mode == "expected")
+        # a built-in model prepares whole sides (expected mode) or drawn batches, and no
+        # request reaches its public loss or grad
+        assert bool(_side_preparations(built_in.calls, store)) == (mode == "expected")
+        assert not any(entry in ("loss", "grad") for entry, _, _ in built_in.calls)
 
 
 class TestOneWayToTheModel:
-    """Only ``_Point._evaluate`` calls a built-in model, and a store side's
-    ``Datasets`` is the only request it evaluates in one ``losses``/``grads``
-    call: sampled batches, and the live rows of a side with a dead domain
-    at a point where no domain step read the side, go batch by batch."""
+    """Only ``_Point`` evaluates a built-in model, and only ``_prepare`` and
+    the point prepare batches for it: a store side's ``Datasets`` in expected
+    mode, which the point evaluates whole or, for the live rows of a side
+    with a dead domain at a point where no domain step read the side, at
+    those rows alone."""
 
     @pytest.mark.parametrize("mode", ["sampled", "expected"])
     @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
@@ -773,25 +788,85 @@ class TestOneWayToTheModel:
                              update_every_z=3, eval_every=5, train_batch_size=4,
                              task_mix_mode=mode, domain_mix_mode=mode)
         train_run(cfg, model, store, init_alpha=init_alpha, seed=3)
-        assert bool(_batched_calls(model.calls, store)) == (mode == "expected")
-        if mode == "expected":  # the live domains of a side no domain step read, one by one
-            assert any(entry == "grad" and batches is store.domains["d0"] for entry, _, batches in model.calls)
+        assert bool(_side_preparations(model.calls, store)) == (mode == "expected")
+        if mode == "expected":  # the live domains of a side no domain step read, alone
+            live = tuple(arr[:2] for arr in model.prepare(store.datasets("domains")))
+            assert any(entry == "row_grads" and len(rows[0]) == 2 and all(map(np.array_equal, rows, live))
+                       for entry, _, rows in model.calls)
 
 
-class TestSampledBatchesPreparedOnce:
-    def test_each_batch_is_counted_once(self, monkeypatch):
-        """``grad`` then ``loss`` on one sampled batch count its transitions
-        once: the batch keeps what the model derived from it."""
-        counted = []
-        count = CharLMModel._count_transitions
-        monkeypatch.setattr(CharLMModel, "_count_transitions",
-                            lambda self, batch: counted.append(batch) or count(self, batch))
-        cfg = ReweightConfig(algorithm="grape", total_steps=200, base_lr=0.15, train_batch_size=16,
-                             eval_batch_size=32, update_every_alpha=100, update_every_z=100, eval_every=50)
-        train_run(cfg, CharLMModel(verify.MULTILINGUAL_VOCAB), verify.multilingual_store(seed=5), seed=5)
-        # ``counted`` keeps every batch alive, so distinct batches have distinct ids
-        assert len(counted) > cfg.total_steps
-        assert len({id(batch) for batch in counted}) == len(counted)
+class TestPreparationCounts:
+    """Each thing the loop reuses is prepared once, by structure: a drawn
+    block once, a store side's whole datasets and its pool's per-string
+    table once per store and model, and the log-softmax once per point
+    that evaluates."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Note every block drawn through ``reweighting``'s samplers, every
+        ``CharLMModel.prepare`` argument, every side whose table or whole
+        stack is built, and every log-softmax."""
+        seen = {name: [] for name in ("drawn", "prepared", "tables", "stacks", "log_softmax")}
+        for name in ("sample_mixture_batches", "sample_domain_batches", "sample_task_batches"):
+            sample = getattr(reweighting, name)
+            monkeypatch.setattr(reweighting, name, lambda *args, sample=sample: seen["drawn"].append(sample(*args))
+                                or seen["drawn"][-1])
+        prepare, table, stack = CharLMModel.prepare, CharLMModel._table, CharLMModel._stack
+        monkeypatch.setattr(CharLMModel, "prepare", lambda self, batches: seen["prepared"].append(batches)
+                            or prepare(self, batches))
+        monkeypatch.setattr(CharLMModel, "_table", lambda self, side: seen["tables"].append(side) or table(self, side))
+        monkeypatch.setattr(CharLMModel, "_stack", lambda self, batches: seen["stacks"].append(batches)
+                            or stack(self, batches))
+        log_softmax = models._log_softmax
+        monkeypatch.setattr(models, "_log_softmax", lambda logits: seen["log_softmax"].append(logits.tobytes())
+                            or log_softmax(logits))
+        return seen
+
+    def test_sampled_run(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        store, model = verify.multilingual_store(seed=5), CharLMModel(verify.MULTILINGUAL_VOCAB)
+        cfg = ReweightConfig(algorithm="grape", total_steps=300, base_lr=0.15, train_batch_size=16,
+                             eval_batch_size=32, update_every_alpha=40, update_every_z=30, eval_every=50)
+        for run in range(2):
+            softmaxes = len(seen["log_softmax"])
+            _, trajectory = train_run(cfg, model, store, seed=5 + run)
+            # one log-softmax per point: the start and each step's parameters, each evaluated
+            assert len(seen["log_softmax"]) - softmaxes == cfg.total_steps + 1
+        drawn = [block for block in seen["drawn"] if isinstance(block, Block)]
+        blocks = [batches for batches in seen["prepared"] if isinstance(batches, Block)]
+        # every training block and every per-component block is prepared exactly once
+        assert len(drawn) == len(seen["drawn"]) == len(blocks) == len({id(block) for block in blocks})
+        assert {id(block) for block in drawn} == {id(block) for block in blocks}
+        per_run = 300 // 40 + 1 + 300 // 30 + 300 // 40 + len(trajectory)  # training, task, domain, record
+        assert len(blocks) == 2 * per_run
+        # each reweight step's mixture batch is a list of one, prepared from its text
+        assert len(seen["prepared"]) - len(blocks) == 2 * (300 // 30 + 300 // 40)
+        # one per-string table per side, for both runs; no whole side in sampled mode
+        assert sorted(map(id, seen["tables"])) == sorted(id(store.datasets(side)) for side in ("domains", "tasks"))
+        assert not any(isinstance(batches, Datasets) for batches in seen["stacks"])
+        other = CharLMModel(verify.MULTILINGUAL_VOCAB)
+        train_run(cfg, other, store, seed=5)  # another model on the same store builds its own
+        assert len(seen["tables"]) == 4
+
+    def test_expected_run_with_a_dead_domain(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        store = verify.multilingual_store(seed=4)
+        # a dead domain without transitions raises EmptyBatch if it is ever evaluated
+        store = MixtureStore(dict(store.domains, dead=Dataset(["a", "b"])), store.tasks)
+        init_alpha = SimplexWeights([0.5, 0.5] + [0.0] * (store.num_domains - 2), store.domain_labels)
+        model = CharLMModel(verify.MULTILINGUAL_VOCAB)
+        cfg = ReweightConfig(algorithm="grape", total_steps=24, base_lr=0.15, update_every_z=5,
+                             update_every_alpha=25, eval_every=7, task_mix_mode="expected",
+                             domain_mix_mode="expected")  # task steps, and no domain step
+        for run in range(2):
+            softmaxes = len(seen["log_softmax"])
+            train_run(cfg, model, store, init_alpha=init_alpha, seed=4 + run)
+            assert len(seen["log_softmax"]) - softmaxes == cfg.total_steps + 1
+        # each side's whole datasets are stacked once for the store; nothing is drawn
+        assert sorted(map(id, seen["stacks"])) == sorted(id(store.datasets(side)) for side in ("domains", "tasks"))
+        assert not seen["drawn"] and not seen["tables"]
+        with pytest.raises(EmptyBatch):  # a domain step would evaluate it
+            reweighting._Point(model, model.initial_params()).grads(store.datasets("domains"))
 
 
 def _counting(monkeypatch, names):
