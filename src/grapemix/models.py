@@ -139,7 +139,7 @@ def _rows(arrays: tuple) -> np.ndarray:
     """The arrays of R batches as one array with a row each, or as an object
     array of them when their shapes differ."""
     if len({np.shape(arr) for arr in arrays}) == 1:
-        return np.stack(arrays)
+        return np.array(arrays)
     out = np.empty(len(arrays), dtype=object)
     for i, arr in enumerate(arrays):
         out[i] = arr
