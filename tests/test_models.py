@@ -27,7 +27,6 @@ from grapemix import (
     finite_diff_check,
     generate_markov_corpus,
     sample_domain_batches,
-    sample_mixture_batch,
     sample_mixture_batches,
     sample_task_batches,
     train_run,
