@@ -58,14 +58,19 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     params = np.asarray(params, dtype=np.float64)
     if params.size == 0:
         return 0.0
-    analytic = model.grad(params, batch)
+    if isinstance(model, _BatchModel):  # the batch prepared once for all 2·D + 1 evaluations
+        rows = model.prepare([_as_dataset(batch)])
+        analytic = model.row_grads(model.tables(params), rows)[0]
+        loss = lambda probe: float(model.row_losses(model.tables(probe), rows)[0])
+    else:
+        analytic, loss = model.grad(params, batch), lambda probe: model.loss(probe, batch)
     worst = 0.0
     probe = params.copy()
     for i in range(params.size):
         probe[i] = params[i] + h
-        up = model.loss(probe, batch)
+        up = loss(probe)
         probe[i] = params[i] - h
-        down = model.loss(probe, batch)
+        down = loss(probe)
         probe[i] = params[i]
         worst = max(worst, abs((up - down) / (2.0 * h) - analytic[i]))
     return worst

@@ -4,6 +4,7 @@ import gc
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -319,6 +320,23 @@ class TestWholeDatasetBatches:
         gc.collect()
         # neither the model nor anything the run left behind keeps a dataset alive
         assert all(ref() is None for ref in refs)
+
+    def test_a_side_is_prepared_once_per_model(self, case):
+        model, dataset, _ = case(np.random.default_rng(5))
+        side = MixtureStore({"d": dataset}, {"t": Dataset(list(dataset))}).datasets("domains")
+        block = Block(side, np.array([[0, 1], [2, 0], [1, 1]]))
+        rows, gathered = model.prepare(side), model.prepare(block)
+        assert model.prepare(side) is rows
+        table = side.prepared(model._table)
+        assert [arr.tobytes() for arr in model.prepare(block)] == [arr.tobytes() for arr in gathered]
+        assert side.prepared(model._table) is table and len(side._prepared) == 2  # one stack, one table
+        # another model of the same kind prepares its own, bitwise the same
+        other = _fresh(model)
+        assert other.prepare(side) is not rows and len(side._prepared) == 3
+        assert [arr.tobytes() for arr in other.prepare(side)] == [arr.tobytes() for arr in rows]
+        # a list of the same datasets is stacked afresh, bitwise the same, and not kept
+        assert [arr.tobytes() for arr in model.prepare(list(side))] == [arr.tobytes() for arr in rows]
+        assert len(side._prepared) == 3
 
 
 def test_char_dataset_error_is_never_cached():
@@ -781,6 +799,24 @@ class TestFiniteDiff:
         model = CharLMModel(4)
         batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=30))]
         assert finite_diff_check(model, rng.normal(size=16), batch, h=1e-5) <= 1e-6
+
+    def test_list_batch_prepared_once(self, monkeypatch):
+        counted = []
+        arrays = CharLMModel._arrays
+        monkeypatch.setattr(CharLMModel, "_arrays", lambda self, batch: counted.append(batch) or arrays(self, batch))
+        rng = np.random.default_rng(2)
+        model = CharLMModel(4)
+        batch = ["".join(model.vocab[i] for i in rng.integers(0, 4, size=30))]
+        finite_diff_check(model, rng.normal(size=16), batch)
+        assert len(counted) == 1  # not once per each of the 2 * 16 + 1 model calls
+
+    @pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
+    def test_prepared_once_bitwise_equal_to_per_call(self, case):
+        model, dataset, params = case(np.random.default_rng(7))
+        # the same model seen only through the Protocol: each probe prepares its batch again
+        per_call = types.SimpleNamespace(param_dim=model.param_dim, loss=model.loss, grad=model.grad)
+        for batch in (dataset, list(dataset)):
+            assert finite_diff_check(model, params, batch) == finite_diff_check(per_call, params, batch)
 
     def test_zero_dim_model_vacuous(self):
         assert finite_diff_check(_NoParamsModel(), np.zeros(0), ["x"]) == 0.0
