@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import ConfigError, DimensionError, GrapemixError
 from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
-from .reweighting import FIELD_TYPES, MAX_BATCH_SIZE, ReweightConfig
+from .reweighting import FIELD_TYPES, MAX_BATCH_SIZE, ReweightConfig, _Point
 from .simplex import SimplexWeights
 
 # The two nested sections of the file; every other ReweightConfig field
@@ -251,17 +251,28 @@ def build_model(cfg: RunConfig) -> DifferentiableModel:
     return model
 
 
+@np.errstate(all="ignore")  # a huge record value overflows the judged loss; the judge names the entry
 def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
     """Materialize every domain/task dataset (files or synthetic draws).
 
     Synthetic corpora use per-label RNG streams derived from the run
     seed, so the data layer is reproducible and independent of entry
     order elsewhere in the config.  The model is the one judge of each
-    dataset: a loss at its initial parameters runs the preparation that
-    training runs (and keeps it, for full batches), so a record the model
-    cannot use fails here, as a ConfigError naming the entry.
+    dataset: each side's losses at its initial parameters prepare the side
+    as a run does, once for every run on the store.  A record the model
+    cannot use, or a loss that is not finite, fails here as a ConfigError
+    naming the entry, judged alone when its side fails.
     """
     markov_specs: dict[str, MarkovLanguageSpec] = {}
+
+    def naming(entry: dict, make, *args):
+        """``make(*args)``; a spec value or a record the model cannot use fails as a ConfigError naming the entry."""
+        try:
+            return make(*args)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, GrapemixError) as exc:
+            raise ConfigError(f"entry {entry['label']!r}: {exc}") from exc
 
     def build_one(entry: dict) -> Dataset:
         label = entry["label"]
@@ -284,20 +295,19 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
         rng = stream_rng(cfg.seed, f"corpus/{label}") if entry["noise"] > 0 else None
         return model.domain_dataset(entry["mix"], noise=entry["noise"], size=entry["size"], rng=rng)
 
-    datasets: dict[str, Dataset] = {}
-    for entry in cfg.domain_specs + cfg.task_specs:
-        label = entry["label"]
+    datasets = {entry["label"]: naming(entry, build_one, entry) for entry in cfg.domain_specs + cfg.task_specs}
+    store = MixtureStore({e["label"]: datasets[e["label"]] for e in cfg.domain_specs},
+                         {e["label"]: datasets[e["label"]] for e in cfg.task_specs})
+    point = _Point(model, model.initial_params())
+    for side, entries in (("domains", cfg.domain_specs), ("tasks", cfg.task_specs)):
         try:
-            datasets[label] = build_one(entry)
-            with np.errstate(all="ignore"):  # a huge record value overflows; the check below names the entry
-                loss = model.loss(model.initial_params(), datasets[label])
-            _require(math.isfinite(loss), f"entry {label!r}: the loss at the initial parameters is {loss}")
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, GrapemixError) as exc:  # a spec value, or a record the model cannot use
-            raise ConfigError(f"entry {label!r}: {exc}") from exc
-    return MixtureStore({e["label"]: datasets[e["label"]] for e in cfg.domain_specs},
-                        {e["label"]: datasets[e["label"]] for e in cfg.task_specs})
+            losses = point.losses(store.datasets(side))
+        except (TypeError, ValueError, GrapemixError):
+            losses = [math.nan] * len(entries)
+        for entry, dataset, loss in zip(entries, store.datasets(side), losses):
+            loss = loss if math.isfinite(loss) else naming(entry, model.loss, point.params, dataset)
+            _require(math.isfinite(loss), f"entry {entry['label']!r}: the loss at the initial parameters is {loss}")
+    return store
 
 
 def load_initial_weights(cfg: RunConfig) -> tuple[SimplexWeights | None, SimplexWeights | None]:

@@ -15,7 +15,7 @@ together, as one ``Block``: the mixture batches up to the next change of
 the domain weights, or one batch per component of a side; a single draw
 is a block of one.  What a model prepares from a block or a side, it
 prepares once, and only a side keeps a preparation: its whole datasets'
-and its pool's, for the store's lifetime.  Datasets, views and blocks
+and its pool's, read-only, for the store's lifetime.  Datasets, views and blocks
 keep nothing.  Never mutate an example, or an array inside one, in place.
 """
 
@@ -109,11 +109,14 @@ class Datasets:
         return self._pool
 
     def prepared(self, prepare: Callable):
-        """``prepare(self)``, kept by ``prepare`` (a model's bound method) for
-        the side's lifetime.  A failure is not kept."""
+        """``prepare(self)``, kept read-only by ``prepare`` (a model's bound
+        method) for the side's lifetime: every run shares it.  A failure is not kept."""
         kept = self._prepared.get(prepare)
         if kept is None:
             kept = self._prepared[prepare] = prepare(self)
+            for arr in kept if isinstance(kept, tuple) else (kept,):
+                for each in (arr, *arr) if arr.dtype == object else (arr,):  # an object array's arrays too
+                    each.flags.writeable = False
         return kept
 
     def __len__(self) -> int:

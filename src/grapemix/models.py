@@ -145,10 +145,7 @@ def _rows(arrays: tuple) -> np.ndarray:
     array of them when their shapes differ."""
     if len({np.shape(arr) for arr in arrays}) == 1:
         return np.array(arrays)
-    out = np.empty(len(arrays), dtype=object)
-    for i, arr in enumerate(arrays):
-        out[i] = arr
-    return out
+    return np.fromiter(arrays, dtype=object, count=len(arrays))
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,8 @@ class OverheadCounter:
     the evaluations the algorithm requests: under the default sampled
     pipeline a task step costs N+1 and a domain step K+1, while expected
     (full-batch) mixtures replace each mixed-batch gradient with one per
-    component.  A request is counted whether or not it evaluates the
-    model: at one parameter point a built-in model evaluates each side's
-    whole datasets once and serves every later request for that side
-    from those rows (``_Point``).
+    component.  A request is counted whether or not the point evaluates
+    the model for it (``_Point``).
     """
 
     train_grad_evals: int = 0
@@ -264,22 +262,14 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-def _prepare(model: DifferentiableModel, batches):
-    """What a point evaluates ``batches`` by: a built-in model's arrays
-    with one row per batch, prepared here once for every point that reads
-    them (a store side keeps its own), or, for any other model, the
-    batches themselves."""
-    return model.prepare(batches) if isinstance(model, _BatchModel) else batches
-
-
 class _Point:
     """The model at one parameter vector, and the loop's one way to
     evaluate it.
 
     ``train_run`` makes one per parameter vector and hands it to the task
     step, the domain step, the record and the next training step, and
-    nothing else there evaluates the model.  The requests are prepared
-    batches (``_prepare``) or a store side's whole ``Datasets``.  For a
+    nothing else there evaluates the model.  The requests are batches the
+    point prepared (``prepare``) or a store side's whole ``Datasets``.  For a
     ``_BatchModel`` the point computes the parameter tables once, at its
     first evaluation; evaluates a side's whole datasets at most once, and
     serves every request for that side, its live rows included, from
@@ -297,14 +287,15 @@ class _Point:
         self._tables = None
         self._whole = {}  # (kind, a side's Datasets) -> rows
 
-    def grad(self, batches, row: int) -> np.ndarray:
-        """The gradient of the batch at ``row`` of prepared ``batches``."""
-        if self._batched:
-            return self.model.row_grads(self._at(), tuple(arr[row : row + 1] for arr in batches))[0]
-        return self.model.grad(self.params, batches[row])
+    def prepare(self, batches):
+        """What the model is evaluated by at every point that reads ``batches``:
+        a built-in model's arrays with one row per batch, prepared once (a
+        store side keeps its own), or, for any other model, the batches."""
+        return self.model.prepare(batches) if self._batched else batches
 
     def grads(self, batches, rows=None) -> np.ndarray | list:
-        """The gradient of each of ``batches``, or of those at ``rows``."""
+        """The gradient of each of ``batches``, or of those at ``rows`` (an
+        index or a slice)."""
         return self._evaluate("grads", batches, rows)
 
     def losses(self, batches, rows=None) -> np.ndarray | list:
@@ -319,12 +310,13 @@ class _Point:
     def _evaluate(self, kind: str, batches, rows):
         if not self._batched:
             one = self.model.grad if kind == "grads" else self.model.loss
-            return [one(self.params, batches[i]) for i in (range(len(batches)) if rows is None else rows)]
+            return [one(self.params, batches[i]) for i in np.arange(len(batches))[() if rows is None else rows]]
         evaluate = self.model.row_grads if kind == "grads" else self.model.row_losses
         if isinstance(batches, Datasets):
             whole = self._whole.get((kind, batches))
             if whole is None and rows is None:
                 whole = self._whole[kind, batches] = evaluate(self._at(), self.model.prepare(batches))
+                whole.flags.writeable = False  # shared by every request for the side at the point
             if whole is not None:
                 return whole if rows is None else whole[rows]
             batches = self.model.prepare(batches)
@@ -336,8 +328,7 @@ def _mix_mode(cfg: ReweightConfig, side: str) -> str:
 
 
 def _component_batches(
-    model: DifferentiableModel, store: MixtureStore, side: str, cfg: ReweightConfig, size: int,
-    rng: np.random.Generator,
+    point: _Point, store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator,
 ) -> Datasets | tuple | Block:
     """One batch per domain or per task, in label order: the side's
     ``Datasets`` in expected mode, and in sampled mode the prepared
@@ -345,7 +336,7 @@ def _component_batches(
     if _mix_mode(cfg, side) == "expected":
         return store.datasets(side)
     sample = sample_domain_batches if side == "domains" else sample_task_batches
-    return _prepare(model, sample(store, size, rng))
+    return point.prepare(sample(store, size, rng))
 
 
 def _mixture_direction(
@@ -375,8 +366,8 @@ def _mixture_direction(
         for weighted in np.asarray(grads) * scale:
             direction += weighted  # row by row, in label order
         return direction, live.size
-    batch = _prepare(point.model, [sample_mixture_batch(store, weights, size, rng)])
-    grad = point.grad(batch, 0)
+    batch = point.prepare([sample_mixture_batch(store, weights, size, rng)])
+    grad = point.grads(batch)[0]
     return (normalized_grad(grad, point.losses(batch)[0]) if normalize else grad), 1
 
 
@@ -451,7 +442,7 @@ def task_reweight_step(
 
     def score_once() -> np.ndarray:
         direction, direction_evals = _mixture_direction(point, store, alpha, "domains", cfg, rng, size)
-        batches = _component_batches(model, store, "tasks", cfg, size, rng)
+        batches = _component_batches(point, store, "tasks", cfg, size, rng)
         scores = np.array([alignment(grad, direction) for grad in scorer_grads(batches)])
         if counters is not None:
             counters.task_grad_evals += len(scores) + direction_evals
@@ -486,9 +477,9 @@ def domain_reweight_step(
     point = point or _Point(model, params)
 
     def score_once() -> np.ndarray:
-        domain_grads = point.grads(_component_batches(model, store, "domains", cfg, size, rng))
+        domain_grads = point.grads(_component_batches(point, store, "domains", cfg, size, rng))
         if target_kind == "pcgrad":
-            task_grads = list(point.grads(_component_batches(model, store, "tasks", cfg, size, rng)))
+            task_grads = list(point.grads(_component_batches(point, store, "tasks", cfg, size, rng)))
             target, target_evals = pcgrad_combine(task_grads, pcgrad_rng), len(task_grads)
         else:
             target, target_evals = _mixture_direction(
@@ -577,17 +568,12 @@ def train_run(
     the same batches that one ``sample_mixture_batch`` call per step would
     draw, and prepared once; step l reads the gradient of row l alone.
     The loop holds one ``_Point`` per parameter vector, one at the start
-    and a new one after each optimizer step; the training step, the task
-    step, the domain step and the record read their rows from it and
-    evaluate no model themselves, so a built-in model evaluates each
-    side's whole datasets (expected mode) at most once per point, and a
-    mixture with dead domains its live ones alone until a domain step
-    asks for all.  Task
-    losses are recorded at every reweighting step, every ``eval_every``
-    steps, and at the end.  Raises NumericalDivergence if parameters go
-    non-finite or any task loss exceeds ``divergence_factor`` times its
-    initial value, or if a weight update meets non-finite scores or
-    weights.
+    and a new one after each optimizer step, and evaluates the model only
+    through it.  Task losses are recorded at every reweighting step, every
+    ``eval_every`` steps, and at the end.  Raises NumericalDivergence if
+    parameters go non-finite or any task loss exceeds ``divergence_factor``
+    times its initial value, or if a weight update meets non-finite scores
+    or weights.
     """
     train_rng, task_rng, domain_rng, pcgrad_rng, record_rng = (
         stream_rng(seed, name) for name in ("train", "task_step", "domain_step", "pcgrad", "record")
@@ -605,7 +591,7 @@ def train_run(
     trajectory = Trajectory(store.domain_labels, store.task_labels)
 
     def eval_task_losses() -> np.ndarray:
-        batches = _component_batches(model, store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
+        batches = _component_batches(point, store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
         return np.array(point.losses(batches))
 
     def guard(losses: np.ndarray, step: int) -> None:
@@ -638,8 +624,8 @@ def train_run(
         if cfg.domain_mix_mode == "sampled":
             if t == end:
                 start, end = t, t + _draw_count(cfg, t)
-                drawn = _prepare(model, sample_mixture_batches(store, alpha, cfg.train_batch_size, end - start, train_rng))
-            direction = point.grad(drawn, t - start)
+                drawn = point.prepare(sample_mixture_batches(store, alpha, cfg.train_batch_size, end - start, train_rng))
+            direction = point.grads(drawn, slice(t - start, t - start + 1))[0]  # a slice, not a gathered copy
         else:
             direction, _ = _mixture_direction(point, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
         counters.train_grad_evals += 1

@@ -100,6 +100,12 @@ class TestStoreSide:
         for _ in range(2):
             assert side.prepared(prepare) is prepared
         assert calls == [side] and prepared.tolist() == [0.0, 1.0, 2.0]
+        # kept for every run on the store, so read-only, and the arrays of a kept tuple too
+        assert not prepared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            prepared[0] = 1.0
+        pair = side.prepared(lambda side: (np.zeros(2), np.array([np.zeros(1), np.zeros(2)], dtype=object)))
+        assert not any(arr.flags.writeable for arr in (*pair, *pair[1]))
         other = store.datasets("tasks")
         assert other.prepared(prepare) is not prepared and calls == [side, other]
 

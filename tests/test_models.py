@@ -338,6 +338,28 @@ class TestWholeDatasetBatches:
         assert [arr.tobytes() for arr in model.prepare(list(side))] == [arr.tobytes() for arr in rows]
         assert len(side._prepared) == 3
 
+    def test_what_a_side_keeps_is_read_only(self, case):
+        model, dataset, params = case(np.random.default_rng(7))
+        # datasets of two sizes, so the quadratic and softmax stacks hold object arrays
+        store = MixtureStore({"d": dataset, "e": Dataset(list(dataset)[:2])}, {"t": Dataset(list(dataset))})
+        side = store.datasets("domains")
+        table = side.prepared(model._table)  # a tuple of arrays, or the char LM's one array
+        kept = [*model.prepare(side), *(table if isinstance(table, tuple) else (table,))]
+        arrays = kept + [inner for arr in kept if arr.dtype == object for inner in arr]
+        assert len(arrays) > len(kept) or isinstance(model, CharLMModel)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[:1] = arr.reshape(-1)[:1]
+        # what the run gathers from them is its own, and the side's evaluation at a point is shared and read-only
+        assert all(arr.flags.writeable for arr in model.prepare(Block(side, np.array([[0, 1]]))))
+        point = reweighting._Point(model, params)
+        for whole in (point.grads(side), point.losses(side)):
+            assert not whole.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                whole[0] = 0.0
+        assert point.grads(side) is point.grads(side) and point.losses(side) is point.losses(side)
+
 
 def test_char_dataset_error_is_never_cached():
     model = CharLMModel(3)
@@ -742,7 +764,7 @@ class TestParameterPoint:
         monkeypatch.setattr(CharLMModel, "tables", lambda self, p: calls.append(p) or tables(self, p))
         point = reweighting._Point(model, params)
         assert not calls  # nothing is computed before the first evaluation
-        grad = point.grad(model.prepare([["abca"]]), 0)
+        grad = point.grads(point.prepare([["abca"]]))[0]
         loss = point.losses(model.prepare([Dataset(["cab", "bb"])]))[0]  # another batch at the same point
         assert len(calls) == 1 and calls[0] is params
         assert grad.tobytes() == CharLMModel(3).grad(params, ["abca"]).tobytes()

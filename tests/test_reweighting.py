@@ -663,7 +663,7 @@ def _caller() -> str | None:
 
 # The entries of a built-in model that the loop may call, and the functions of reweighting.py that may call them.
 _ENTRIES = ("loss", "grad", "prepare", "tables", "row_losses", "row_grads")
-_CALLERS = {"prepare": {"_prepare", "_Point._evaluate"}, "tables": {"_Point._at"}}
+_CALLERS = {"prepare": {"_Point.prepare", "_Point._evaluate"}, "tables": {"_Point._at"}}
 
 
 def _recording(cls):
@@ -683,13 +683,12 @@ def _recording(cls):
 
 def _side_preparations(calls, store) -> int:
     """How many of ``calls`` prepared a store side's whole ``Datasets``,
-    after checking that only ``_Point`` evaluated the model (``_Point.grad``
-    and ``_Point._evaluate``, its one way to it), that only ``_prepare`` and
-    the point prepared batches, and that no batch reached ``prepare`` that is
+    after checking that only ``_Point._evaluate``, the point's one way to
+    the model, evaluated it, that only the point prepared batches, and that no batch reached ``prepare`` that is
     not a side, a drawn ``Block`` or a list of one drawn batch."""
     assert calls
     for entry, caller, arg in calls:
-        assert caller in _CALLERS.get(entry, {"_Point.grad", "_Point._evaluate"}), (entry, caller)
+        assert caller in _CALLERS.get(entry, {"_Point._evaluate"}), (entry, caller)
         if entry == "prepare":
             assert isinstance(arg, (Datasets, Block)) or (isinstance(arg, list) and len(arg) == 1), arg
     sides = (store.datasets("domains"), store.datasets("tasks"))
@@ -763,8 +762,8 @@ class TestProtocolModelsAskedPerRequest:
 
 
 class TestOneWayToTheModel:
-    """Only ``_Point`` evaluates a built-in model, and only ``_prepare`` and
-    the point prepare batches for it: a store side's ``Datasets`` in expected
+    """Only ``_Point`` evaluates a built-in model, and only the point
+    prepares batches for it: a store side's ``Datasets`` in expected
     mode, which the point evaluates whole or, for the live rows of a side
     with a dead domain at a point where no domain step read the side, at
     those rows alone."""
