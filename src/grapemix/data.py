@@ -91,8 +91,8 @@ class DatasetView(Dataset):
 
 class Datasets:
     """One side of a store: its whole datasets in label order, a sequence
-    of batches; its pool; and what models prepare from either, kept for
-    the side's lifetime, which is its store's."""
+    of batches; its pool; and what models prepare from either, kept
+    read-only for the side's lifetime, which is its store's."""
 
     def __init__(self, datasets: Sequence[Dataset]):
         self._datasets = tuple(datasets)

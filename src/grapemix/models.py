@@ -100,9 +100,9 @@ class _BatchModel:
 
     ``prepare`` turns batches into a tuple of arrays with one row per
     batch: a ``Block``'s rows are gathered from its side's per-example
-    table (``_table``), a store side's whole ``Datasets`` are stacked once
-    and kept by the side, and any other sequence of batches is stacked
-    from each batch's own arrays (``_arrays``); the rows of batches of
+    table (``_table``); a store side's whole ``Datasets`` are stacked once
+    and kept read-only by the side; any other sequence of batches is stacked
+    from each batch's own arrays (``_arrays``).  The rows of batches of
     several sizes sit in object arrays.  Each model's ``row_losses`` and
     ``row_grads`` evaluate R such rows at the ``tables`` of one parameter
     vector, as (R,) losses and (R, D) gradients, each row bitwise what its

@@ -299,7 +299,7 @@ def _softmax_case(rng):
 @pytest.mark.parametrize("case", [_quadratic_case, _char_case, _softmax_case], ids=["quadratic", "char", "softmax"])
 class TestWholeDatasetBatches:
     """A whole Dataset as the batch: the same results as its list, and only
-    the store side keeps what is prepared from it."""
+    the store side keeps what is prepared from it, read-only."""
 
     def test_bitwise_equal_to_list_batch(self, case):
         model, dataset, params = case(np.random.default_rng(4))
