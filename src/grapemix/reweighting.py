@@ -213,12 +213,17 @@ class OverheadCounter:
 
 
 def alignment(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean inner product between two flat gradients."""
+    """Euclidean inner product between two flat gradients: criterion 3's rule, and ``_scores`` per row."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionError(f"gradient shapes differ: {u.shape} vs {v.shape}")
     return float(np.dot(u, v))
+
+
+def _scores(grads, direction) -> np.ndarray:
+    """The ``alignment`` of each (R, D) row of ``grads`` with ``direction``: bitwise the R dots for D >= 2."""
+    return np.matmul(np.asarray(grads, dtype=np.float64)[:, None, :], np.reshape(direction, (-1, 1)))[:, 0, 0]
 
 
 def pcgrad_surgered(task_grads: list[np.ndarray], rng: np.random.Generator) -> list[np.ndarray]:
@@ -277,7 +282,7 @@ class _Point:
     side not yet evaluated at the point among them, from its prepared
     rows in one call.  So a dead component is never evaluated unless a
     domain step asks for every one.  Any other model is asked for one
-    ``grad`` or ``loss`` per batch.
+    ``grad`` or ``loss`` per batch, and a result of the wrong shape is a DimensionError.
     """
 
     def __init__(self, model: DifferentiableModel, params: np.ndarray):
@@ -309,8 +314,11 @@ class _Point:
 
     def _evaluate(self, kind: str, batches, rows):
         if not self._batched:
-            one = self.model.grad if kind == "grads" else self.model.loss
-            return [one(self.params, batches[i]) for i in np.arange(len(batches))[() if rows is None else rows]]
+            one, shape = (self.model.grad, (self.model.param_dim,)) if kind == "grads" else (self.model.loss, ())
+            out = [one(self.params, batches[i]) for i in np.arange(len(batches))[() if rows is None else rows]]
+            if any(np.shape(x) != shape for x in out):  # before any row kernel meets a ragged stack
+                raise DimensionError(f"the model's {kind[:-1]} gave shapes {[np.shape(x) for x in out]}, not {shape}")
+            return out
         evaluate = self.model.row_grads if kind == "grads" else self.model.row_losses
         if isinstance(batches, Datasets):
             whole = self._whole.get((kind, batches))
@@ -323,17 +331,13 @@ class _Point:
         return evaluate(self._at(), batches if rows is None else tuple(arr[rows] for arr in batches))
 
 
-def _mix_mode(cfg: ReweightConfig, side: str) -> str:
-    return cfg.domain_mix_mode if side == "domains" else cfg.task_mix_mode
-
-
 def _component_batches(
-    point: _Point, store: MixtureStore, side: str, cfg: ReweightConfig, size: int, rng: np.random.Generator,
+    point: _Point, store: MixtureStore, side: str, mode: str, size: int, rng: np.random.Generator,
 ) -> Datasets | tuple | Block:
     """One batch per domain or per task, in label order: the side's
-    ``Datasets`` in expected mode, and in sampled mode the prepared
+    ``Datasets`` in expected ``mode``, and in sampled mode the prepared
     batches of one uniformly drawn ``Block``."""
-    if _mix_mode(cfg, side) == "expected":
+    if mode == "expected":
         return store.datasets(side)
     sample = sample_domain_batches if side == "domains" else sample_task_batches
     return point.prepare(sample(store, size, rng))
@@ -344,28 +348,26 @@ def _mixture_direction(
     store: MixtureStore,
     weights: SimplexWeights,
     side: str,
-    cfg: ReweightConfig,
+    mode: str,
     rng: np.random.Generator,
     size: int,
     normalize: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Gradient of one batch from mix(weights), or the exact weighted
-    combination of full-batch component gradients in expected mode.
+    combination of full-batch component gradients in expected ``mode``.
 
     With ``normalize`` every gradient is divided by the loss of its own
     batch first.  Returns (gradient, number of gradient evaluations spent).
     """
-    if _mix_mode(cfg, side) == "expected":
+    if mode == "expected":
         batches, live = store.datasets(side), weights.values.nonzero()[0]
         rows = None if live.size == len(batches) else live  # every component live: read the rows in place
         grads = point.grads(batches, rows)
         if normalize:
-            grads = [normalized_grad(grad, loss) for grad, loss in zip(grads, point.losses(batches, rows))]
+            grads = normalized_grad(grads, point.losses(batches, rows))
         scale = weights.values[:, None] if rows is None else weights.values[rows, None]
-        direction = np.zeros(point.model.param_dim)
-        for weighted in np.asarray(grads) * scale:
-            direction += weighted  # row by row, in label order
-        return direction, live.size
+        # from +0.0, adding rows in label order as a zeros-and-+= loop does (for D >= 2: (R, 1) sums pairwise)
+        return np.add.reduce(np.asarray(grads, dtype=np.float64) * scale, axis=0), live.size
     batch = point.prepare([sample_mixture_batch(store, weights, size, rng)])
     grad = point.grads(batch)[0]
     return (normalized_grad(grad, point.losses(batch)[0]) if normalize else grad), 1
@@ -429,21 +431,20 @@ def task_reweight_step(
     size = cfg.resolved_eval_batch_size
     point = point or _Point(model, params)
 
-    def scorer_grads(batches) -> list[np.ndarray]:
+    def scorer_grads(batches):
         grads = point.grads(batches)
         if scorer == "raw":
-            return list(grads)
+            return grads
         losses = point.losses(batches)
-        if scorer == "loss":
-            return [normalized_grad(grad, loss) for grad, loss in zip(grads, losses)]
-        for n, loss in enumerate(losses):
-            ema[n] = loss if np.isnan(ema[n]) else cfg.ema_beta * ema[n] + (1.0 - cfg.ema_beta) * loss
-        return [normalized_grad(grad, ema[n]) for n, grad in enumerate(grads)]
+        if scorer == "ema":
+            folded = cfg.ema_beta * ema + (1.0 - cfg.ema_beta) * np.asarray(losses)
+            losses = ema[:] = np.where(np.isnan(ema), losses, folded)  # a task's first loss sets its average
+        return normalized_grad(grads, losses)
 
     def score_once() -> np.ndarray:
-        direction, direction_evals = _mixture_direction(point, store, alpha, "domains", cfg, rng, size)
-        batches = _component_batches(point, store, "tasks", cfg, size, rng)
-        scores = np.array([alignment(grad, direction) for grad in scorer_grads(batches)])
+        direction, direction_evals = _mixture_direction(point, store, alpha, "domains", cfg.domain_mix_mode, rng, size)
+        batches = _component_batches(point, store, "tasks", cfg.task_mix_mode, size, rng)
+        scores = _scores(scorer_grads(batches), direction)
         if counters is not None:
             counters.task_grad_evals += len(scores) + direction_evals
         return scores
@@ -477,17 +478,16 @@ def domain_reweight_step(
     point = point or _Point(model, params)
 
     def score_once() -> np.ndarray:
-        domain_grads = point.grads(_component_batches(point, store, "domains", cfg, size, rng))
+        domain_grads = point.grads(_component_batches(point, store, "domains", cfg.domain_mix_mode, size, rng))
         if target_kind == "pcgrad":
-            task_grads = list(point.grads(_component_batches(point, store, "tasks", cfg, size, rng)))
+            task_grads = list(point.grads(_component_batches(point, store, "tasks", cfg.task_mix_mode, size, rng)))
             target, target_evals = pcgrad_combine(task_grads, pcgrad_rng), len(task_grads)
         else:
-            target, target_evals = _mixture_direction(
-                point, store, z, "tasks", cfg, rng, size, normalize=target_kind == "loss"
-            )
+            target, target_evals = _mixture_direction(point, store, z, "tasks", cfg.task_mix_mode, rng, size,
+                                                      normalize=target_kind == "loss")
         if counters is not None:
             counters.domain_grad_evals += len(domain_grads) + target_evals
-        return np.array([alignment(g, target) for g in domain_grads])
+        return _scores(domain_grads, target)
 
     return _reweight(alpha, score_once, cfg.step_ratio_alpha, cfg, gamma)
 
@@ -591,7 +591,7 @@ def train_run(
     trajectory = Trajectory(store.domain_labels, store.task_labels)
 
     def eval_task_losses() -> np.ndarray:
-        batches = _component_batches(point, store, "tasks", cfg, cfg.resolved_eval_batch_size, record_rng)
+        batches = _component_batches(point, store, "tasks", cfg.task_mix_mode, cfg.resolved_eval_batch_size, record_rng)
         return np.array(point.losses(batches))
 
     def guard(losses: np.ndarray, step: int) -> None:
@@ -627,7 +627,8 @@ def train_run(
                 drawn = point.prepare(sample_mixture_batches(store, alpha, cfg.train_batch_size, end - start, train_rng))
             direction = point.grads(drawn, slice(t - start, t - start + 1))[0]  # a slice, not a gathered copy
         else:
-            direction, _ = _mixture_direction(point, store, alpha, "domains", cfg, train_rng, cfg.train_batch_size)
+            direction, _ = _mixture_direction(point, store, alpha, "domains", cfg.domain_mix_mode, train_rng,
+                                              cfg.train_batch_size)
         counters.train_grad_evals += 1
         theta = optimizer.step(theta, direction, gamma)
         if not np.isfinite(theta).all():

@@ -36,16 +36,17 @@ def simplex_rows(values) -> np.ndarray:
     """The verdict on each vector along the last axis of ``values``: True when its entries
     are >= 0 and sum to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
     values = np.asarray(values, dtype=np.float64)
-    # Entries are summed clipped to [-2, 2]: a vector with one outside fails either way, and
-    # the sum can then neither overflow nor meet both infinities, so it needs no np.errstate.
-    total = np.clip(values, -2.0, 2.0).sum(axis=-1)
+    # Summed clipped to [-2, 2] by the ``clip`` method (half the cost of ``np.clip`` on short rows): a
+    # row with an entry outside fails either way, and its sum can neither overflow nor meet both infinities.
+    total = values.clip(-2.0, 2.0).sum(axis=-1)
     return (values.min(axis=-1, initial=np.inf) >= 0.0) & (abs(total - 1.0) <= SIMPLEX_TOL)
 
 
 def on_simplex(values, axis: int = -1) -> bool:
     """True when ``values`` is nonempty and ``simplex_rows`` accepts every vector along ``axis``."""
     values = np.asarray(values, dtype=np.float64)
-    return bool(values.size and simplex_rows(values.swapaxes(axis, -1) if values.ndim > 1 else values).all())
+    verdicts = simplex_rows(values.swapaxes(axis, -1) if values.ndim > 1 else values)
+    return bool(values.size and (verdicts.all() if verdicts.ndim else verdicts))  # one vector: no reduce
 
 
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
