@@ -317,7 +317,7 @@ class _Point:
             one, shape = (self.model.grad, (self.model.param_dim,)) if kind == "grads" else (self.model.loss, ())
             out = [one(self.params, batches[i]) for i in np.arange(len(batches))[() if rows is None else rows]]
             if any(np.shape(x) != shape for x in out):  # before any row kernel meets a ragged stack
-                raise DimensionError(f"the model's {kind[:-1]} gave shapes {[np.shape(x) for x in out]}, not {shape}")
+                raise DimensionError(f"the model's {kind} gave shapes {[np.shape(x) for x in out]}, not {shape}")
             return out
         evaluate = self.model.row_grads if kind == "grads" else self.model.row_losses
         if isinstance(batches, Datasets):
