@@ -40,7 +40,7 @@ def roi(l_prev: float, l_next: float) -> float:
     return (l_prev - l_next) / l_prev
 
 
-def normalized_grad(grad: np.ndarray, loss) -> np.ndarray:
+def normalized_grad(grad: np.ndarray, loss: float | np.ndarray) -> np.ndarray:
     """``grad / loss`` (the gradient of log-loss), the loss clamped at LOSS_FLOOR, for one gradient
     or for (R, D) rows and (R,) losses, row by row.  Equalizes tasks of different loss magnitudes."""
     return grad / np.maximum(loss, LOSS_FLOOR)[..., None]

@@ -222,7 +222,7 @@ def alignment(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _scores(grads, direction) -> np.ndarray:
-    """The ``alignment`` of each (R, D) row of ``grads`` with ``direction``: bitwise the R dots for D >= 2."""
+    """Each row's ``alignment`` with ``direction``: bitwise, but for a zero's sign at D = 1 (which ``_reweight`` drops)."""
     return np.matmul(np.asarray(grads, dtype=np.float64)[:, None, :], np.reshape(direction, (-1, 1)))[:, 0, 0]
 
 
@@ -366,7 +366,7 @@ def _mixture_direction(
         if normalize:
             grads = normalized_grad(grads, point.losses(batches, rows))
         scale = weights.values[:, None] if rows is None else weights.values[rows, None]
-        # from +0.0, adding rows in label order as a zeros-and-+= loop does (for D >= 2: (R, 1) sums pairwise)
+        # from +0.0, row by row in label order as a zeros-and-+= loop (at D = 1, eight or more rows sum pairwise)
         return np.add.reduce(np.asarray(grads, dtype=np.float64) * scale, axis=0), live.size
     batch = point.prepare([sample_mixture_batch(store, weights, size, rng)])
     grad = point.grads(batch)[0]

@@ -45,8 +45,7 @@ def simplex_rows(values) -> np.ndarray:
 def on_simplex(values, axis: int = -1) -> bool:
     """True when ``values`` is nonempty and ``simplex_rows`` accepts every vector along ``axis``."""
     values = np.asarray(values, dtype=np.float64)
-    verdicts = simplex_rows(values.swapaxes(axis, -1) if values.ndim > 1 else values)
-    return bool(values.size and (verdicts.all() if verdicts.ndim else verdicts))  # one vector: no reduce
+    return bool(values.size and simplex_rows(values.swapaxes(axis, -1) if values.ndim > 1 else values).all())
 
 
 def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:

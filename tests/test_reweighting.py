@@ -36,7 +36,7 @@ from grapemix import (
 )
 from grapemix import models
 from grapemix.data import Block, Datasets
-from grapemix.metrics import LOSS_FLOOR
+from grapemix.metrics import LOSS_FLOOR, normalized_grad
 
 
 class TestAlignment:
@@ -333,6 +333,143 @@ def test_non_finite_scores_raise_score_error(step, mode):
     weights, other = (z, alpha) if step is task_reweight_step else (alpha, z)
     with pytest.raises(ScoreError):
         step(weights, _NanGradModel(model), theta, store, other, cfg, stream_rng(0, "s"))
+
+
+class _MisshapenModel:
+    """The theorem harness family as a Protocol-only model whose ``grad`` drops its
+    last entry (on every call, or every other call, so one request's gradients are
+    ragged), or whose ``loss`` is a 1-vector."""
+
+    def __init__(self, fault):
+        self.inner = verify.harness_family()
+        self.param_dim = self.inner.param_dim
+        self.fault = fault
+        self.grad_calls = 0
+
+    def initial_params(self):
+        return self.inner.initial_params()
+
+    def loss(self, params, batch):
+        loss = self.inner.loss(params, batch)
+        return np.array([loss]) if self.fault == "loss" else loss
+
+    def grad(self, params, batch):
+        self.grad_calls += 1
+        grad = self.inner.grad(params, batch)
+        return grad[:-1] if self.fault == "grad" or self.fault == "ragged" and self.grad_calls % 2 else grad
+
+
+class TestWrongShapedResults:
+    """A Protocol-only model's result of the wrong shape stops the loop with a DimensionError
+    at the point that asked for it, before a row kernel stacks it or the optimizer adds it:
+    in both mix modes, in a whole run and in each reweight step alone."""
+
+    @pytest.mark.parametrize("mode", ["sampled", "expected"])
+    @pytest.mark.parametrize("fault", ["grad", "ragged", "loss"])
+    def test_dimension_error(self, fault, mode):
+        cfg = expected_cfg(task_mix_mode=mode, domain_mix_mode=mode)
+        message = r"losses gave shapes \[\(1,\)" if fault == "loss" else r"grads gave shapes .*\(2,\)"
+        model = _MisshapenModel(fault)
+        store = verify.harness_store(model.inner)
+        with pytest.raises(DimensionError, match=message):
+            train_run(cfg, model, store, seed=0)
+        theta = model.initial_params()
+        alpha, z = SimplexWeights.uniform(store.domain_labels), SimplexWeights.uniform(store.task_labels)
+        for step, weights, other in ((task_reweight_step, z, alpha), (domain_reweight_step, alpha, z)):
+            model.grad_calls = 0
+            with pytest.raises(DimensionError, match=message):
+                step(weights, model, theta, store, other, cfg, stream_rng(0, "s"))
+
+
+class _RowsPoint:
+    """A point whose gradients and losses at a side are the given rows."""
+
+    def __init__(self, grads, losses):
+        self.rows = {"grads": grads, "losses": losses}
+
+    def grads(self, batches, rows=None):
+        return self.rows["grads"] if rows is None else self.rows["grads"][rows]
+
+    def losses(self, batches, rows=None):
+        return self.rows["losses"] if rows is None else self.rows["losses"][rows]
+
+
+class _Side:
+    """A store whose side has ``k`` datasets."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def datasets(self, side):
+        return [None] * self.k
+
+
+@st.composite
+def gradient_rows(draw):
+    """K gradient rows of D entries, a direction, K losses and weights over the rows, with
+    exact zeros and -0.0 entries (whole rows of them too), losses at and below the floor,
+    and dead weights.  D is at least 2: at D = 1 a zero score may lose its sign, and eight
+    or more rows of one entry sum pairwise."""
+    k, d = draw(st.integers(1, 8)), draw(st.sampled_from([3, 12, 144, 600]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signed(shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape[:1] + (1,) * (len(shape) - 1))
+        values[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+        values[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+        return values
+
+    grads, direction = signed((k, d)), signed((d,))
+    special = np.array([0.0, -0.0, LOSS_FLOOR / 2, LOSS_FLOOR, np.inf, np.nan])
+    losses = rng.exponential(size=k) * 10.0 ** rng.integers(-9, 4, size=k)
+    losses = np.where(rng.random(k) < 0.3, rng.choice(special, size=k), losses)
+    raw = rng.random(k) * (rng.random(k) >= draw(st.sampled_from([0.0, 0.5])))
+    raw[int(rng.integers(k))] += 0.5
+    return grads, direction, losses, SimplexWeights(raw / raw.sum())
+
+
+class TestRowKernels:
+    """The row kernels of the reweight steps are bitwise their per-row forms,
+    so a numpy or BLAS change that breaks one fails here by name: the scores
+    (a stacked vector-vector matmul) against ``alignment`` row by row, the
+    expected-mode direction (a reduce over rows) against the zeros-and-+= loop
+    it replaced, and the rows of ``normalized_grad`` against one call per row
+    and the scalar rule ``grad / max(loss, LOSS_FLOOR)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=gradient_rows())
+    def test_scores(self, case):
+        grads, direction, _, _ = case
+        per_row = np.array([alignment(grad, direction) for grad in grads])
+        assert reweighting._scores(grads, direction).tobytes() == per_row.tobytes()
+        assert reweighting._scores(list(grads), list(direction)).tobytes() == per_row.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=gradient_rows())
+    def test_normalized_rows(self, case):
+        grads, _, losses, _ = case
+        with np.errstate(all="ignore"):
+            rows = normalized_grad(grads, losses)
+            per_call = np.array([normalized_grad(grad, loss) for grad, loss in zip(grads, losses)])
+            scalar = np.array([grad / max(loss, LOSS_FLOOR) for grad, loss in zip(grads, losses)])
+        assert rows.tobytes() == per_call.tobytes() == scalar.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=gradient_rows(), normalize=st.booleans())
+    def test_direction(self, case, normalize):
+        grads, _, losses, weights = case
+        live = weights.values.nonzero()[0]
+        rows = slice(None) if live.size == len(grads) else live
+        with np.errstate(all="ignore"):
+            scaled = grads[rows]
+            if normalize:
+                scaled = [grad / max(loss, LOSS_FLOOR) for grad, loss in zip(grads[rows], losses[rows])]
+            loop = np.zeros(grads.shape[1])
+            for weighted in np.asarray(scaled) * weights.values[rows, None]:
+                loop += weighted
+            direction, evals = reweighting._mixture_direction(
+                _RowsPoint(grads, losses), _Side(len(grads)), weights, "domains", "expected", None, 1, normalize)
+        assert direction.tobytes() == loop.tobytes() and evals == live.size
 
 
 class TestReweightProperties:

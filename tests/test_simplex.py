@@ -368,3 +368,66 @@ class TestOneSimplexRule:
         assert _accepts(lambda: normalize(values), DegenerateWeights) == expected
         if expected:
             assert on_simplex(normalize(values).values)
+
+
+def _frozen_update(values: np.ndarray, scores: np.ndarray, step: float, floor: float) -> np.ndarray:
+    """``multiplicative_update``'s arithmetic, frozen: the log-space step shifted by its
+    peak, normalised, floored when ``floor`` > 0, and normalised again."""
+    if step == 0.0:
+        updated = values
+    else:
+        arg = np.log(values) + step * scores
+        shifted = np.exp(arg - arg.max())
+        updated = shifted / shifted.sum()
+    if floor > 0.0:
+        updated = np.maximum(updated, floor)
+    return updated / updated.sum()
+
+
+def _frozen_verdict(values: np.ndarray) -> np.ndarray:
+    """``simplex_rows``, frozen as it was written with the ``np.clip`` wrapper."""
+    total = np.clip(values, -2.0, 2.0).sum(axis=-1)
+    return (values.min(axis=-1, initial=np.inf) >= 0.0) & (abs(total - 1.0) <= SIMPLEX_TOL)
+
+
+HUGE = st.sampled_from([1e300, -1e300, 1e308, -1e308, 1e10, -1e10])
+
+
+class TestFrozenUpdate:
+    """``multiplicative_update`` is bitwise a frozen copy of its arithmetic, and accepts
+    exactly the results the frozen verdict accepts; the loop's reference copy imports the
+    library's update, so only this test sees a change to it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        case=weights_and_scores(),
+        data=st.data(),
+        step=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-20.0, 20.0), HUGE),
+        floor=st.one_of(st.just(0.0), st.floats(1e-12, 0.5), st.just(1.0 / 3.0)),
+    )
+    def test_bitwise_the_frozen_arithmetic(self, case, data, step, floor):
+        w, scores = case
+        if data.draw(st.booleans()):  # huge exponents: step * score may overflow or cancel
+            scores = np.array([data.draw(st.one_of(st.floats(-5.0, 5.0), HUGE)) for _ in scores])
+        with np.errstate(all="ignore"):
+            expected = _frozen_update(w.values, scores, step, floor)
+            try:
+                out = multiplicative_update(w, scores, step, floor=floor)
+            except DegenerateWeights:
+                out = None
+        assert bool(simplex_rows(expected)) == bool(_frozen_verdict(expected)) == (out is not None)
+        if out is not None:
+            assert out.values.tobytes() == expected.tobytes() and out.labels == w.labels
+            assert np.all(out.values[w.values == 0.0] == 0.0) or floor > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(near_simplex_vectors(), min_size=1, max_size=5), huge=st.lists(HUGE, max_size=3))
+    def test_verdicts_unchanged(self, rows, huge):
+        # the rows of a block, padded with zeros, and of a block of huge entries
+        width = max(row.size for row in rows)
+        block = np.zeros((len(rows), width))
+        for i, row in enumerate(rows):
+            block[i, : row.size] = row
+        for values in (block, np.array(huge + [0.0])):
+            assert simplex_rows(values).tolist() == _frozen_verdict(values).tolist()
+            assert on_simplex(values) == bool(np.all(_frozen_verdict(values)))
