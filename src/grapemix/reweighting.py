@@ -222,7 +222,7 @@ def alignment(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _scores(grads, direction) -> np.ndarray:
-    """Each row's ``alignment`` with ``direction``: bitwise, but for a zero's sign at D = 1 (which ``_reweight`` drops)."""
+    """Each row's ``alignment`` with ``direction``, bitwise but for a zero's sign at D = 1, which _reweight drops."""
     return np.matmul(np.asarray(grads, dtype=np.float64)[:, None, :], np.reshape(direction, (-1, 1)))[:, 0, 0]
 
 

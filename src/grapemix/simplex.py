@@ -36,10 +36,11 @@ def simplex_rows(values) -> np.ndarray:
     """The verdict on each vector along the last axis of ``values``: True when its entries
     are >= 0 and sum to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
     values = np.asarray(values, dtype=np.float64)
-    # Summed clipped to [-2, 2] by the ``clip`` method (half the cost of ``np.clip`` on short rows): a
-    # row with an entry outside fails either way, and its sum can neither overflow nor meet both infinities.
-    total = values.clip(-2.0, 2.0).sum(axis=-1)
-    return (values.min(axis=-1, initial=np.inf) >= 0.0) & (abs(total - 1.0) <= SIMPLEX_TOL)
+    # Summed clipped to [-2, 2]: a row with an entry outside fails either way, and its sum can neither
+    # overflow nor meet both infinities.  The ``clip`` method and the ufunc reduces are what ``np.clip``,
+    # ``sum`` and ``min`` call, without their Python wrappers: this verdict runs on every weight update.
+    total = np.add.reduce(values.clip(-2.0, 2.0), axis=-1)
+    return (np.minimum.reduce(values, axis=-1, initial=np.inf) >= 0.0) & (abs(total - 1.0) <= SIMPLEX_TOL)
 
 
 def on_simplex(values, axis: int = -1) -> bool:
@@ -62,8 +63,8 @@ def _as_labels(labels: Sequence[str] | None, m: int) -> tuple[str, ...]:
 
 
 def _judged(values: np.ndarray) -> np.ndarray:
-    """``values``, made read-only, or DegenerateWeights unless ``on_simplex``."""
-    if not on_simplex(values):
+    """``values`` (1-D, nonempty), made read-only, or DegenerateWeights unless ``simplex_rows`` accepts it."""
+    if not simplex_rows(values):
         raise DegenerateWeights(f"weights {values.tolist()} are not a probability vector")
     values.flags.writeable = False
     return values
@@ -181,12 +182,12 @@ def multiplicative_update(
     else:
         with np.errstate(divide="ignore"):  # log(0) -> -inf keeps dead entries dead
             arg = np.log(w.values) + step * s
-        shifted = np.exp(arg - arg.max())
-        updated = shifted / shifted.sum()
+        shifted = np.exp(arg - np.maximum.reduce(arg))  # ufunc reduces, as in simplex_rows
+        updated = shifted / np.add.reduce(shifted)
 
     if floor > 0.0:
         updated = np.maximum(updated, floor)
-    return SimplexWeights._over(updated / updated.sum(), w.labels)  # entries >= 0, or NaN, which it rejects
+    return SimplexWeights._over(updated / np.add.reduce(updated), w.labels)  # entries >= 0, or NaN, which it rejects
 
 
 def bregman_entropy_divergence(p: SimplexWeights, q: SimplexWeights) -> float:
