@@ -36,9 +36,9 @@ def simplex_rows(values) -> np.ndarray:
     """The verdict on each vector along the last axis of ``values``: True when its entries
     are >= 0 and sum to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
     values = np.asarray(values, dtype=np.float64)
-    # Summed clipped to [-2, 2]: a row with an entry outside fails either way, and its sum can neither
-    # overflow nor meet both infinities.  The ``clip`` method and the ufunc reduces are what ``np.clip``,
-    # ``sum`` and ``min`` call, without their Python wrappers: this verdict runs on every weight update.
+    # Summed clipped to [-2, 2], so a sum can neither overflow nor meet both infinities and needs no np.errstate
+    # (a row with an entry outside fails either way).  The ``clip`` method and the ufunc reduces skip the Python
+    # wrappers of ``np.clip``, ``sum`` and ``min``: this verdict runs on every weight update.
     total = np.add.reduce(values.clip(-2.0, 2.0), axis=-1)
     return (np.minimum.reduce(values, axis=-1, initial=np.inf) >= 0.0) & (abs(total - 1.0) <= SIMPLEX_TOL)
 
