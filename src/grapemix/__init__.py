@@ -50,6 +50,7 @@ from .metrics import LOSS_FLOOR, normalized_grad, roi
 from .models import (
     CharLMModel,
     DifferentiableModel,
+    Point,
     QuadraticExample,
     QuadraticTaskFamily,
     SoftmaxModel,

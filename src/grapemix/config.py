@@ -30,8 +30,8 @@ from .data import (
     stream_rng,
 )
 from .errors import ConfigError, DimensionError, GrapemixError
-from .models import CharLMModel, DifferentiableModel, QuadraticTaskFamily, SoftmaxModel
-from .reweighting import FIELD_TYPES, MAX_BATCH_SIZE, ReweightConfig, _Point
+from .models import CharLMModel, DifferentiableModel, Point, QuadraticTaskFamily, SoftmaxModel
+from .reweighting import FIELD_TYPES, MAX_BATCH_SIZE, ReweightConfig
 from .simplex import SimplexWeights
 
 # The two nested sections of the file; every other ReweightConfig field
@@ -298,7 +298,7 @@ def build_store(cfg: RunConfig, model: DifferentiableModel) -> MixtureStore:
     datasets = {entry["label"]: naming(entry, build_one, entry) for entry in cfg.domain_specs + cfg.task_specs}
     store = MixtureStore({e["label"]: datasets[e["label"]] for e in cfg.domain_specs},
                          {e["label"]: datasets[e["label"]] for e in cfg.task_specs})
-    point = _Point(model, model.initial_params())
+    point = Point(model, model.initial_params())
     for side, entries in (("domains", cfg.domain_specs), ("tasks", cfg.task_specs)):
         try:
             losses = point.losses(store.datasets(side))

@@ -109,12 +109,12 @@ class Datasets:
         return self._pool
 
     def prepared(self, prepare: Callable):
-        """``prepare(self)``, kept read-only by ``prepare`` (a model's bound
-        method) for the side's lifetime: every run shares it.  A failure is not kept."""
+        """``prepare(self)``, a tuple of arrays, kept read-only by ``prepare`` (a
+        model's bound method) for the side's lifetime: every run shares it.  A failure is not kept."""
         kept = self._prepared.get(prepare)
         if kept is None:
             kept = self._prepared[prepare] = prepare(self)
-            for arr in kept if isinstance(kept, tuple) else (kept,):
+            for arr in kept:
                 for each in (arr, *arr) if arr.dtype == object else (arr,):  # an object array's arrays too
                     each.flags.writeable = False
         return kept

@@ -34,9 +34,9 @@ class SpecError(GrapemixError):
 
 
 class IngestError(GrapemixError):
-    """A dataset file could not be parsed.
+    """A dataset or weights file could not be parsed.
 
-    Carries the 1-based line number of the offending record.
+    Carries the 1-based line number of the offending record, if any.
     """
 
     def __init__(self, message: str, line: int | None = None):

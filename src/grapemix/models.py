@@ -35,11 +35,11 @@ class DifferentiableModel(Protocol):
 
     A batch is a ``Dataset`` (a sampled draw or a whole store dataset) or
     a list of examples.  Every call evaluates, and nothing is kept between
-    calls.  The loop asks a model that has only these methods for one
+    calls.  A ``Point`` asks a model that has only these methods for one
     ``loss`` or ``grad`` per request.  The built-in models are
-    ``_BatchModel``s, which the loop prepares once per block or store side
-    and evaluates at each parameter point instead.  A record the model
-    cannot use raises a typed error.
+    ``_BatchModel``s, which a point prepares once per block or store side
+    and evaluates in rows instead.  A record the model cannot use raises a
+    typed error.
     """
 
     param_dim: int
@@ -58,12 +58,10 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     params = np.asarray(params, dtype=np.float64)
     if params.size == 0:
         return 0.0
-    if isinstance(model, _BatchModel):  # the batch prepared once for all 2·D + 1 evaluations
-        rows = model.prepare([_as_dataset(batch)])
-        analytic = model.row_grads(model.tables(params), rows)[0]
-        loss = lambda probe: float(model.row_losses(model.tables(probe), rows)[0])
-    else:
-        analytic, loss = model.grad(params, batch), lambda probe: model.loss(probe, batch)
+    point = Point(model, params)
+    rows = point.prepare([_as_dataset(batch)])  # prepared once for all 2·D + 1 evaluations
+    analytic = point.grads(rows)[0]
+    loss = lambda probe: float(Point(model, probe).losses(rows)[0])
     worst = 0.0
     probe = params.copy()
     for i in range(params.size):
@@ -106,8 +104,8 @@ class _BatchModel:
     several sizes sit in object arrays.  Each model's ``row_losses`` and
     ``row_grads`` evaluate R such rows at the ``tables`` of one parameter
     vector, as (R,) losses and (R, D) gradients, each row bitwise what its
-    batch alone gives.  The public ``loss`` and ``grad`` prepare one batch
-    and evaluate it in one call.
+    batch alone gives.  ``Point`` evaluates them so, and the public
+    ``loss`` and ``grad`` prepare one batch and evaluate it in one call.
     """
 
     param_dim: int
@@ -146,6 +144,70 @@ def _rows(arrays: tuple) -> np.ndarray:
     if len({np.shape(arr) for arr in arrays}) == 1:
         return np.array(arrays)
     return np.fromiter(arrays, dtype=object, count=len(arrays))
+
+
+class Point:
+    """The model at one parameter vector, and the one way to evaluate it:
+    the one place that tells a ``_BatchModel`` from a Protocol-only model.
+
+    ``train_run`` makes one per parameter vector and hands it to the task
+    step, the domain step, the record and the next training step;
+    ``finite_diff_check`` makes one per probe.  The requests are batches
+    the point prepared (``prepare``) or a store side's whole ``Datasets``.
+    For a ``_BatchModel`` the point computes the parameter tables once, at
+    its first evaluation; evaluates a side's whole datasets at most once,
+    and serves every request for that side, its live rows included, from
+    those rows; and evaluates every other request, the live rows of a side
+    not yet evaluated at the point among them, from its prepared rows in
+    one call.  So a dead component is never evaluated unless a domain step
+    asks for every one.  Any other model is asked for one ``grad`` or
+    ``loss`` per batch, and a result of the wrong shape is a DimensionError.
+    """
+
+    def __init__(self, model: DifferentiableModel, params: np.ndarray):
+        self.model = model
+        self.params = params
+        self._batched = isinstance(model, _BatchModel)
+        self._tables = None
+        self._whole = {}  # (kind, a side's Datasets) -> rows
+
+    def prepare(self, batches):
+        """What the model is evaluated by at every point that reads ``batches``:
+        a built-in model's arrays with one row per batch, prepared once (a
+        store side keeps its own), or, for any other model, the batches."""
+        return self.model.prepare(batches) if self._batched else batches
+
+    def grads(self, batches, rows=None) -> np.ndarray | list:
+        """The gradient of each of ``batches``, or of those at ``rows`` (an
+        index or a slice)."""
+        return self._evaluate("grads", batches, rows)
+
+    def losses(self, batches, rows=None) -> np.ndarray | list:
+        """The loss of each of ``batches``, or of those at ``rows``."""
+        return self._evaluate("losses", batches, rows)
+
+    def _at(self):
+        if self._tables is None:
+            self._tables = self.model.tables(self.params)
+        return self._tables
+
+    def _evaluate(self, kind: str, batches, rows):
+        if not self._batched:
+            one, shape = (self.model.grad, (self.model.param_dim,)) if kind == "grads" else (self.model.loss, ())
+            out = [one(self.params, batches[i]) for i in np.arange(len(batches))[() if rows is None else rows]]
+            if any(np.shape(x) != shape for x in out):  # before any row kernel meets a ragged stack
+                raise DimensionError(f"the model's {kind} gave shapes {[np.shape(x) for x in out]}, not {shape}")
+            return out
+        evaluate = self.model.row_grads if kind == "grads" else self.model.row_losses
+        if isinstance(batches, Datasets):
+            whole = self._whole.get((kind, batches))
+            if whole is None and rows is None:
+                whole = self._whole[kind, batches] = evaluate(self._at(), self.model.prepare(batches))
+                whole.flags.writeable = False  # shared by every request for the side at the point
+            if whole is not None:
+                return whole if rows is None else whole[rows]
+            batches = self.model.prepare(batches)
+        return evaluate(self._at(), batches if rows is None else tuple(arr[rows] for arr in batches))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +423,9 @@ class QuadraticTaskFamily(_BatchModel):
 
 _SEPARATOR = "\0"
 _TABLE_BLOCK = 256  # strings per bincount when a pool's per-string counts are built
-# The most examples and the most batches the training loop draws at once: they bound a
-# block's index and gather of those counts, and its float64 counts, L x V x V.
+# The most examples the training loop draws at once, and so the most a block's gather of those
+# counts takes at a time; with its batch cap they bound the block's float64 counts, L x V x V.
 _DRAW_BLOCK = 4096
-_DRAW_BATCHES = 256
 
 
 class CharLMModel(_BatchModel):
@@ -416,7 +477,7 @@ class CharLMModel(_BatchModel):
         counts = pairs[:-1, :-1].astype(np.float64)
         return counts, counts.sum(axis=1, keepdims=True), counts.sum()
 
-    def _table(self, side: Datasets) -> np.ndarray:
+    def _table(self, side: Datasets) -> tuple[np.ndarray]:
         """The (n, V, V) transition counts of each string of the side's pool,
         in the least unsigned type that holds its longest string's length;
         counted one block of strings at a time, which bounds the int64 scratch."""
@@ -430,9 +491,9 @@ class CharLMModel(_BatchModel):
             inside = (codes[:-1] < v) & (codes[1:] < v)
             keys = (string[:-1] * v + codes[:-1]) * v + codes[1:]
             table[start : start + len(block)] = np.bincount(keys[inside], minlength=len(block) * v * v).reshape(-1, v, v)
-        return table
+        return (table,)
 
-    def _gather(self, table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _gather(self, table: tuple[np.ndarray], index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (L, V, V) transition counts of each batch of an (L, B) index,
         their (L, V, 1) row totals and (L,) totals, from gathers of at most
         ``_DRAW_BLOCK`` examples (and at least one batch) each: one gather
@@ -442,7 +503,7 @@ class CharLMModel(_BatchModel):
         chunk = max(1, _DRAW_BLOCK // size)
         counts = np.empty((length, self.vocab_size, self.vocab_size))
         for start in range(0, length, chunk):
-            table[index[start : start + chunk]].sum(axis=1, dtype=np.float64, out=counts[start : start + chunk])
+            table[0][index[start : start + chunk]].sum(axis=1, dtype=np.float64, out=counts[start : start + chunk])
         return counts, counts.sum(axis=2, keepdims=True), counts.sum(axis=(1, 2))
 
     def _codes(self, texts: Sequence[str]) -> np.ndarray:

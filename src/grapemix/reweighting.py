@@ -42,7 +42,7 @@ from .data import (
 )
 from .errors import DegenerateWeights, DimensionError, NumericalDivergence, ScoreError
 from .metrics import LOSS_FLOOR, normalized_grad
-from .models import _DRAW_BATCHES, _DRAW_BLOCK, DifferentiableModel, _BatchModel
+from .models import _DRAW_BLOCK, DifferentiableModel, Point
 from .simplex import SimplexWeights, multiplicative_update
 
 
@@ -89,6 +89,7 @@ MAX_EVAL_REPLICATES = 1000
 # The upper bound of each bounded integer field.
 UPPER_BOUNDS = {"total_steps": MAX_TOTAL_STEPS, "eval_replicates": MAX_EVAL_REPLICATES,
                 "train_batch_size": MAX_BATCH_SIZE, "eval_batch_size": MAX_BATCH_SIZE}
+_DRAW_BATCHES = 256  # the most batches the loop draws at once (``_draw_count``); ``models._DRAW_BLOCK`` examples
 
 
 @dataclass
@@ -204,7 +205,7 @@ class OverheadCounter:
     pipeline a task step costs N+1 and a domain step K+1, while expected
     (full-batch) mixtures replace each mixed-batch gradient with one per
     component.  A request is counted whether or not the point evaluates
-    the model for it (``_Point``).
+    the model for it (``models.Point``).
     """
 
     train_grad_evals: int = 0
@@ -267,72 +268,8 @@ def pcgrad_combine(task_grads: list[np.ndarray], rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
-class _Point:
-    """The model at one parameter vector, and the loop's one way to
-    evaluate it.
-
-    ``train_run`` makes one per parameter vector and hands it to the task
-    step, the domain step, the record and the next training step, and
-    nothing else there evaluates the model.  The requests are batches the
-    point prepared (``prepare``) or a store side's whole ``Datasets``.  For a
-    ``_BatchModel`` the point computes the parameter tables once, at its
-    first evaluation; evaluates a side's whole datasets at most once, and
-    serves every request for that side, its live rows included, from
-    those rows; and evaluates every other request, the live rows of a
-    side not yet evaluated at the point among them, from its prepared
-    rows in one call.  So a dead component is never evaluated unless a
-    domain step asks for every one.  Any other model is asked for one
-    ``grad`` or ``loss`` per batch, and a result of the wrong shape is a DimensionError.
-    """
-
-    def __init__(self, model: DifferentiableModel, params: np.ndarray):
-        self.model = model
-        self.params = params
-        self._batched = isinstance(model, _BatchModel)
-        self._tables = None
-        self._whole = {}  # (kind, a side's Datasets) -> rows
-
-    def prepare(self, batches):
-        """What the model is evaluated by at every point that reads ``batches``:
-        a built-in model's arrays with one row per batch, prepared once (a
-        store side keeps its own), or, for any other model, the batches."""
-        return self.model.prepare(batches) if self._batched else batches
-
-    def grads(self, batches, rows=None) -> np.ndarray | list:
-        """The gradient of each of ``batches``, or of those at ``rows`` (an
-        index or a slice)."""
-        return self._evaluate("grads", batches, rows)
-
-    def losses(self, batches, rows=None) -> np.ndarray | list:
-        """The loss of each of ``batches``, or of those at ``rows``."""
-        return self._evaluate("losses", batches, rows)
-
-    def _at(self):
-        if self._tables is None:
-            self._tables = self.model.tables(self.params)
-        return self._tables
-
-    def _evaluate(self, kind: str, batches, rows):
-        if not self._batched:
-            one, shape = (self.model.grad, (self.model.param_dim,)) if kind == "grads" else (self.model.loss, ())
-            out = [one(self.params, batches[i]) for i in np.arange(len(batches))[() if rows is None else rows]]
-            if any(np.shape(x) != shape for x in out):  # before any row kernel meets a ragged stack
-                raise DimensionError(f"the model's {kind} gave shapes {[np.shape(x) for x in out]}, not {shape}")
-            return out
-        evaluate = self.model.row_grads if kind == "grads" else self.model.row_losses
-        if isinstance(batches, Datasets):
-            whole = self._whole.get((kind, batches))
-            if whole is None and rows is None:
-                whole = self._whole[kind, batches] = evaluate(self._at(), self.model.prepare(batches))
-                whole.flags.writeable = False  # shared by every request for the side at the point
-            if whole is not None:
-                return whole if rows is None else whole[rows]
-            batches = self.model.prepare(batches)
-        return evaluate(self._at(), batches if rows is None else tuple(arr[rows] for arr in batches))
-
-
 def _component_batches(
-    point: _Point, store: MixtureStore, side: str, mode: str, size: int, rng: np.random.Generator,
+    point: Point, store: MixtureStore, side: str, mode: str, size: int, rng: np.random.Generator,
 ) -> Datasets | tuple | Block:
     """One batch per domain or per task, in label order: the side's
     ``Datasets`` in expected ``mode``, and in sampled mode the prepared
@@ -344,7 +281,7 @@ def _component_batches(
 
 
 def _mixture_direction(
-    point: _Point,
+    point: Point,
     store: MixtureStore,
     weights: SimplexWeights,
     side: str,
@@ -366,8 +303,8 @@ def _mixture_direction(
         if normalize:
             grads = normalized_grad(grads, point.losses(batches, rows))
         scale = weights.values[:, None] if rows is None else weights.values[rows, None]
-        # from +0.0, row by row in label order as a zeros-and-+= loop (at D = 1, eight or more rows sum pairwise)
-        return np.add.reduce(np.asarray(grads, dtype=np.float64) * scale, axis=0), live.size
+        # row by row in label order from +0.0 as a zeros-and-+= loop: accumulate never sums pairwise
+        return np.add.accumulate(np.asarray(grads, dtype=np.float64) * scale, axis=0)[-1] + 0.0, live.size
     batch = point.prepare([sample_mixture_batch(store, weights, size, rng)])
     grad = point.grads(batch)[0]
     return (normalized_grad(grad, point.losses(batch)[0]) if normalize else grad), 1
@@ -399,8 +336,7 @@ def _reweight(
 
 def task_reweight_step(
     z: SimplexWeights,
-    model: DifferentiableModel,
-    params: np.ndarray,
+    point: Point,
     store: MixtureStore,
     alpha: SimplexWeights,
     cfg: ReweightConfig,
@@ -408,20 +344,19 @@ def task_reweight_step(
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
     ema: np.ndarray | None = None,
-    point: _Point | None = None,
 ) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every task against the training direction and downweight
     the well-aligned (fast-improving) ones.
 
     The score of task n is the inner product of its scorer gradient (the
     ``scorer`` of the algorithm's table row) with a fresh
-    training-mixture gradient.  The ``"ema"`` scorer also folds each
+    training-mixture gradient, both at ``point``.  The ``"ema"`` scorer also folds each
     observed loss into ``ema``, the per-task loss averages (NaN until a
     task's first observation, which sets it exactly: a zero start would
     blow up the first normalized score), in place:
     ``ema' = ema_beta * ema + (1 - ema_beta) * loss``.  Returns the new
     task weights and the scores, averaged over ``eval_replicates``
-    estimates.  ``point``, the model at ``params``, is ``train_run``'s.
+    estimates.
     """
     if not cfg.adapts_z:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update task weights")
@@ -429,7 +364,6 @@ def task_reweight_step(
     if scorer == "ema" and ema is None:
         raise ValueError(f"{cfg.algorithm} needs the per-task EMA loss array")
     size = cfg.resolved_eval_batch_size
-    point = point or _Point(model, params)
 
     def scorer_grads(batches):
         grads = point.grads(batches)
@@ -454,8 +388,7 @@ def task_reweight_step(
 
 def domain_reweight_step(
     alpha: SimplexWeights,
-    model: DifferentiableModel,
-    params: np.ndarray,
+    point: Point,
     store: MixtureStore,
     z: SimplexWeights,
     cfg: ReweightConfig,
@@ -463,19 +396,17 @@ def domain_reweight_step(
     gamma: float | None = None,
     counters: OverheadCounter | None = None,
     pcgrad_rng: np.random.Generator | None = None,
-    point: _Point | None = None,
 ) -> tuple[SimplexWeights, np.ndarray]:
     """Re-score every domain against the task-weighted target gradient
-    (the ``target`` of the algorithm's table row) and upweight the
-    well-aligned ones.  Returns the new domain weights and the averaged
-    scores.  ``point``, the model at ``params``, is ``train_run``'s."""
+    (the ``target`` of the algorithm's table row), both at ``point``, and
+    upweight the well-aligned ones.  Returns the new domain weights and
+    the averaged scores."""
     if not cfg.adapts_alpha:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not update domain weights")
     target_kind = ALGORITHM_TABLE[cfg.algorithm].target
     if target_kind == "pcgrad" and pcgrad_rng is None:
         raise ValueError(f"{cfg.algorithm} needs a pcgrad rng stream")
     size = cfg.resolved_eval_batch_size
-    point = point or _Point(model, params)
 
     def score_once() -> np.ndarray:
         domain_grads = point.grads(_component_batches(point, store, "domains", cfg.domain_mix_mode, size, rng))
@@ -567,7 +498,7 @@ def train_run(
     drawn in one ``sample_mixture_batches`` call (see ``_draw_count``),
     the same batches that one ``sample_mixture_batch`` call per step would
     draw, and prepared once; step l reads the gradient of row l alone.
-    The loop holds one ``_Point`` per parameter vector, one at the start
+    The loop holds one ``Point`` per parameter vector, one at the start
     and a new one after each optimizer step, and evaluates the model only
     through it.  Task losses are recorded at every reweighting step, every
     ``eval_every`` steps, and at the end.  Raises NumericalDivergence if
@@ -611,7 +542,7 @@ def train_run(
         trajectory.append(step, losses, alpha, z, last_task_scores, last_domain_scores, lr,
                           counters.train_grad_evals, counters.task_grad_evals, counters.domain_grad_evals)
 
-    point = _Point(model, theta)
+    point = Point(model, theta)
     initial_losses = eval_task_losses()
     # A task whose initial loss is at most LOSS_FLOOR is never judged blown up.
     limits = np.where(initial_losses > LOSS_FLOOR, cfg.divergence_factor * initial_losses, np.inf)
@@ -633,20 +564,18 @@ def train_run(
         theta = optimizer.step(theta, direction, gamma)
         if not np.isfinite(theta).all():
             raise NumericalDivergence("parameters are not finite", t + 1)
-        point = _Point(model, theta)
+        point = Point(model, theta)
 
         update_z = cfg.adapts_z and (t + 1) % cfg.update_every_z == 0
         update_alpha = cfg.adapts_alpha and (t + 1) % cfg.update_every_alpha == 0
         try:
             if update_z:
                 z, last_task_scores = task_reweight_step(
-                    z, model, theta, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema,
-                    point=point,
+                    z, point, store, alpha, cfg, task_rng, gamma=gamma, counters=counters, ema=ema,
                 )
             if update_alpha:
                 alpha, last_domain_scores = domain_reweight_step(
-                    alpha, model, theta, store, z, cfg, domain_rng,
-                    gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng, point=point,
+                    alpha, point, store, z, cfg, domain_rng, gamma=gamma, counters=counters, pcgrad_rng=pcgrad_rng,
                 )
         except (ScoreError, DegenerateWeights) as exc:  # non-finite model output at theta
             raise NumericalDivergence(f"weight update failed: {exc}", t + 1) from exc

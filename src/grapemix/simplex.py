@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeights, DimensionError, DivergenceUndefined, ScoreError
+from .errors import DegenerateWeights, DimensionError, DivergenceUndefined, IngestError, ScoreError
 
 SIMPLEX_TOL = 1e-9
 
@@ -132,8 +133,15 @@ class SimplexWeights:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimplexWeights":
+        """Read a ``save`` record.  A value that is not a finite JSON number (numpy
+        would read true or "1" as 1.0) or a label that is not a string is an IngestError."""
         record = json.loads(Path(path).read_text())
-        return cls(np.asarray(record["values"], dtype=np.float64), record["labels"])
+        values, labels = record["values"], record["labels"]
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+            raise IngestError(f"weight values must be finite JSON numbers, got {values!r}")
+        if isinstance(labels, list) and not all(isinstance(label, str) for label in labels):
+            raise IngestError(f"weight labels must be JSON strings, got {labels!r}")
+        return cls(np.asarray(values, dtype=np.float64), labels)
 
 
 def normalize(raw: Sequence[float] | np.ndarray, labels: Sequence[str] | None = None) -> SimplexWeights:

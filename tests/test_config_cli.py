@@ -546,6 +546,21 @@ class TestMalformedConfigs:
         err = capsys.readouterr().err
         assert "config error" in err and named in err
 
+    @pytest.mark.parametrize("field,label", [("init_alpha", "d0"), ("init_z", "t0")])
+    @pytest.mark.parametrize("labels,values,named", [
+        ('["{}"]', "[true]", "weight values must be finite JSON numbers, got [True]"),
+        ('["{}"]', '["1"]', "weight values must be finite JSON numbers, got ['1']"),
+        ('["{}"]', "[null]", "weight values must be finite JSON numbers, got [None]"),
+        ("[0]", "[1.0]", "weight labels must be JSON strings, got [0]"),
+    ], ids=["bool-value", "numeric-string-value", "null-value", "number-label"])
+    def test_warm_start_takes_numbers_and_string_labels(self, tmp_path, capsys, field, label, labels, values, named):
+        # numpy reads true and "1" as 1.0, which made either a valid one-entry warm start
+        (tmp_path / "weights.json").write_text(f'{{"labels": {labels.format(label)}, "values": {values}}}')
+        path = write_config(tmp_path, minimal_quadratic_config(**{field: "weights.json"}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field {field}: ") and named in err
+
     def test_char_config_runs_within_vocabulary(self, tmp_path):
         (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abba"}\n')
         path = write_config(tmp_path, minimal_char_config())

@@ -8,6 +8,7 @@ from grapemix import (
     Dataset,
     DegenerateLoss,
     MixtureStore,
+    Point,
     QuadraticTaskFamily,
     ReweightConfig,
     SimplexWeights,
@@ -74,7 +75,7 @@ class TestEma:
         z, alpha = SimplexWeights.uniform(store.task_labels), SimplexWeights.uniform(store.domain_labels)
         model = _FixedLossModel(*losses)
         for _ in losses:
-            task_reweight_step(z, model, np.zeros(1), store, alpha, cfg, stream_rng(0, "t"), ema=ema)
+            task_reweight_step(z, Point(model, np.zeros(1)), store, alpha, cfg, stream_rng(0, "t"), ema=ema)
         return float(ema[0])
 
     def test_fixed_point(self):

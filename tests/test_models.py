@@ -32,7 +32,7 @@ from grapemix import (
     sample_task_batches,
     train_run,
 )
-from grapemix import models, reweighting, verify
+from grapemix import models, verify
 from grapemix.data import Block
 from grapemix.verify import harness_family
 
@@ -343,8 +343,8 @@ class TestWholeDatasetBatches:
         # datasets of two sizes, so the quadratic and softmax stacks hold object arrays
         store = MixtureStore({"d": dataset, "e": Dataset(list(dataset)[:2])}, {"t": Dataset(list(dataset))})
         side = store.datasets("domains")
-        table = side.prepared(model._table)  # a tuple of arrays, or the char LM's one array
-        kept = [*model.prepare(side), *(table if isinstance(table, tuple) else (table,))]
+        table = side.prepared(model._table)  # a tuple of arrays, as every model's is
+        kept = [*model.prepare(side), *table]
         arrays = kept + [inner for arr in kept if arr.dtype == object for inner in arr]
         assert len(arrays) > len(kept) or isinstance(model, CharLMModel)
         for arr in arrays:
@@ -353,7 +353,7 @@ class TestWholeDatasetBatches:
                 arr.reshape(-1)[:1] = arr.reshape(-1)[:1]
         # what the run gathers from them is its own, and the side's evaluation at a point is shared and read-only
         assert all(arr.flags.writeable for arr in model.prepare(Block(side, np.array([[0, 1]]))))
-        point = reweighting._Point(model, params)
+        point = models.Point(model, params)
         for whole in (point.grads(side), point.losses(side)):
             assert not whole.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -458,7 +458,7 @@ class TestViewsAreTheSameBatch:
             for side in ("domains", "tasks"):
                 side = store.datasets(side)
                 if model._table in side._prepared:
-                    table, pool = side.prepared(model._table), side.pool()[0]
+                    (table,), pool = side.prepared(model._table), side.pool()[0]
                     assert table.dtype == np.min_scalar_type(max(map(len, pool)))
                     assert table.dtype != np.uint8 or max(map(len, pool)) <= 255
 
@@ -623,7 +623,7 @@ class TestBlockMembers:
             weights = SimplexWeights(rng.dirichlet(np.ones(store.num_domains)), store.domain_labels)
             block = sample_mixture_batches(store, weights, size, count, rng)
         want = CharLMModel(model.vocab_size).prepare(block)
-        table, gathers = block.side.prepared(model._table), []
+        (table,), gathers = block.side.prepared(model._table), []
 
         class Gathers:
             def __getitem__(self, index):
@@ -632,7 +632,7 @@ class TestBlockMembers:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "_DRAW_BLOCK", chunk)
-            got = model._gather(Gathers(), block.index)
+            got = model._gather((Gathers(),), block.index)
         assert [arr.tobytes() for arr in got] == [arr.tobytes() for arr in want]
         per = max(1, chunk // size)
         assert gathers == [min(per, len(block) - start) for start in range(0, len(block), per)]
@@ -762,7 +762,7 @@ class TestParameterPoint:
         params = np.random.default_rng(0).normal(size=9)
         calls, tables = [], CharLMModel.tables
         monkeypatch.setattr(CharLMModel, "tables", lambda self, p: calls.append(p) or tables(self, p))
-        point = reweighting._Point(model, params)
+        point = models.Point(model, params)
         assert not calls  # nothing is computed before the first evaluation
         grad = point.grads(point.prepare([["abca"]]))[0]
         loss = point.losses(model.prepare([Dataset(["cab", "bb"])]))[0]  # another batch at the same point

@@ -156,7 +156,7 @@ class TestAcrossBlockBoundaries:
         if cap == "examples":
             size, steps, blocks = models._DRAW_BLOCK // 3, 10, [3, 3, 3, 1]
         else:
-            size, steps, blocks = 1, 2 * models._DRAW_BATCHES + 5, [models._DRAW_BATCHES] * 2 + [5]
+            size, steps, blocks = 1, 2 * reweighting._DRAW_BATCHES + 5, [reweighting._DRAW_BATCHES] * 2 + [5]
         cfg = ReweightConfig(algorithm="uniform", total_steps=steps, base_lr=0.05, eval_every=50,
                              train_batch_size=size, eval_batch_size=4)
         calls = _draws_counted(monkeypatch)

@@ -18,6 +18,7 @@ from grapemix import (
     EmptyBatch,
     MixtureStore,
     NumericalDivergence,
+    Point,
     QuadraticTaskFamily,
     ReweightConfig,
     ScoreError,
@@ -162,7 +163,7 @@ class TestTaskReweightStep:
         alpha = SimplexWeights(np.array([0.6, 0.4]), store.domain_labels)
         z = SimplexWeights.uniform(store.task_labels)
         cfg = expected_cfg()
-        new_z, scores = task_reweight_step(z, model, theta, store, alpha, cfg, stream_rng(0, "t"))
+        new_z, scores = task_reweight_step(z, Point(model, theta), store, alpha, cfg, stream_rng(0, "t"))
         hand = self._hand_scores(family, store, theta, alpha, lambda g, l: g / max(l, LOSS_FLOOR))
         np.testing.assert_allclose(scores, hand, rtol=1e-12)
         oracle = multiplicative_update(z, hand, -10.0)
@@ -180,7 +181,7 @@ class TestTaskReweightStep:
         z = SimplexWeights.uniform(store.task_labels)
         alpha = SimplexWeights.uniform(store.domain_labels)
         new_z, scores = task_reweight_step(
-            z, family.model(), np.array([2.0, 1.0]), store, alpha, expected_cfg(), stream_rng(0, "t")
+            z, Point(family.model(), np.array([2.0, 1.0])), store, alpha, expected_cfg(), stream_rng(0, "t")
         )
         assert scores[0] == scores[1]
         np.testing.assert_allclose(new_z.values, z.values, atol=1e-15)
@@ -190,7 +191,7 @@ class TestTaskReweightStep:
         alpha = SimplexWeights.uniform(store.domain_labels)
         z = SimplexWeights.uniform(store.task_labels)
         _, scores = task_reweight_step(
-            z, model, theta, store, alpha, expected_cfg(algorithm="grape_gap"), stream_rng(0, "t")
+            z, Point(model, theta), store, alpha, expected_cfg(algorithm="grape_gap"), stream_rng(0, "t")
         )
         hand = self._hand_scores(family, store, theta, alpha, lambda g, l: g)
         np.testing.assert_allclose(scores, hand, rtol=1e-12)
@@ -201,7 +202,7 @@ class TestTaskReweightStep:
         z = SimplexWeights.uniform(store.task_labels)
         ema = np.full(2, np.nan)
         _, scores = task_reweight_step(
-            z, model, theta, store, alpha, expected_cfg(algorithm="grape_ema"),
+            z, Point(model, theta), store, alpha, expected_cfg(algorithm="grape_ema"),
             stream_rng(0, "t"), ema=ema,
         )
         # first observation: ema equals the current loss, so scores match grape's
@@ -229,10 +230,10 @@ class TestTaskReweightStep:
         z = SimplexWeights.uniform(store.task_labels)
         alpha = SimplexWeights.uniform(store.domain_labels)
         _, roi_scores = task_reweight_step(
-            z, family.model(), theta, store, alpha, expected_cfg(), stream_rng(0, "t")
+            z, Point(family.model(), theta), store, alpha, expected_cfg(), stream_rng(0, "t")
         )
         z_gap, gap_scores = task_reweight_step(
-            z, family.model(), theta, store, alpha, expected_cfg(algorithm="grape_gap"), stream_rng(0, "t")
+            z, Point(family.model(), theta), store, alpha, expected_cfg(algorithm="grape_gap"), stream_rng(0, "t")
         )
         # raw scores are identical; normalized scores differ by the loss ratio
         assert gap_scores[0] == pytest.approx(gap_scores[1], rel=1e-12)
@@ -240,7 +241,7 @@ class TestTaskReweightStep:
         # so the gap variant leaves z uniform while roi shifts weight to the hard task
         np.testing.assert_allclose(z_gap.values, [0.5, 0.5], atol=1e-15)
         z_roi, _ = task_reweight_step(
-            z, family.model(), theta, store, alpha, expected_cfg(), stream_rng(0, "t")
+            z, Point(family.model(), theta), store, alpha, expected_cfg(), stream_rng(0, "t")
         )
         assert z_roi.values[0] > 0.5
 
@@ -262,7 +263,7 @@ class TestDomainReweightStep:
         alpha = SimplexWeights.uniform(store.domain_labels)
         z = SimplexWeights.uniform(store.task_labels)
         new_alpha, scores = domain_reweight_step(
-            alpha, family.model(), np.array([1.0, 2.0]), store, z, expected_cfg(), stream_rng(0, "d")
+            alpha, Point(family.model(), np.array([1.0, 2.0])), store, z, expected_cfg(), stream_rng(0, "d")
         )
         assert scores[0] == scores[1]
         np.testing.assert_allclose(new_alpha.values, alpha.values, atol=1e-15)
@@ -272,7 +273,7 @@ class TestDomainReweightStep:
         alpha = SimplexWeights.uniform(store.domain_labels)
         z = SimplexWeights(np.array([0.8, 0.2]), store.task_labels)
         new_alpha, scores = domain_reweight_step(
-            alpha, model, theta, store, z, expected_cfg(), stream_rng(0, "d")
+            alpha, Point(model, theta), store, z, expected_cfg(), stream_rng(0, "d")
         )
         grads = np.array([task_grad(family, n, theta) for n in range(2)])
         losses = np.array([family.all_task_losses(theta)[n] for n in range(2)])
@@ -288,7 +289,7 @@ class TestDomainReweightStep:
         alpha = SimplexWeights.uniform(store.domain_labels)
         z = SimplexWeights(np.array([0.0, 1.0]), store.task_labels)
         _, scores = domain_reweight_step(
-            alpha, model, theta, store, z, expected_cfg(), stream_rng(0, "d")
+            alpha, Point(model, theta), store, z, expected_cfg(), stream_rng(0, "d")
         )
         grads = np.array([task_grad(family, n, theta) for n in range(2)])
         target = grads[1] / max(family.all_task_losses(theta)[1], LOSS_FLOOR)
@@ -302,7 +303,7 @@ class TestDomainReweightStep:
         z = SimplexWeights.uniform(store.task_labels)
         with pytest.raises(ValueError):
             domain_reweight_step(
-                alpha, model, theta, store, z, expected_cfg(algorithm="uniform"), stream_rng(0, "d")
+                alpha, Point(model, theta), store, z, expected_cfg(algorithm="uniform"), stream_rng(0, "d")
             )
 
 
@@ -332,7 +333,7 @@ def test_non_finite_scores_raise_score_error(step, mode):
     cfg = expected_cfg(task_mix_mode=mode, domain_mix_mode=mode)
     weights, other = (z, alpha) if step is task_reweight_step else (alpha, z)
     with pytest.raises(ScoreError):
-        step(weights, _NanGradModel(model), theta, store, other, cfg, stream_rng(0, "s"))
+        step(weights, Point(_NanGradModel(model), theta), store, other, cfg, stream_rng(0, "s"))
 
 
 class _MisshapenModel:
@@ -378,7 +379,7 @@ class TestWrongShapedResults:
         for step, weights, other in ((task_reweight_step, z, alpha), (domain_reweight_step, alpha, z)):
             model.grad_calls = 0
             with pytest.raises(DimensionError, match=message):
-                step(weights, model, theta, store, other, cfg, stream_rng(0, "s"))
+                step(weights, Point(model, theta), store, other, cfg, stream_rng(0, "s"))
 
 
 class _RowsPoint:
@@ -405,12 +406,12 @@ class _Side:
 
 
 @st.composite
-def gradient_rows(draw):
+def gradient_rows(draw, dims=(3, 12, 144, 600), most=8):
     """K gradient rows of D entries, a direction, K losses and weights over the rows, with
     exact zeros and -0.0 entries (whole rows of them too), losses at and below the floor,
-    and dead weights.  D is at least 2: at D = 1 a zero score may lose its sign, and eight
-    or more rows of one entry sum pairwise."""
-    k, d = draw(st.integers(1, 8)), draw(st.sampled_from([3, 12, 144, 600]))
+    and dead weights; K is at most ``most`` and D one of ``dims``.  By default D is at
+    least 2: at D = 1 a zero score may lose its sign."""
+    k, d = draw(st.integers(1, most)), draw(st.sampled_from(dims))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def signed(shape):
@@ -432,7 +433,7 @@ class TestRowKernels:
     """The row kernels of the reweight steps are bitwise their per-row forms,
     so a numpy or BLAS change that breaks one fails here by name: the scores
     (a stacked vector-vector matmul) against ``alignment`` row by row, the
-    expected-mode direction (a reduce over rows) against the zeros-and-+= loop
+    expected-mode direction (a running sum over rows) against the zeros-and-+= loop
     it replaced, and the rows of ``normalized_grad`` against one call per row
     and the scalar rule ``grad / max(loss, LOSS_FLOOR)``."""
 
@@ -455,7 +456,7 @@ class TestRowKernels:
         assert rows.tobytes() == per_call.tobytes() == scalar.tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(case=gradient_rows(), normalize=st.booleans())
+    @given(case=gradient_rows(dims=(1, 3, 12, 144, 600), most=12), normalize=st.booleans())
     def test_direction(self, case, normalize):
         grads, _, losses, weights = case
         live = weights.values.nonzero()[0]
@@ -532,9 +533,9 @@ class TestSchedules:
         alpha = SimplexWeights.uniform(store.domain_labels)
         z = SimplexWeights.uniform(store.task_labels)
         cfg = expected_cfg(lr_schedule="wsd", total_steps=1000, base_lr=0.2)
-        early, _ = task_reweight_step(z, model, theta, store, alpha, cfg, stream_rng(0, "t"),
+        early, _ = task_reweight_step(z, Point(model, theta), store, alpha, cfg, stream_rng(0, "t"),
                                       gamma=learning_rate_at(cfg, 0))
-        late, _ = task_reweight_step(z, model, theta, store, alpha, cfg, stream_rng(0, "t"),
+        late, _ = task_reweight_step(z, Point(model, theta), store, alpha, cfg, stream_rng(0, "t"),
                                      gamma=learning_rate_at(cfg, 1000))
         dist_early = np.abs(early.values - 0.5).max()
         dist_late = np.abs(late.values - 0.5).max()
@@ -789,18 +790,21 @@ class TestFullBatchesAsDatasets:
 
 
 def _caller() -> str | None:
-    """The qualified name of the innermost ``reweighting.py`` function on
-    the stack of the model entry that calls this, comprehensions skipped."""
+    """The qualified name of the innermost ``Point`` method of ``models.py``
+    or function of ``reweighting.py`` on the stack of the model entry that
+    calls this, comprehensions skipped."""
     frame = sys._getframe(2)
-    while frame is not None and (frame.f_code.co_filename != reweighting.__file__
-                                 or frame.f_code.co_name.startswith("<")):
+    while frame is not None and not (
+            (frame.f_code.co_filename == reweighting.__file__
+             or frame.f_code.co_filename == models.__file__ and frame.f_code.co_qualname.startswith("Point."))
+            and not frame.f_code.co_name.startswith("<")):
         frame = frame.f_back
     return frame and frame.f_code.co_qualname
 
 
-# The entries of a built-in model that the loop may call, and the functions of reweighting.py that may call them.
+# The entries of a built-in model that the loop may call, and the ``Point`` methods that may call them.
 _ENTRIES = ("loss", "grad", "prepare", "tables", "row_losses", "row_grads")
-_CALLERS = {"prepare": {"_Point.prepare", "_Point._evaluate"}, "tables": {"_Point._at"}}
+_CALLERS = {"prepare": {"Point.prepare", "Point._evaluate"}, "tables": {"Point._at"}}
 
 
 def _recording(cls):
@@ -820,12 +824,12 @@ def _recording(cls):
 
 def _side_preparations(calls, store) -> int:
     """How many of ``calls`` prepared a store side's whole ``Datasets``,
-    after checking that only ``_Point._evaluate``, the point's one way to
+    after checking that only ``Point._evaluate``, the point's one way to
     the model, evaluated it, that only the point prepared batches, and that no batch reached ``prepare`` that is
     not a side, a drawn ``Block`` or a list of one drawn batch."""
     assert calls
     for entry, caller, arg in calls:
-        assert caller in _CALLERS.get(entry, {"_Point._evaluate"}), (entry, caller)
+        assert caller in _CALLERS.get(entry, {"Point._evaluate"}), (entry, caller)
         if entry == "prepare":
             assert isinstance(arg, (Datasets, Block)) or (isinstance(arg, list) and len(arg) == 1), arg
     sides = (store.datasets("domains"), store.datasets("tasks"))
@@ -864,7 +868,7 @@ class TestProtocolModelsAskedPerRequest:
     """The invariant of the benchmark's cross-check: a model that is not a
     built-in is asked for one ``grad`` per gradient the counters count, by
     purpose, and trains bitwise as the built-in model it wraps.  Only the
-    loop's ``_Point`` calls either model."""
+    loop's ``Point`` calls either model."""
 
     @pytest.mark.parametrize("mode", ["sampled", "expected"])
     @pytest.mark.parametrize("algorithm", ["grape", "doge_pcgrad"])
@@ -899,7 +903,7 @@ class TestProtocolModelsAskedPerRequest:
 
 
 class TestOneWayToTheModel:
-    """Only ``_Point`` evaluates a built-in model, and only the point
+    """Only ``Point`` evaluates a built-in model, and only the point
     prepares batches for it: a store side's ``Datasets`` in expected
     mode, which the point evaluates whole or, for the live rows of a side
     with a dead domain at a point where no domain step read the side, at
@@ -1002,7 +1006,7 @@ class TestPreparationCounts:
         assert sorted(map(id, seen["stacks"])) == sorted(id(store.datasets(side)) for side in ("domains", "tasks"))
         assert not seen["drawn"] and not seen["tables"]
         with pytest.raises(EmptyBatch):  # a domain step would evaluate it
-            reweighting._Point(model, model.initial_params()).grads(store.datasets("domains"))
+            Point(model, model.initial_params()).grads(store.datasets("domains"))
 
 
 def _counting(monkeypatch, names):

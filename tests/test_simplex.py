@@ -11,6 +11,7 @@ from grapemix import (
     DegenerateWeights,
     DimensionError,
     DivergenceUndefined,
+    IngestError,
     QuadraticTaskFamily,
     ScoreError,
     SimplexWeights,
@@ -232,6 +233,16 @@ class TestWeightPlumbing:
         assert back.labels == ("books", "web")
         np.testing.assert_array_equal(back.values, w.values)
         assert back.values[back.labels.index("web")] == 0.75
+
+    @pytest.mark.parametrize("values", ["[true, false]", '["1", "0"]', "[null, 1.0]", "[NaN, 1.0]",
+                                        f"[1{'0' * 400}, 0]"],
+                             ids=["bool", "numeric-string", "null", "nan", "int-beyond-float"])
+    def test_load_takes_only_finite_numbers(self, tmp_path, values):
+        # numpy reads true and "1" as 1.0, and an integer beyond float range overflows it
+        path = tmp_path / "w.json"
+        path.write_text(f'{{"labels": ["a", "b"], "values": {values}}}')
+        with pytest.raises(IngestError, match="weight values must be finite JSON numbers"):
+            SimplexWeights.load(path)
 
     @pytest.mark.parametrize("labels", [0, -2, [], ()])
     def test_uniform_needs_a_label(self, labels):

@@ -5,6 +5,7 @@ import pytest
 
 from grapemix import (
     MixtureStore,
+    Point,
     QuadraticTaskFamily,
     ReweightConfig,
     SimplexWeights,
@@ -55,10 +56,10 @@ class TestEmaVariant:
         cfg = cfg_expected(algorithm="grape_ema")
         theta1 = np.array([0.5, 0.5])
         theta2 = np.array([0.2, 0.1])
-        task_reweight_step(z, model, theta1, store, alpha, cfg, stream_rng(0, "t"), ema=ema)
+        task_reweight_step(z, Point(model, theta1), store, alpha, cfg, stream_rng(0, "t"), ema=ema)
         first = [family.all_task_losses(theta1)[n] for n in range(2)]
         assert list(ema) == pytest.approx(first)
-        task_reweight_step(z, model, theta2, store, alpha, cfg, stream_rng(0, "t"), ema=ema)
+        task_reweight_step(z, Point(model, theta2), store, alpha, cfg, stream_rng(0, "t"), ema=ema)
         second = [family.all_task_losses(theta2)[n] for n in range(2)]
         expected = [0.7 * f + 0.3 * s for f, s in zip(first, second)]
         assert list(ema) == pytest.approx(expected)
