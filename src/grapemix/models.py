@@ -56,8 +56,6 @@ def finite_diff_check(model: DifferentiableModel, params: np.ndarray, batch: Dat
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h must lie in [1e-7, 1e-3], got {h!r}")
     params = np.asarray(params, dtype=np.float64)
-    if params.size == 0:
-        return 0.0
     point = Point(model, params)
     rows = point.prepare([_as_dataset(batch)])  # prepared once for all 2·D + 1 evaluations
     analytic = point.grads(rows)[0]

@@ -303,8 +303,10 @@ def _mixture_direction(
         if normalize:
             grads = normalized_grad(grads, point.losses(batches, rows))
         scale = weights.values[:, None] if rows is None else weights.values[rows, None]
-        # row by row in label order from +0.0 as a zeros-and-+= loop: accumulate never sums pairwise
-        return np.add.accumulate(np.asarray(grads, dtype=np.float64) * scale, axis=0)[-1] + 0.0, live.size
+        scaled = np.asarray(grads, dtype=np.float64) * scale
+        # rows in label order from +0.0, as a zeros-and-+= loop: a reduce adds rows of two or more entries so but
+        # sums a lone column pairwise, and accumulate, which adds in order, costs one call per column
+        return (np.add.reduce(scaled, 0) if scaled.shape[1] > 1 else np.add.accumulate(scaled)[-1] + 0.0), live.size
     batch = point.prepare([sample_mixture_batch(store, weights, size, rng)])
     grad = point.grads(batch)[0]
     return (normalized_grad(grad, point.losses(batch)[0]) if normalize else grad), 1

@@ -840,6 +840,13 @@ class TestFiniteDiff:
         for batch in (dataset, list(dataset)):
             assert finite_diff_check(model, params, batch) == finite_diff_check(per_call, params, batch)
 
+    @pytest.mark.parametrize("grad,loss", [(np.zeros(3), 0.0), (np.zeros(2), np.zeros(1))], ids=["grad", "loss"])
+    def test_protocol_result_of_the_wrong_shape(self, grad, loss):
+        # the point's check: a gradient one too long, or a 1-vector loss, is not silently read
+        model = types.SimpleNamespace(param_dim=2, loss=lambda params, batch: loss, grad=lambda params, batch: grad)
+        with pytest.raises(DimensionError, match="gave shapes"):
+            finite_diff_check(model, np.zeros(2), ["x"])
+
     def test_zero_dim_model_vacuous(self):
         assert finite_diff_check(_NoParamsModel(), np.zeros(0), ["x"]) == 0.0
 
