@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import string
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -343,7 +344,15 @@ def generate_markov_corpus(
 
     Each chunk is an independent walk started from the stationary
     distribution, so empirical bigram frequencies converge to the spec's
-    transitions as the corpus grows.
+    transitions as the corpus grows.  There are ceil(length / seq_len)
+    chunks of min(seq_len, length) characters.  The walk takes one
+    ``rng.random(n_chunks)`` per step, one double per chunk in chunk
+    order: the first step's draw u picks the first state by the
+    stationary distribution, and each later step's u moves a chunk from
+    state s to the number of entries of the cumulative row
+    ``cumsum(transition[s])[:-1]`` below u.  That count is at most V - 1,
+    so a u above a row's total, which rounding allows, picks the last
+    state without a clamp.
     """
     if length < 2:
         raise ValueError(f"corpus length must be >= 2, got {length}")
@@ -351,19 +360,17 @@ def generate_markov_corpus(
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     seq_len = min(seq_len, length)
     n_chunks = max(1, math.ceil(length / seq_len))
-    v = spec.vocab_size
 
     pi_cum = np.cumsum(stationary_distribution(spec.transition))
-    trans_cum = np.cumsum(spec.transition, axis=1)
-    states = np.empty((n_chunks, seq_len), dtype=np.int64)
-    states[:, 0] = np.minimum(np.searchsorted(pi_cum, rng.random(n_chunks), side="right"), v - 1)
+    # column s holds row s's cumulative sums without the last: (V - 1, V)
+    cum_cols = np.ascontiguousarray(np.cumsum(spec.transition, axis=1).T[:-1])
+    states = np.empty((seq_len, n_chunks), dtype=np.int64)  # state-major: step t is states[t]
+    states[0] = np.searchsorted(pi_cum[:-1], rng.random(n_chunks), side="right")
     for t in range(1, seq_len):
-        u = rng.random(n_chunks)
-        rows = trans_cum[states[:, t - 1]]
-        states[:, t] = np.minimum((u[:, None] > rows).sum(axis=1), v - 1)
+        np.add.reduce(cum_cols.take(states[t - 1], axis=1) < rng.random(n_chunks), axis=0, out=states[t])
 
     chars = np.frombuffer(spec.vocab.encode("ascii"), dtype=np.uint8)
-    text = chars[states].tobytes().decode("ascii")
+    text = chars[states.T].tobytes().decode("ascii")
     return Dataset([text[i : i + seq_len] for i in range(0, len(text), seq_len)])
 
 
@@ -376,14 +383,22 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that is finite as a float: JSON true/false parse as bool,
+    which is not int or float by type, and 1e400 parses as inf."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def ingest_dataset(path: str | Path) -> Dataset:
     """Load a line-delimited dataset file, preserving record order.
 
     Each line is a JSON object: either ``{"text": "..."}`` or
-    ``{"x": [numbers], "y": number}``; a label is a JSON number, never a
-    boolean, and ``NaN`` and ``Infinity`` are not numbers.  Malformed lines
-    raise IngestError with the 1-based line number; a file with no records
-    raises EmptyDataset.
+    ``{"x": [numbers], "y": number}``.  A feature or a label is a finite
+    JSON number: never a boolean or a string, never ``NaN`` or
+    ``Infinity``, and never a number that is infinite as a float (``1e400``,
+    or an integer beyond float range).  Malformed lines raise IngestError
+    with the 1-based line number; a file with no records raises
+    EmptyDataset.
     """
     examples = []
     with open(path, encoding="utf-8") as fh:
@@ -404,15 +419,15 @@ def ingest_dataset(path: str | Path) -> Dataset:
                     raise IngestError("'text' must be a string", lineno)
                 examples.append(record["text"])
             elif "x" in record and "y" in record:
-                y = record["y"]
-                # JSON true/false parse as bool, a subclass of int
-                if isinstance(y, bool) or not isinstance(y, (int, float)):
-                    raise IngestError(f"'y' must be a number, got {type(y).__name__}", lineno)
-                try:
-                    x = np.asarray(record["x"], dtype=np.float64)
-                except (TypeError, ValueError) as exc:
-                    raise IngestError(f"bad feature record: {exc}", lineno) from exc
-                examples.append((x, float(y)))
+                x, y = record["x"], record["y"]
+                if not _finite_number(y):
+                    raise IngestError(f"'y' must be a number within float range, got {y!r:.40}", lineno)
+                if not isinstance(x, list):
+                    raise IngestError(f"'x' must be a list of numbers, got {type(x).__name__}", lineno)
+                bad = next((i for i, v in enumerate(x) if not _finite_number(v)), None)
+                if bad is not None:
+                    raise IngestError(f"feature {bad} must be a number within float range, got {x[bad]!r:.40}", lineno)
+                examples.append((np.array(x, dtype=np.float64), float(y)))
             else:
                 raise IngestError("record needs 'text' or 'x'/'y' fields", lineno)
     if not examples:

@@ -561,6 +561,21 @@ class TestMalformedConfigs:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: field {field}: ") and named in err
 
+    @pytest.mark.parametrize("record,named", [
+        ('{"x": [0.0, "1", 1.0], "y": 1}', "feature 1 must be a number within float range, got '1'"),
+        ('{"x": [0.0, true, 1.0], "y": 1}', "feature 1 must be a number within float range, got True"),
+        ('{"x": [0.0, 1e400, 1.0], "y": 1}', "feature 1 must be a number within float range, got inf"),
+        ('{"x": [0.0, %d, 1.0], "y": 1}' % 10**400, "feature 1 must be a number within float range, got 1000"),
+        ('{"x": [0.0, 2.0, 1.0], "y": %d}' % 10**400, "'y' must be a number within float range, got 1000"),
+    ], ids=["string-feature", "bool-feature", "infinite-feature", "huge-integer-feature", "huge-integer-label"])
+    def test_feature_records_take_numbers_within_float_range(self, tmp_path, capsys, record, named):
+        # numpy read "1" and true as 1.0 and the run went on; a huge integer ended in an OverflowError traceback
+        (tmp_path / "features.jsonl").write_text('{"x": [1.0, 0.5, 0.0], "y": 0}\n' + record + "\n")
+        path = write_config(tmp_path, minimal_softmax_config())
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"entry 'feats': line 2: {named}" in err
+
     def test_char_config_runs_within_vocabulary(self, tmp_path):
         (tmp_path / "data.jsonl").write_text('{"text": "abab"}\n{"text": "abba"}\n')
         path = write_config(tmp_path, minimal_char_config())

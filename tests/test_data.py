@@ -1,10 +1,11 @@
 """Data layer: stores, mixture sampling, synthetic corpora, ingestion."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -30,6 +31,7 @@ from grapemix import (
     stream_rng,
 )
 from grapemix.data import Block
+from grapemix.simplex import SIMPLEX_TOL
 
 
 def toy_store(k=3, n=2, tag=""):
@@ -411,6 +413,66 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
 
+def _row_major_corpus(spec, length, rng, seq_len=64):
+    """The chunk-major walk ``generate_markov_corpus`` replaced, kept as its
+    oracle: states as (n_chunks, seq_len), each step a gather of the
+    previous states' cumulative rows, a count of the entries below the
+    step's draws and a clamp to V - 1."""
+    seq_len = min(seq_len, length)
+    n_chunks = max(1, math.ceil(length / seq_len))
+    v = spec.vocab_size
+    pi_cum = np.cumsum(stationary_distribution(spec.transition))
+    trans_cum = np.cumsum(spec.transition, axis=1)
+    states = np.empty((n_chunks, seq_len), dtype=np.int64)
+    states[:, 0] = np.minimum(np.searchsorted(pi_cum, rng.random(n_chunks), side="right"), v - 1)
+    for t in range(1, seq_len):
+        u = rng.random(n_chunks)
+        rows = trans_cum[states[:, t - 1]]
+        states[:, t] = np.minimum((u[:, None] > rows).sum(axis=1), v - 1)
+    chars = np.frombuffer(spec.vocab.encode("ascii"), dtype=np.uint8)
+    text = chars[states].tobytes().decode("ascii")
+    return [text[i : i + seq_len] for i in range(0, len(text), seq_len)]
+
+
+def _chain(vocab_size, seed, zero_share, dead_last, shortfall):
+    """A V x V chain from ``seed``: about ``zero_share`` of its entries zero,
+    every row's last entry zero when ``dead_last`` (V > 1), and every row
+    summing to 1 - ``shortfall``."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random((vocab_size, vocab_size))
+    raw[rng.random(raw.shape) < zero_share] = 0.0
+    if dead_last and vocab_size > 1:
+        raw[:, -1] = 0.0
+    dead = raw.sum(axis=1) == 0.0
+    raw[dead, rng.integers(0, max(1, vocab_size - 1) if dead_last else vocab_size, size=int(dead.sum()))] = 1.0
+    return MarkovLanguageSpec(vocab_size, raw / raw.sum(axis=1, keepdims=True) * (1.0 - shortfall))
+
+
+# The text of ``verify.multilingual_store(seed)`` before its walk became
+# state-major: each dataset's sha256 over its chunks joined by newlines,
+# domains then tasks, in label order, with its chunk count.
+STORE_DIGESTS = {
+    0: [
+        ("src_a", 1819, "382b6ee1b95118cec96cf19309709668e166a4096f7da9c30e26958b2a6d3aa4"),
+        ("src_b", 1819, "3e9f42f4399aa6335ae561bae9d30bb73b1cac71e18e4d26c95db2185dce2782"),
+        ("src_c", 1819, "9a042aac50601e8af2dc540f914e28d58b265a1255264cf11c63d20340961d80"),
+        ("src_d", 1819, "26e61e828f64a8e4dc12b0531f10b6a6499686b7883382375bb3dcf949b4ecc2"),
+        ("tgt_1", 364, "6d0da5cbd0f8e0ccfcf557f74c7fd4224dda33e4d4ee354226169dc4bc16361b"),
+        ("tgt_2", 364, "0772bfd8c5e2bb070a63ff0c0de1dbd73c1d8241bdd86cbd688f4cc4404fd829"),
+        ("tgt_3", 364, "8780348f0219845ca5ec729840a38b4e15eb7ef348d69c3b70beae5016937b25"),
+    ],
+    5: [
+        ("src_a", 1819, "76938adb627b57e3ce459651fb229efd4fa3a45b5100ea7d188e0580c966c9d8"),
+        ("src_b", 1819, "90ea1046e141ad59f53a65f05b54e7b02598738a665cf03bb1ce47021ac6574e"),
+        ("src_c", 1819, "e574b020d1ae5cc6c1ddf98e2519cf4f37e25f2751f1dd73dd67dd5dc1ea4ac9"),
+        ("src_d", 1819, "e007a6c83f63532306ff019c041fa7d5a84791f927cca557ea2ea3ab3f5b9664"),
+        ("tgt_1", 364, "018e04d6fe160fdc5ca7f7c3d0ff06a56ad0ac1e6f52b84d53c4148586e3f835"),
+        ("tgt_2", 364, "59ffa2ec4b89449172bf3779355dd7d3be8e920bf7b9a5529dcfa9c593987e8a"),
+        ("tgt_3", 364, "183a594cb84e4ace4c65f09fead55951d1fc8c2ef7b925204ce88dcb6361fb14"),
+    ],
+}
+
+
 class TestMarkov:
     def test_row_sums_validated(self):
         with pytest.raises(SpecError):
@@ -461,6 +523,45 @@ class TestMarkov:
         assert len(corpus) == 1819 and all(len(chunk) == 33 for chunk in corpus)
         digest = hashlib.sha256("\n".join(corpus).encode("ascii")).hexdigest()
         assert digest == "2ed53ccfd2988cc9189cfe0497f92440b780f767894fc5f817a151d0113ab64b"
+
+    @pytest.mark.parametrize("seed", sorted(STORE_DIGESTS))
+    def test_whole_store_text_is_pinned(self, seed):
+        store = verify.multilingual_store(seed)
+        got = [(label, len(ds), hashlib.sha256("\n".join(ds).encode("ascii")).hexdigest())
+               for side in (store.domains, store.tasks) for label, ds in side.items()]
+        assert got == STORE_DIGESTS[seed]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vocab_size=st.integers(1, 36),
+        length=st.integers(2, 300),
+        seq_len=st.integers(1, 320),
+        zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+        dead_last=st.booleans(),
+        shortfall=st.sampled_from([0.0, 1e-12, SIMPLEX_TOL / 2, SIMPLEX_TOL * 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a length of 14 chunks and 2 characters; seq_len 1; seq_len above the length; one state
+    @example(vocab_size=5, length=100, seq_len=7, zero_share=0.3, dead_last=True, shortfall=0.0, seed=1)
+    @example(vocab_size=36, length=50, seq_len=1, zero_share=0.0, dead_last=False, shortfall=SIMPLEX_TOL * 0.9, seed=2)
+    @example(vocab_size=3, length=10, seq_len=64, zero_share=0.8, dead_last=True, shortfall=1e-12, seed=3)
+    @example(vocab_size=1, length=9, seq_len=4, zero_share=0.0, dead_last=False, shortfall=0.0, seed=4)
+    def test_same_text_as_row_major_walk(self, vocab_size, length, seq_len, zero_share, dead_last, shortfall, seed):
+        spec = _chain(vocab_size, seed, zero_share, dead_last, shortfall)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_markov_corpus(spec, length, got_rng, seq_len=seq_len)
+        assert got.examples == _row_major_corpus(spec, length, want_rng, seq_len=seq_len)
+        # the same draws: one double per chunk per step
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_draw_above_a_rows_total_picks_the_last_state(self):
+        # rows summing just under 1 put a draw of 1 - 2**-53 above every
+        # cumulative total, where the row-major walk clamped its count
+        spec = MarkovLanguageSpec(4, np.full((4, 4), 0.25 * (1.0 - SIMPLEX_TOL * 0.9)))
+        got_rng, want_rng = _StubRng(1.0 - 2.0**-53), _StubRng(1.0 - 2.0**-53)
+        got = generate_markov_corpus(spec, 30, got_rng, seq_len=7)
+        assert got.examples == _row_major_corpus(spec, 30, want_rng, seq_len=7) == ["ddddddd"] * 5
+        assert got_rng.used == want_rng.used == 5 * 7
 
     def test_stationary_distribution(self):
         rng = np.random.default_rng(6)
@@ -537,6 +638,38 @@ class TestIngest:
         path = tmp_path / "xy.jsonl"
         path.write_text('{"x": [1.0], "y": 0}\n{"x": [%s], "y": 1}\n' % constant)
         with pytest.raises(IngestError, match=f"line 2: {constant} is not a JSON number") as excinfo:
+            ingest_dataset(path)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("feature", ['"1"', "true", "false", "null", "[1.0]"])
+    def test_feature_must_be_a_number(self, tmp_path, feature):
+        # numpy read "1" and true as 1.0 and null as NaN
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0, 0.5], "y": 0}\n{"x": [0.0, %s], "y": 1}\n' % feature)
+        with pytest.raises(IngestError, match="line 2: feature 1 must be a number") as excinfo:
+            ingest_dataset(path)
+        assert excinfo.value.line == 2
+
+    def test_feature_infinite_as_a_float_rejected(self, tmp_path):
+        # json.loads reads 1e400 as inf
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0], "y": 0}\n{"x": [1e400], "y": 1}\n')
+        with pytest.raises(IngestError, match="line 2: feature 0 must be a number within float range, got inf"):
+            ingest_dataset(path)
+
+    def test_feature_integer_beyond_float_range_rejected(self, tmp_path):
+        # numpy raised OverflowError converting it
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0], "y": 0}\n{"x": [%d], "y": 1}\n' % 10**400)
+        with pytest.raises(IngestError, match="line 2: feature 0 must be a number within float range") as excinfo:
+            ingest_dataset(path)
+        assert excinfo.value.line == 2
+
+    def test_label_integer_beyond_float_range_rejected(self, tmp_path):
+        # float(y) raised OverflowError
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0], "y": 0}\n{"x": [2.0], "y": %d}\n' % 10**400)
+        with pytest.raises(IngestError, match="line 2: 'y' must be a number within float range") as excinfo:
             ingest_dataset(path)
         assert excinfo.value.line == 2
 
