@@ -25,7 +25,6 @@ import hashlib
 import json
 import math
 import string
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -41,7 +40,7 @@ from .errors import (
     IngestError,
     SpecError,
 )
-from .simplex import SimplexWeights, normalize, on_simplex
+from .simplex import SimplexWeights, finite_json_number, normalize, on_simplex
 
 # Example types, by model:
 #   char-level LM  -> str
@@ -383,18 +382,12 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _finite_number(value) -> bool:
-    """A JSON number that is finite as a float: JSON true/false parse as bool,
-    which is not int or float by type, and 1e400 parses as inf."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def ingest_dataset(path: str | Path) -> Dataset:
     """Load a line-delimited dataset file, preserving record order.
 
     Each line is a JSON object: either ``{"text": "..."}`` or
     ``{"x": [numbers], "y": number}``.  A feature or a label is a finite
-    JSON number: never a boolean or a string, never ``NaN`` or
+    JSON number: never a boolean, a string or null, never ``NaN`` or
     ``Infinity``, and never a number that is infinite as a float (``1e400``,
     or an integer beyond float range).  Malformed lines raise IngestError
     with the 1-based line number; a file with no records raises
@@ -420,11 +413,11 @@ def ingest_dataset(path: str | Path) -> Dataset:
                 examples.append(record["text"])
             elif "x" in record and "y" in record:
                 x, y = record["x"], record["y"]
-                if not _finite_number(y):
+                if not finite_json_number(y):
                     raise IngestError(f"'y' must be a number within float range, got {y!r:.40}", lineno)
                 if not isinstance(x, list):
                     raise IngestError(f"'x' must be a list of numbers, got {type(x).__name__}", lineno)
-                bad = next((i for i, v in enumerate(x) if not _finite_number(v)), None)
+                bad = next((i for i, v in enumerate(x) if not finite_json_number(v)), None)
                 if bad is not None:
                     raise IngestError(f"feature {bad} must be a number within float range, got {x[bad]!r:.40}", lineno)
                 examples.append((np.array(x, dtype=np.float64), float(y)))

@@ -33,6 +33,12 @@ from .errors import DegenerateWeights, DimensionError, DivergenceUndefined, Inge
 SIMPLEX_TOL = 1e-9
 
 
+def finite_json_number(value) -> bool:
+    """True for a parsed JSON number that is finite as a float: not true/false, which parse
+    as bool and are no int or float by type, nor 1e400 or an integer beyond float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def simplex_rows(values) -> np.ndarray:
     """The verdict on each vector along the last axis of ``values``: True when its entries
     are >= 0 and sum to 1 within ``SIMPLEX_TOL``; stated positively, so NaN and infinity fail it."""
@@ -137,7 +143,7 @@ class SimplexWeights:
         would read true or "1" as 1.0) or a label that is not a string is an IngestError."""
         record = json.loads(Path(path).read_text())
         values, labels = record["values"], record["labels"]
-        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        if not all(finite_json_number(v) for v in values):
             raise IngestError(f"weight values must be finite JSON numbers, got {values!r}")
         if isinstance(labels, list) and not all(isinstance(label, str) for label in labels):
             raise IngestError(f"weight labels must be JSON strings, got {labels!r}")

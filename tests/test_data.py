@@ -414,7 +414,7 @@ class TestStreams:
 
 
 def _row_major_corpus(spec, length, rng, seq_len=64):
-    """The chunk-major walk ``generate_markov_corpus`` replaced, kept as its
+    """The row-major walk ``generate_markov_corpus`` replaced, kept as its
     oracle: states as (n_chunks, seq_len), each step a gather of the
     previous states' cumulative rows, a count of the entries below the
     step's draws and a clamp to V - 1."""
@@ -441,10 +441,10 @@ def _chain(vocab_size, seed, zero_share, dead_last, shortfall):
     rng = np.random.default_rng(seed)
     raw = rng.random((vocab_size, vocab_size))
     raw[rng.random(raw.shape) < zero_share] = 0.0
-    if dead_last and vocab_size > 1:
-        raw[:, -1] = 0.0
+    live = vocab_size - 1 if dead_last and vocab_size > 1 else vocab_size
+    raw[:, live:] = 0.0
     dead = raw.sum(axis=1) == 0.0
-    raw[dead, rng.integers(0, max(1, vocab_size - 1) if dead_last else vocab_size, size=int(dead.sum()))] = 1.0
+    raw[dead, rng.integers(0, live, size=int(dead.sum()))] = 1.0  # one live entry for a row left empty
     return MarkovLanguageSpec(vocab_size, raw / raw.sum(axis=1, keepdims=True) * (1.0 - shortfall))
 
 
@@ -647,6 +647,15 @@ class TestIngest:
         path = tmp_path / "xy.jsonl"
         path.write_text('{"x": [1.0, 0.5], "y": 0}\n{"x": [0.0, %s], "y": 1}\n' % feature)
         with pytest.raises(IngestError, match="line 2: feature 1 must be a number") as excinfo:
+            ingest_dataset(path)
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("features", ["1.0", '"12"', '{"a": 1.0}'])
+    def test_features_must_be_a_list(self, tmp_path, features):
+        # numpy read 1.0 and "12" as one-feature arrays of no dimension
+        path = tmp_path / "xy.jsonl"
+        path.write_text('{"x": [1.0], "y": 0}\n{"x": %s, "y": 1}\n' % features)
+        with pytest.raises(IngestError, match="line 2: 'x' must be a list of numbers") as excinfo:
             ingest_dataset(path)
         assert excinfo.value.line == 2
 
