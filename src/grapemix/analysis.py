@@ -12,11 +12,14 @@ it live two empirical checks:
 
 Export is a plain CSV with stable column names; floats are written with
 ``repr`` (shortest round-trip decimal), so a re-ingested file reproduces
-every value exactly.
+every value exactly.  Export and import both stream the file in blocks of
+``_BLOCK_ROWS`` records, so their memory is one block beside the columns.
 """
 
 from __future__ import annotations
 
+import codecs
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,6 +43,8 @@ VECTOR_COLUMNS = (
 COUNTERS = ("train_grad_evals", "task_grad_evals", "domain_grad_evals")
 FIRST_ROWS = 16  # rows of a new trajectory's columns, which double whenever they are full
 STEP_ORDER = "steps must strictly increase, got {} after {}"
+_BLOCK_ROWS = 512  # CSV records rendered, or parsed and added, at a time
+_READ_BYTES = 1 << 16  # bytes of a CSV file decoded at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,20 +297,85 @@ def _header(trajectory: Trajectory) -> list[str]:
     return columns + ["lr", "grad_evals"]
 
 
+def _csv_pieces(trajectory: Trajectory):
+    """The CSV text of ``trajectory`` in pieces: its header line, then the lines of each
+    ``_BLOCK_ROWS`` records, rendered from slices of the columns."""
+    yield ",".join(_header(trajectory)) + "\n"
+    for lo in range(0, len(trajectory), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        floats = np.hstack([trajectory._column(name)[rows] for name, _, _ in VECTOR_COLUMNS]
+                           + [trajectory._column("lr")[rows, None]]).tolist()
+        evals = sum(trajectory._column(name)[rows] for name in COUNTERS).tolist()
+        lines = [",".join([str(step), *map(repr, row), str(total)])
+                 for step, row, total in zip(trajectory.steps[rows].tolist(), floats, evals)]
+        yield "\n".join(lines) + "\n"
+
+
 def render_trajectory(trajectory: Trajectory) -> str:
-    """The CSV text of a trajectory; floats as shortest round-trip decimals."""
-    floats = np.hstack([trajectory._column(name) for name, _, _ in VECTOR_COLUMNS]
-                       + [trajectory._column("lr")[:, None]]).tolist()
-    evals = sum(trajectory._column(name) for name in COUNTERS).tolist()
-    lines = [",".join(_header(trajectory))]
-    lines += [",".join([str(step), *map(repr, row), str(total)])
-              for step, row, total in zip(trajectory.steps.tolist(), floats, evals)]
-    return "\n".join(lines) + "\n"
+    """The CSV text of a trajectory; floats as shortest round-trip decimals.  The text is
+    joined from the pieces ``export_trajectory`` writes, so both give the same bytes."""
+    return "".join(_csv_pieces(trajectory))
 
 
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> None:
-    """Write one CSV row per record (see render_trajectory)."""
-    Path(path).write_text(render_trajectory(trajectory), encoding="utf-8")
+    """Write one CSV row per record (see render_trajectory), ``_BLOCK_ROWS`` records at a time,
+    so memory stays one block of text whatever the length of the run.  The text goes to a new
+    file beside ``path``, which replaces ``path`` only once it is whole: a failed export leaves
+    ``path`` as it was, or absent, and removes the new file."""
+    path = Path(path)
+    # a name of its own, opened as open() makes any file (mkstemp's are owner-only)
+    partial = path.with_name(f".{path.name}.{os.urandom(8).hex()}.partial")
+    try:
+        with open(partial, "x", encoding="utf-8") as out:
+            for piece in _csv_pieces(trajectory):
+                out.write(piece)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _lines(path: str | Path):
+    """(line number, line) of each line of the file at ``path``, split as ``str.splitlines``
+    splits its whole text, decoded ``_READ_BYTES`` at a time.  Bytes that are not UTF-8 raise
+    IngestError with the message, and the byte position, that decoding the whole file gives."""
+    lineno, done, undecoded = 0, 0, b""
+    head, carry = [], ""  # the text of a line whose end is not read yet; a last "\r", maybe half of "\r\n"
+    with open(path, "rb") as file:
+        while True:
+            chunk = file.read(_READ_BYTES)
+            data = undecoded + chunk
+            try:
+                text, used = codecs.utf_8_decode(data, "strict", not chunk)
+            except UnicodeDecodeError as exc:
+                start, end = done + exc.start, done + exc.end
+                where = (f"byte 0x{data[exc.start]:02x} in position {start}" if end == start + 1
+                         else f"bytes in position {start}-{end - 1}")
+                raise IngestError(f"trajectory file is not UTF-8 text: 'utf-8' codec can't decode {where}: "
+                                  f"{exc.reason}") from exc
+            done, undecoded = done + used, data[used:]
+            text = carry + text
+            carry = "\r" if chunk and text.endswith("\r") else ""
+            text = text[: len(text) - len(carry)]
+            lines = text.splitlines()
+            # a last line that no line break ends (the text ends with it) goes on in the next chunk
+            more = [lines.pop()] if chunk and lines and lines[-1] and text.endswith(lines[-1]) else []
+            if head and (lines or not chunk):
+                lines[:1] = ["".join(head + lines[:1])]
+                head = []
+            head += more
+            yield from enumerate(lines, start=lineno + 1)
+            lineno += len(lines)
+            if not chunk:
+                return
+
+
+def _drained(error: IngestError, lines) -> IngestError:
+    """``error``, once the rest of ``lines`` has decoded: text that is not UTF-8 anywhere in
+    the file is the fault reported, as when the whole file was decoded first."""
+    for _ in lines:
+        pass
+    return error
 
 
 def import_trajectory(path: str | Path) -> Trajectory:
@@ -316,17 +386,15 @@ def import_trajectory(path: str | Path) -> Trajectory:
     restored into the training counter.  Text that is not UTF-8, a header
     naming labels that ``Trajectory`` rejects, and any row that does not
     parse or that ``Trajectory.append`` rejects, raise IngestError (with the
-    line number), for the first line that appending row by row would reject.
-    The rows are parsed in one pass into columns, judged together and added
-    in one block.
+    line number), for the first line that appending row by row would reject;
+    text that is not UTF-8 anywhere in the file takes precedence, as when the
+    whole file was decoded first.  The file is read line by line, and its rows
+    are parsed ``_BLOCK_ROWS`` at a time into one scratch block, judged together
+    and added to the columns, so memory stays one block beside the columns.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"trajectory file is not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
-    # (physical line number, fields) of each non-blank line, split lazily to keep peak memory down
-    rows = ((lineno, line.split(",")) for lineno, line in enumerate(lines, start=1) if line)
+    lines = _lines(path)
+    # (physical line number, fields) of each non-blank line
+    rows = ((lineno, line.split(",")) for lineno, line in lines if line)
     header_line, columns = next(rows, (1, None))
     if columns is None:
         raise IngestError("trajectory file is empty", 1)
@@ -334,42 +402,43 @@ def import_trajectory(path: str | Path) -> Trajectory:
     labels = {side: [c[len(prefix) + 1 :] for c in columns if c.startswith(prefix + ".")]
               for _, prefix, side in reversed(VECTOR_COLUMNS)}
     if not all(labels.values()):
-        raise IngestError("header lacks per-task or per-domain columns", header_line)
+        raise _drained(IngestError("header lacks per-task or per-domain columns", header_line), lines)
     try:
         trajectory = Trajectory(**labels)
     except DimensionError as exc:
-        raise IngestError(str(exc), header_line) from exc
+        raise _drained(IngestError(str(exc), header_line), lines) from exc
     if columns != _header(trajectory):
-        raise IngestError("header does not match the trajectory schema", header_line)
+        raise _drained(IngestError("header does not match the trajectory schema", header_line), lines)
 
-    # The data rows, parsed with float() and int() per field, up to the first that does not parse.
-    capacity = len(lines) - header_line
-    floats = np.empty((capacity, len(columns) - 2))  # the vectors in column order, then lr
-    steps, counts = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
-    linenos, fault = [], None
-    for r, (lineno, parts) in enumerate(rows):
-        linenos.append(lineno)
-        try:
-            if len(parts) != len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(parts)}")
-            floats[r] = [float(p) for p in parts[1:-1]]
-            step, count = int(parts[0]), int(parts[-1])
-            steps[r], counts[r] = step, count  # OverflowError: an integer past the int64 columns
-        except (ValueError, OverflowError) as exc:
-            fault = exc
-            break
-    size = len(linenos) - (fault is not None)
+    # Each block of data rows, parsed with float() and int() per field, up to the first that does not parse.
+    floats = np.empty((_BLOCK_ROWS, len(columns) - 2))  # the vectors in column order, then lr
+    steps, counts = np.empty(_BLOCK_ROWS, dtype=np.int64), np.empty(_BLOCK_ROWS, dtype=np.int64)
     bounds = np.cumsum([0, *trajectory._widths.values()]).tolist()
     vectors = [floats[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    block = dict(zip(FIELDS, (steps[:size], *(v[:size] for v in vectors), floats[:size, -1], counts[:size], 0, 0)))
-    rejected = trajectory._extend(block)
-    if rejected:
-        raise IngestError(rejected[1], linenos[rejected[0]])
-    if isinstance(fault, OverflowError):  # append judges the row, as row by row, before it fails to fit the columns
-        try:
-            trajectory.append(step, *(v[size] for v in vectors), floats[size, -1], count, 0, 0)
-        except (ValueError, OverflowError) as exc:
-            fault = exc
-    if fault is not None:
-        raise IngestError(str(fault), linenos[-1]) from fault
-    return trajectory
+    while True:
+        linenos, fault = [], None
+        for r, (lineno, parts) in zip(range(_BLOCK_ROWS), rows):  # range first: no row is drawn past the block
+            linenos.append(lineno)
+            try:
+                if len(parts) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(parts)}")
+                floats[r] = list(map(float, parts[1:-1]))
+                step, count = int(parts[0]), int(parts[-1])
+                steps[r], counts[r] = step, count  # OverflowError: an integer past the int64 columns
+            except (ValueError, OverflowError) as exc:
+                fault = exc
+                break
+        size = len(linenos) - (fault is not None)
+        block = dict(zip(FIELDS, (steps[:size], *(v[:size] for v in vectors), floats[:size, -1], counts[:size], 0, 0)))
+        rejected = trajectory._extend(block)
+        if rejected:
+            raise _drained(IngestError(rejected[1], linenos[rejected[0]]), lines)
+        if isinstance(fault, OverflowError):  # append judges the row, as row by row, before it fails to fit the columns
+            try:
+                trajectory.append(step, *(v[size] for v in vectors), floats[size, -1], count, 0, 0)
+            except (ValueError, OverflowError) as exc:
+                fault = exc
+        if fault is not None:
+            raise _drained(IngestError(str(fault), linenos[-1]), lines) from fault
+        if size < _BLOCK_ROWS:
+            return trajectory

@@ -1,6 +1,8 @@
 """Trajectory analysis, theorem harness reports, and CSV export."""
 
+import builtins
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -660,3 +662,245 @@ class TestBulkImport:
             assert len(import_trajectory(path)) == rows
             counts[rows] = len(calls)
         assert counts[3] == counts[300] == 2  # alpha and z
+
+
+BLOCK = analysis._BLOCK_ROWS
+
+
+def block_trajectory(rows: int, domains: int = 2, tasks: int = 3, seed: int = 0) -> Trajectory:
+    """``rows`` records of random values, added as one block.  The task and domain counters are
+    zero, so the CSV, which keeps only their total, restores every column."""
+    rng = np.random.default_rng(seed)
+    traj = Trajectory(tuple(f"d{i}" for i in range(domains)), tuple(f"t{i}" for i in range(tasks)))
+    widths = {"losses": tasks, "alpha": domains, "z": tasks, "task_scores": tasks, "domain_scores": domains}
+    block = {name: rng.normal(size=(rows, width)) for name, width in widths.items()}
+    block.update(step=np.arange(rows, dtype=np.int64) * 3 - 7, alpha=rng.dirichlet(np.ones(domains), rows),
+                 z=rng.dirichlet(np.ones(tasks), rows), lr=rng.random(rows), train_grad_evals=np.arange(rows) * 5,
+                 task_grad_evals=0, domain_grad_evals=0)
+    assert traj._extend(block) is None
+    return traj
+
+
+class FileSpy:
+    """A file opened by the analysis module, with each ``read``'s size or ``write``'s text logged,
+    and ``fail`` raised in place of write number ``fail_at`` (counted from 1)."""
+
+    def __init__(self, file, log, fail=None, fail_at=None):
+        self.file, self.log, self.fail, self.fail_at = file, log, fail, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def read(self, size=-1):
+        data = self.file.read(size)
+        self.log.append(len(data))
+        return data
+
+    def write(self, text):
+        self.log.append(text)
+        if len(self.log) == self.fail_at:
+            raise self.fail
+        return self.file.write(text)
+
+
+@pytest.fixture
+def two_row_blocks(monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK_ROWS", 2)
+
+
+# The properties below run their inner tests again under a given of their own: hypothesis
+# rejects one given test called from two classes.
+
+
+@pytest.mark.usefixtures("two_row_blocks")
+class TestCsvRoundTripPropertyInTwoRowBlocks:
+    """The round trip again in blocks of two rows, so that the drawn trajectories cross block ends."""
+
+    test_import_reproduces_every_field = settings(max_examples=150, deadline=None)(
+        given(traj=trajectories())(TestCsvRoundTripProperty.test_import_reproduces_every_field.hypothesis.inner_test))
+
+
+@pytest.mark.usefixtures("two_row_blocks")
+class TestBulkImportInTwoRowBlocks(TestBulkImport):
+    """Row-by-row agreement again in blocks of two rows, so that the drawn files cross block ends."""
+
+    test_agrees_with_appending_row_by_row = settings(max_examples=300, deadline=None)(
+        given(data=st.data(), lines=exported_lines(), faults=st.lists(st.sampled_from(FAULTS), max_size=3))(
+            TestBulkImport.test_agrees_with_appending_row_by_row.hypothesis.inner_test))
+    # judging runs once per weight field and block: test_judging_runs_once_per_block counts it
+    test_the_cost_of_judging_does_not_grow_with_the_rows = None
+
+
+class TestBlocks:
+    """Export writes, and import reads and adds, ``_BLOCK_ROWS`` records at a time; no byte and no
+    column depends on where a block ends."""
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_ends_change_no_byte_and_no_column(self, tmp_path, rows):
+        traj = block_trajectory(rows)
+        path = tmp_path / "traj.csv"
+        export_trajectory(traj, path)
+        # the text written record by record, from each record on its own
+        lines = [",".join(analysis._header(traj))]
+        lines += [",".join([str(r.step), *(repr(float(v)) for name, _, _ in VECTOR_COLUMNS for v in getattr(r, name)),
+                            repr(r.lr), str(r.grad_evals)]) for r in traj]
+        assert path.read_bytes() == render_trajectory(traj).encode() == ("\n".join(lines) + "\n").encode()
+        assert outcome(import_trajectory, path) == outcome(lambda _: traj, path)
+
+    def test_a_fault_in_a_later_block_is_named_at_its_line(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        export_trajectory(block_trajectory(2 * BLOCK + 1), path)
+        lines = path.read_text().splitlines()
+        for j in (BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1):  # the last row of a block, the first of the next, the last
+            corrupted = [*lines]
+            corrupted[j] = lines[j - 1]  # a repeated step
+            path.write_text("\n".join(corrupted) + "\n")
+            assert outcome(import_trajectory, path) == outcome(row_by_row_import, path) == (
+                j + 1, f"line {j + 1}: steps must strictly increase, got {lines[j - 1].split(',')[0]} after "
+                       f"{lines[j - 1].split(',')[0]}")
+
+    @pytest.mark.usefixtures("two_row_blocks")
+    def test_judging_runs_once_per_block(self, tmp_path, monkeypatch):
+        path = tmp_path / "traj.csv"
+        export_trajectory(block_trajectory(5), path)
+        rule, calls = simplex.simplex_rows, []
+        monkeypatch.setattr(analysis, "simplex_rows", lambda values: calls.append(np.shape(values)) or rule(values))
+        assert len(import_trajectory(path)) == 5
+        assert calls == [(2, 2), (2, 3), (2, 2), (2, 3), (1, 2), (1, 3)]  # alpha and z of each block
+
+
+LINE_BREAKS = {"crlf": "\r\n", "cr": "\r", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85", "ls": "\u2028"}
+BAD_UTF8 = {"ff": b"\xff", "cut-short": b"\xe2\x82", "surrogate": b"\xed\xa0\x80", "continuation": b"\x80"}
+
+
+def utf8_fault(data: bytes) -> str:
+    """The message of the IngestError for ``data`` as decoding its whole text gives it."""
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        data.decode("utf-8")
+    return f"trajectory file is not UTF-8 text: {excinfo.value}"
+
+
+class TestStreamedText:
+    """The importer decodes and splits the file a chunk at a time, as decoding and splitting its
+    whole text would: the same lines, the same line numbers and the same UTF-8 verdict."""
+
+    @pytest.mark.parametrize("read_bytes", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("brk", LINE_BREAKS.values(), ids=LINE_BREAKS.keys())
+    def test_line_breaks_split_as_the_whole_text_splits(self, tmp_path, monkeypatch, brk, read_bytes):
+        monkeypatch.setattr(analysis, "_READ_BYTES", read_bytes)
+        lines = render_trajectory(block_trajectory(4, domains=1, tasks=1)).splitlines()
+        cut = [*lines]
+        cut[2] = lines[2][:9] + brk + lines[2][9:]  # a break inside a row
+        texts = {"between rows": brk.join(lines) + brk, "and blank lines": (2 * brk).join(lines),
+                 "mixed with newlines": "\n".join(lines[:2]) + brk + "\n".join(lines[2:]),
+                 "inside a row": brk.join(cut) + brk, "at the end, unended": brk.join(lines)}
+        path = tmp_path / "traj.csv"
+        for text in texts.values():
+            path.write_text(text, encoding="utf-8", newline="")
+            assert outcome(import_trajectory, path) == outcome(row_by_row_import, path)
+        path.write_text(texts["between rows"], encoding="utf-8", newline="")
+        assert len(import_trajectory(path)) == 4
+
+    @pytest.mark.parametrize("read_bytes", [64, 1 << 16])
+    @pytest.mark.parametrize("bad", BAD_UTF8.values(), ids=BAD_UTF8.keys())
+    @pytest.mark.parametrize("fault", ["field-count", "step-order", "past-int64", "header"])
+    def test_text_that_is_not_utf8_anywhere_is_the_fault_reported(self, tmp_path, monkeypatch, fault, bad, read_bytes):
+        # a row or header fault on one of the first three lines, and bytes that are not UTF-8 on the
+        # last line, beyond the first chunk read: the UTF-8 fault is reported, as when the whole
+        # file was decoded first
+        monkeypatch.setattr(analysis, "_READ_BYTES", read_bytes)
+        lines = render_trajectory(block_trajectory(2 * BLOCK + 1)).splitlines()
+        if fault == "field-count":
+            lines[1] += ",0"
+        elif fault == "step-order":
+            lines[2] = lines[1]
+        elif fault == "past-int64":
+            lines[1] = str(2**63) + lines[1][lines[1].index(","):]
+        else:
+            lines[0] = lines[0].replace("d1", "d0")
+        data = "\n".join(lines).encode() + bad + (b"" if bad == b"\xe2\x82" else b"\n")
+        path = tmp_path / "traj.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError) as excinfo:
+            import_trajectory(path)
+        assert (excinfo.value.line, str(excinfo.value)) == (None, utf8_fault(data))
+        path.write_bytes(data.replace(bad, b""))  # and without them, the row or header fault itself
+        line = {"field-count": 2, "step-order": 3, "past-int64": 2, "header": 1}[fault]
+        assert outcome(import_trajectory, path)[0] == line
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 1 << 16])
+    def test_utf8_faults_name_their_byte_position_in_the_whole_file(self, tmp_path, monkeypatch, read_bytes):
+        monkeypatch.setattr(analysis, "_READ_BYTES", read_bytes)
+        text = render_trajectory(Trajectory(("dä", "d€"), ("t\U0001f600",))).encode()
+        path = tmp_path / "traj.csv"
+        for bad in BAD_UTF8.values():
+            for at in range(0, len(text) + 1, 3):
+                data = text[:at] + bad + text[at:]
+                path.write_bytes(data)
+                with pytest.raises(IngestError) as excinfo:
+                    import_trajectory(path)
+                assert (excinfo.value.line, str(excinfo.value)) == (None, utf8_fault(data))
+
+    def test_a_clean_file_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "traj.csv"
+        export_trajectory(block_trajectory(2 * BLOCK + 1), path)
+        reads = []
+        monkeypatch.setattr(analysis, "open", lambda *args, **kwargs: FileSpy(builtins.open(*args, **kwargs), reads),
+                            raising=False)
+        import_trajectory(path)
+        assert len(reads) > 2 and sum(reads) == path.stat().st_size  # chunk after chunk, each byte once
+
+
+class TestAtomicExport:
+    """The CSV goes to a new file beside the target, which replaces the target once it is whole."""
+
+    @pytest.mark.usefixtures("two_row_blocks")
+    @pytest.mark.parametrize("fail", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupt"])
+    @pytest.mark.parametrize("before", [None, b"step\nthe previous file\n"], ids=["absent", "present"])
+    def test_a_failed_export_leaves_the_target_as_it_was(self, tmp_path, monkeypatch, fail, before):
+        target = tmp_path / "traj.csv"
+        if before is not None:
+            target.write_bytes(before)
+        writes = []
+        monkeypatch.setattr(analysis, "open", lambda *args, **kwargs: FileSpy(builtins.open(*args, **kwargs), writes,
+                                                                               fail, fail_at=3), raising=False)
+        with pytest.raises(type(fail)):
+            export_trajectory(block_trajectory(5), target)
+        assert len(writes) == 3  # the header, the first block, and the second block, whose write failed
+        assert list(tmp_path.iterdir()) == ([] if before is None else [target])
+        assert before is None or target.read_bytes() == before
+
+    def test_an_export_replaces_the_target_with_the_usual_permissions(self, tmp_path):
+        target, plain = tmp_path / "traj.csv", tmp_path / "plain.csv"
+        target.write_bytes(b"old\n")
+        plain.write_text("")
+        export_trajectory(block_trajectory(3), target)
+        assert target.read_text() == render_trajectory(block_trajectory(3))
+        assert sorted(tmp_path.iterdir()) == [plain, target]
+        assert target.stat().st_mode == plain.stat().st_mode
+
+
+class TestStreamedMemory:
+    def test_export_and_import_hold_a_block_beside_the_columns(self, tmp_path):
+        # 20,000 records: a 2 MB CSV, 1.6 MB of columns as imported; at the parent, which held
+        # the whole text, export peaked at 13 MB and import at 8.8 MB
+        traj = block_trajectory(20_000, domains=1, tasks=1)
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            export_trajectory(traj, path)
+            export_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            back = import_trajectory(path)
+            import_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        columns = sum(back._column(name).nbytes for name in FIELDS)
+        assert export_peak < 2_000_000
+        # the columns double while they grow, so old and new columns are alive together for a moment
+        assert import_peak < 3 * columns

@@ -323,6 +323,15 @@ class TestCli:
                      "--out", str(copy)]) == 0
         assert copy.read_bytes() == (out / "trajectory.csv").read_bytes()
 
+    def test_export_onto_its_own_file_round_trips(self, tmp_path):
+        path = write_config(tmp_path, minimal_quadratic_config())
+        out = tmp_path / "out"
+        main(["run", "--config", str(path), "--out", str(out)])
+        csv = out / "trajectory.csv"
+        before, files = csv.read_bytes(), sorted(out.iterdir())
+        assert main(["export", "--trajectory", str(csv), "--out", str(csv)]) == 0
+        assert csv.read_bytes() == before and sorted(out.iterdir()) == files
+
     def test_export_of_a_malformed_trajectory_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_quadratic_config())
         out = tmp_path / "out"
